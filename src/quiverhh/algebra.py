@@ -12,8 +12,7 @@ homogeneous in path length).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dfield
-from fractions import Fraction
+from dataclasses import dataclass
 
 from . import linal
 from .errors import InvalidArrow, NotAdmissible, NotFiniteDimensional
@@ -248,9 +247,6 @@ class AlgebraTable:
         path = (label,)
         return self.basis_paths.index(path)
 
-    def basis_index(self, path: Path) -> int:
-        return self.basis_paths.index(path)
-
     def zero(self) -> list:
         return linal.zero_vector(self.field, self.dim)
 
@@ -261,19 +257,7 @@ class AlgebraTable:
         return v
 
     def multiply(self, u: list, v: list) -> list:
-        field = self.field
-        out = self.zero()
-        for i, a in enumerate(u):
-            if a == 0:
-                continue
-            for j, b in enumerate(v):
-                if b == 0:
-                    continue
-                c = field.mul(a, b)
-                for k, m in enumerate(self.mult[i][j]):
-                    if m != 0:
-                        out[k] = field.add(out[k], field.mul(c, m))
-        return out
+        return linal.contract(self.field, self.mult, u, v)
 
     def normal_form(self, terms) -> list:
         """Image in A of a linear combination of (coef, path) terms.
@@ -316,31 +300,6 @@ class AlgebraTable:
             prods = [self.multiply(u, v) for u in cur for v in rad1]
             cur = linal.span_basis(field, prods)
         return linal.span_basis(field, cur)
-
-    def element_length_floor(self, vec: list) -> int:
-        """Largest n with vec in rad^n (dim+1 if vec == 0)."""
-        n = 0
-        while n <= len(self.rad_dims):
-            basis = self.radical_power_basis(n + 1)
-            if not linal.contains(self.field, basis + [], vec):
-                return n
-            n += 1
-        return n
-
-    def check_associative(self) -> bool:
-        d = self.dim
-        for i in range(d):
-            ei = linal.unit_vector(self.field, d, i)
-            for j in range(d):
-                ej = linal.unit_vector(self.field, d, j)
-                uv = self.mult[i][j]
-                for k in range(d):
-                    ek = linal.unit_vector(self.field, d, k)
-                    left = self.multiply(uv, ek)
-                    right = self.multiply(ei, self.multiply(ej, ek))
-                    if left != right:
-                        return False
-        return True
 
 
 def build_algebra(p: Presentation) -> AlgebraTable:
@@ -442,129 +401,3 @@ def _radical_dims(table: AlgebraTable) -> list[int]:
             return dims
         n += 1
 
-
-# -- derived tables --------------------------------------------------------
-
-
-@dataclass
-class MulTable:
-    """Bare associative multiplication table on an abstract basis.
-
-    Used for idempotent subalgebras eAe and bouquet quotients A/J, whose
-    basis elements need not be arrows of any declared quiver.
-    """
-
-    field: Field
-    mult: list[list[list]]
-    unit: list
-    labels: list[str]
-    idempotents: list[list] | None = None  # complete orthogonal set, if known
-
-    @property
-    def dim(self) -> int:
-        return len(self.mult)
-
-    def multiply(self, u: list, v: list) -> list:
-        field = self.field
-        out = linal.zero_vector(field, self.dim)
-        for i, a in enumerate(u):
-            if a == 0:
-                continue
-            for j, b in enumerate(v):
-                if b == 0:
-                    continue
-                c = field.mul(a, b)
-                for k, m in enumerate(self.mult[i][j]):
-                    if m != 0:
-                        out[k] = field.add(out[k], field.mul(c, m))
-        return out
-
-    def check_associative(self) -> bool:
-        d = self.dim
-        for i in range(d):
-            for j in range(d):
-                uv = self.mult[i][j]
-                for k in range(d):
-                    ek = linal.unit_vector(self.field, d, k)
-                    ej = linal.unit_vector(self.field, d, j)
-                    ei = linal.unit_vector(self.field, d, i)
-                    if self.multiply(uv, ek) != self.multiply(ei, self.multiply(ej, ek)):
-                        return False
-        return True
-
-
-def as_table(a: AlgebraTable) -> MulTable:
-    idems = [linal.unit_vector(a.field, a.dim, i) for i in range(len(a.quiver.vertices))]
-    labels = ["*".join(p) if p else f"e_{a.quiver.vertices[i]}"
-              for i, p in enumerate(a.basis_paths)]
-    return MulTable(a.field, a.mult, a.unit(), labels, idems)
-
-
-def idempotent_subalgebra(a: AlgebraTable, vertex_subset) -> MulTable:
-    """The algebra eAe for e the sum of the chosen standard idempotents."""
-    s = set(vertex_subset)
-    if not s:
-        raise ValueError("vertex subset must be nonempty")
-    keep = [i for i in range(a.dim) if a.basis_source[i] in s and a.basis_target[i] in s]
-    pos = {b: i for i, b in enumerate(keep)}
-    field = a.field
-    mult = [[[a.mult[bi][bj][bk] for bk in keep] for bj in keep] for bi in keep]
-    unit = linal.zero_vector(field, len(keep))
-    idems = []
-    for i, v in enumerate(a.quiver.vertices):
-        if v in s:
-            unit[pos[i]] = field.one
-            idems.append(linal.unit_vector(field, len(keep), pos[i]))
-    labels = ["*".join(a.basis_paths[b]) if a.basis_paths[b] else f"e_{a.basis_source[b]}"
-              for b in keep]
-    return MulTable(field, mult, unit, labels, idems)
-
-
-def local_quotient(a: AlgebraTable) -> MulTable:
-    """A/J for J the ideal generated by monomials visiting two vertices.
-
-    The result is a direct product of local algebras, one per vertex
-    (bouquets of loops).
-    """
-    field = a.field
-
-    def visits_two(i: int) -> bool:
-        path = a.basis_paths[i]
-        if not path:
-            return False
-        verts = {a.quiver.arrow(l).source for l in path} | {a.quiver.arrow(l).target for l in path}
-        return len(verts) > 1
-
-    gens = [linal.unit_vector(field, a.dim, i) for i in range(a.dim) if visits_two(i)]
-    # close under left/right multiplication by basis elements
-    j_basis = linal.span_basis(field, gens)
-    while True:
-        prods = list(j_basis)
-        for v in j_basis:
-            for i in range(a.dim):
-                e = linal.unit_vector(field, a.dim, i)
-                prods.append(a.multiply(e, v))
-                prods.append(a.multiply(v, e))
-        new = linal.span_basis(field, prods)
-        if len(new) == len(j_basis):
-            break
-        j_basis = new
-    full = [linal.unit_vector(field, a.dim, i) for i in range(a.dim)]
-    ops = linal.subspace_ops(field, full, j_basis)
-    reps = ops.quotient_reps
-    ech, piv = linal.rref(field, j_basis) if j_basis else ([], [])
-
-    def project(vec: list) -> list:
-        red = linal.reduce_against(field, vec, ech, piv)
-        coords = linal.coordinates(field, reps, red)
-        if coords is None:
-            raise AssertionError("quotient projection failed")
-        return coords
-
-    d = len(reps)
-    mult = [[project(a.multiply(reps[i], reps[j])) for j in range(d)] for i in range(d)]
-    unit = project(a.unit())
-    idems = [project(linal.unit_vector(field, a.dim, i))
-             for i in range(len(a.quiver.vertices))]
-    labels = [f"q{i}" for i in range(d)]
-    return MulTable(field, mult, unit, labels, idems)

@@ -1,7 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 input errors (parse, admissibility, finiteness),
-3 refused operations (unsupported characteristic, oversized oracle).
+Exit codes: 0 success, 2 input errors (unreadable or non-UTF-8 file,
+parse, unknown or non-prime --field, a coefficient whose denominator
+vanishes in the field, admissibility, finiteness), 3 refused operations
+(unsupported characteristic, oversized oracle).
 """
 
 from __future__ import annotations
@@ -22,10 +24,13 @@ REFUSALS = (UnsupportedCharacteristic, TooLarge, DeltaUndefined)
 
 
 def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from None
 
 
 def _load(args):
@@ -150,9 +155,6 @@ def main(argv=None) -> int:
     except REFUSALS as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 3
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

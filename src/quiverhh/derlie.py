@@ -10,7 +10,6 @@ declaration order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import linal
 from .algebra import AlgebraTable
@@ -49,35 +48,23 @@ class DerivationLayout:
         """
         t = self.table
         cols = []
-        for j, path in enumerate(t.basis_paths):
+        for path in t.basis_paths:
             img = t.zero()
             for k, label in enumerate(path):
-                term = self.value(vec, label)
-                if k > 0:
-                    term = t.multiply(t.path_vector(path[:k]), term)
-                if k + 1 < len(path):
-                    term = t.multiply(term, t.path_vector(path[k + 1:]))
+                term = _leibniz_term(t, path, k, self.value(vec, label))
                 img = linal.vec_add(t.field, img, term)
             cols.append(img)
         rows = [[cols[j][i] for j in range(t.dim)] for i in range(t.dim)]
         return rows
 
-    def apply(self, vec: list, element: list) -> list:
-        """Value of the derivation on an arbitrary element of A."""
-        t = self.table
-        out = t.zero()
-        for j, c in enumerate(element):
-            if c == 0:
-                continue
-            path = t.basis_paths[j]
-            for k, label in enumerate(path):
-                term = self.value(vec, label)
-                if k > 0:
-                    term = t.multiply(t.path_vector(path[:k]), term)
-                if k + 1 < len(path):
-                    term = t.multiply(term, t.path_vector(path[k + 1:]))
-                out = linal.vec_add(t.field, out, linal.vec_scale(t.field, c, term))
-        return out
+
+def _leibniz_term(t: AlgebraTable, path, k: int, value: list) -> list:
+    """path[:k] * value * path[k+1:], the k-th term of the product rule on path."""
+    if k > 0:
+        value = t.multiply(t.path_vector(path[:k]), value)
+    if k + 1 < len(path):
+        value = t.multiply(value, t.path_vector(path[k + 1:]))
+    return value
 
 
 def derivation_layout(table: AlgebraTable) -> DerivationLayout:
@@ -112,11 +99,7 @@ def _constraint_rows(layout: DerivationLayout) -> list:
                 for k, wl in enumerate(w):
                     if wl != label:
                         continue
-                    term = bvec
-                    if k > 0:
-                        term = t.multiply(t.path_vector(w[:k]), term)
-                    if k + 1 < len(w):
-                        term = t.multiply(term, t.path_vector(w[k + 1:]))
+                    term = _leibniz_term(t, w, k, bvec)
                     total = linal.vec_add(field, total, linal.vec_scale(field, c, term))
             contribs.append(total)
         for coord in range(t.dim):
@@ -181,14 +164,7 @@ def radical_preserving(table: AlgebraTable, layout: DerivationLayout,
         return list(der_basis)
     rows = [[b[pos] for b in der_basis] for pos in conditions]
     combo = linal.kernel_basis(field, rows, ncols=len(der_basis))
-    out = []
-    for coeffs in combo:
-        v = linal.zero_vector(field, layout.size)
-        for c, b in zip(coeffs, der_basis):
-            if c != 0:
-                v = linal.vec_add(field, v, linal.vec_scale(field, c, b))
-        out.append(v)
-    return linal.span_basis(field, out)
+    return linal.span_basis(field, [linal.combine(field, c, der_basis) for c in combo])
 
 
 @dataclass
@@ -241,55 +217,34 @@ class LieAlgebra:
     reps: list | None = None
 
     def bracket_of(self, u: list, v: list) -> list:
-        field = self.field
-        out = linal.zero_vector(field, self.dim)
-        for i, a in enumerate(u):
-            if a == 0:
-                continue
-            for j, b in enumerate(v):
-                if b == 0:
-                    continue
-                c = field.mul(a, b)
-                for k, m in enumerate(self.bracket[i][j]):
-                    if m != 0:
-                        out[k] = field.add(out[k], field.mul(c, m))
-        return out
+        return linal.contract(self.field, self.bracket, u, v)
 
     def product_span(self, span_a: list, span_b: list) -> list:
         prods = [self.bracket_of(u, v) for u in span_a for v in span_b]
         return linal.span_basis(self.field, prods)
 
-    def derived_series(self, start: list | None = None) -> list:
-        """Dimensions of the iterated bracket-of-itself chain."""
-        field = self.field
-        cur = start if start is not None else [
-            linal.unit_vector(field, self.dim, i) for i in range(self.dim)]
-        cur = linal.span_basis(field, cur)
+    def _full(self) -> list:
+        return [linal.unit_vector(self.field, self.dim, i) for i in range(self.dim)]
+
+    def _series(self, cur: list, step) -> list:
+        """Dimensions of cur, step(cur), ... until the dimension stops falling."""
         dims = [len(cur)]
         while cur:
-            nxt = self.product_span(cur, cur)
+            nxt = step(cur)
+            dims.append(len(nxt))
             if len(nxt) == len(cur):
-                dims.append(len(nxt))
                 break
             cur = nxt
-            dims.append(len(cur))
-            if not cur:
-                break
         return dims
 
+    def derived_series(self, start: list | None = None) -> list:
+        """Dimensions of the iterated bracket-of-itself chain."""
+        cur = linal.span_basis(self.field, self._full() if start is None else start)
+        return self._series(cur, lambda s: self.product_span(s, s))
+
     def lower_central_series(self) -> list:
-        field = self.field
-        full = [linal.unit_vector(field, self.dim, i) for i in range(self.dim)]
-        cur = full
-        dims = [len(cur)]
-        while cur:
-            nxt = self.product_span(full, cur)
-            if len(nxt) == len(cur):
-                dims.append(len(nxt))
-                break
-            cur = nxt
-            dims.append(len(cur))
-        return dims
+        full = self._full()
+        return self._series(full, lambda s: self.product_span(full, s))
 
     def is_solvable(self, start: list | None = None) -> bool:
         return self.derived_series(start)[-1] == 0
@@ -302,8 +257,7 @@ def lie_from_quotient(table: AlgebraTable, layout: DerivationLayout,
                       der_basis: list, inn_basis: list, labels=None) -> LieAlgebra:
     """Lie algebra on Der/Inn with bracket computed on representatives."""
     field = table.field
-    ops = linal.subspace_ops(field, der_basis, inn_basis)
-    reps = ops.quotient_reps
+    reps = linal.quotient_reps(field, der_basis, inn_basis)
     d = len(reps)
     # express elements of Der in (reps | inn) coordinates and keep the reps part
     columns = [list(v) for v in reps] + [list(v) for v in inn_basis]
@@ -386,21 +340,21 @@ class DeltaMap:
 
     field: Field
     pair: tuple
-    images: list           # Sl2Element per basis vector of the source
-    surjective: bool
+    rows: list             # H, E and F coordinates of each source basis vector
+    rank: int
     kernel: list           # coordinate vectors spanning the kernel
 
+    @property
+    def surjective(self) -> bool:
+        return self.rank == 3
+
+    @property
+    def images(self) -> list:
+        """Sl2Element per basis vector of the source."""
+        return [Sl2Element(*col) for col in zip(*self.rows)]
+
     def image_of(self, coords: list) -> Sl2Element:
-        field = self.field
-        x = field.zero
-        y = field.zero
-        z = field.zero
-        for c, im in zip(coords, self.images):
-            if c != 0:
-                x = field.add(x, field.mul(c, im.x))
-                y = field.add(y, field.mul(c, im.y))
-                z = field.add(z, field.mul(c, im.z))
-        return Sl2Element(x, y, z)
+        return Sl2Element(*linal.mat_vec(self.field, self.rows, coords))
 
 
 def delta_map(lie: LieAlgebra, a_label: str, b_label: str,
@@ -423,15 +377,12 @@ def delta_map(lie: LieAlgebra, a_label: str, b_label: str,
     ia = table.arrow_index(a_label)
     ib = table.arrow_index(b_label)
     half = field.inv(field.of(2))
-    images = []
+    rows = [[], [], []]
     for rep in lie.reps:
         va = layout.value(rep, a_label)
         vb = layout.value(rep, b_label)
-        x = field.mul(half, field.sub(va[ia], vb[ib]))
-        y = vb[ia]
-        z = va[ib]
-        images.append(Sl2Element(x, y, z))
-    rows = [[im.x for im in images], [im.y for im in images], [im.z for im in images]]
-    surjective = linal.rank(field, rows) == 3
+        rows[0].append(field.mul(half, field.sub(va[ia], vb[ib])))
+        rows[1].append(vb[ia])
+        rows[2].append(va[ib])
     kernel = linal.kernel_basis(field, rows, ncols=lie.dim)
-    return DeltaMap(field, (a_label, b_label), images, surjective, kernel)
+    return DeltaMap(field, (a_label, b_label), rows, lie.dim - len(kernel), kernel)

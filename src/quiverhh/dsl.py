@@ -125,12 +125,30 @@ def _combine(terms):
     return [(c, p) for p, c in acc.items() if c != 0]
 
 
+def _parse_field(text: str, line_no: int | None = None) -> Field:
+    try:
+        return Field.parse(text)
+    except ValueError as exc:
+        raise ParseError(str(exc), line_no) from None
+
+
+def _check_coefficients(field: Field, relations, lines) -> None:
+    """Reject a coefficient whose denominator vanishes in the field."""
+    for rel, line_no in zip(relations, lines):
+        for coef, _ in rel.terms:
+            try:
+                field.of(coef)
+            except ZeroDivisionError as exc:
+                raise ParseError(str(exc), line_no) from None
+
+
 def parse_presentation(text: str, field_override: str | None = None,
                        max_length_cap: int = 64) -> Presentation:
     field = None
     vertices: list = []
     arrows: list = []
     relations: list = []
+    relation_lines: list = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -138,10 +156,7 @@ def parse_presentation(text: str, field_override: str | None = None,
         head, _, rest = line.partition(" ")
         rest = rest.strip()
         if head == "field":
-            try:
-                field = Field.parse(rest)
-            except ValueError as exc:
-                raise ParseError(str(exc), line_no) from None
+            field = _parse_field(rest, line_no)
         elif head == "vertex":
             for name in rest.split():
                 if not _NAME.match(name):
@@ -173,12 +188,14 @@ def parse_presentation(text: str, field_override: str | None = None,
             if not terms:
                 raise ParseError("relation cancels to zero", line_no)
             relations.append(Relation(tuple(sorted(terms, key=lambda t: t[1]))))
+            relation_lines.append(line_no)
         else:
             raise ParseError(f"unknown directive {head!r}", line_no)
     if field is None:
         raise ParseError("missing field declaration")
     if field_override is not None:
-        field = Field.parse(field_override)
+        field = _parse_field(field_override)
+    _check_coefficients(field, relations, relation_lines)
     if not vertices:
         raise ParseError("no vertices declared")
     quiver = Quiver.make(vertices, arrows)
@@ -240,6 +257,7 @@ def presentation_from_json(data, field_override: str | None = None,
             relations.append(Relation(terms))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad presentation JSON: {exc}") from None
+    _check_coefficients(field, relations, [None] * len(relations))
     quiver = Quiver.make(vertices, arrows)
     return Presentation(quiver, tuple(relations), field, max_length_cap)
 

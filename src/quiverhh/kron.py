@@ -9,7 +9,7 @@ sl2 plus a solvable remainder.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dfield
+from dataclasses import dataclass
 
 from . import linal
 from .algebra import AlgebraTable
@@ -173,6 +173,7 @@ class SurjectivityReport:
     surjective: bool
     per_pair_image_dims: dict   # pair labels -> rank of its sl2 projection
     kernels_coincide: bool
+    kernel: list | None         # kernel of the first surjective pair's projection
 
 
 def is_surjective_chain(table: AlgebraTable, h: HH1Result,
@@ -187,20 +188,16 @@ def is_surjective_chain(table: AlgebraTable, h: HH1Result,
             "surjectivity onto sl2 needs 2 to be invertible")
     dims = {}
     kernels = []
-    surjective = False
     for pair in chain.pairs:
         if not pair.delta_defined:
             continue
         dm = delta_map(h.lie, pair.a, pair.b)
-        rows = [[im.x for im in dm.images],
-                [im.y for im in dm.images],
-                [im.z for im in dm.images]]
-        dims[pair.labels] = linal.rank(table.field, rows)
+        dims[pair.labels] = dm.rank
         if dm.surjective:
-            surjective = True
             kernels.append(linal.span_basis(table.field, dm.kernel))
-    coincide = all(k == kernels[0] for k in kernels) if kernels else True
-    return SurjectivityReport(surjective, dims, coincide)
+    coincide = all(k == kernels[0] for k in kernels)
+    return SurjectivityReport(bool(kernels), dims, coincide,
+                              kernels[0] if kernels else None)
 
 
 @dataclass
@@ -305,13 +302,9 @@ def decomposition_report(table: AlgebraTable, h: HH1Result,
 
     # kernel of the combined projection onto the m sl2 summands
     kernel = [linal.unit_vector(field, lie.dim, i) for i in range(lie.dim)]
-    for cl, s in zip(classes, surj):
-        if not s.surjective:
-            continue
-        pair = next(p for p in cl.representative.pairs if p.delta_defined)
-        dm = delta_map(lie, pair.a, pair.b)
-        kspan = linal.span_basis(field, dm.kernel)
-        kernel = _intersect(field, kernel, kspan)
+    for s in surj:
+        if s.surjective:
+            kernel = linal.intersect(field, kernel, s.kernel)
     joint_derived = lie.derived_series(kernel) if kernel else [0]
 
     septype = reptype_radsq(table.quiver)
@@ -325,22 +318,3 @@ def decomposition_report(table: AlgebraTable, h: HH1Result,
     return ChainReport(classes, surj, std, m, lie.dim, solvable, derived,
                        r_dim, len(kernel), joint_derived, flags, consistency_ok)
 
-
-def _intersect(field, span_a, span_b):
-    ops = linal.subspace_ops(field, span_a, span_b, quotient=False)
-    # dim formula gives the size; recover an explicit basis by kernel trick
-    if not span_a or not span_b:
-        return []
-    n = len(span_a[0])
-    cols = [list(v) for v in span_a] + [list(v) for v in span_b]
-    matrix = [[cols[c][r] for c in range(len(cols))] for r in range(n)]
-    out = []
-    for coeffs in linal.kernel_basis(field, matrix, ncols=len(cols)):
-        v = linal.zero_vector(field, n)
-        for c, b in zip(coeffs[:len(span_a)], span_a):
-            if c != 0:
-                v = linal.vec_add(field, v, linal.vec_scale(field, c, b))
-        out.append(v)
-    basis = linal.span_basis(field, out)
-    assert len(basis) == ops.dim_intersection
-    return basis

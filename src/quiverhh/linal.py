@@ -225,15 +225,6 @@ def solve(field: Field, m: list[list], b: list) -> list | None:
     return x
 
 
-@dataclass
-class SubspaceOps:
-    dim_a: int
-    dim_b: int
-    dim_sum: int
-    dim_intersection: int
-    quotient_reps: list[list] | None
-
-
 def span_basis(field: Field, vectors: list[list]) -> list[list]:
     """Echelonized basis of the span."""
     if not vectors:
@@ -255,50 +246,64 @@ def contains(field: Field, span: list[list], v: list) -> bool:
     return is_zero_vector(reduce_against(field, v, ech, piv))
 
 
-def subspace_ops(field: Field, span_a: list[list], span_b: list[list],
-                 quotient: bool = True) -> SubspaceOps:
-    """Dimensions of sum/intersection of two spans, plus a/b coset reps.
+def quotient_reps(field: Field, span_a: list[list], span_b: list[list]) -> list[list]:
+    """Row-reduced section of span_a modulo span_b.
 
-    quotient_reps is a row-reduced section of span_a modulo span_b and is
-    only defined when span_b is contained in span_a.
+    Only defined when span_b is contained in span_a.
     """
-    dim_a = rank(field, span_a)
-    dim_b = rank(field, span_b)
-    dim_sum = rank(field, list(span_a) + list(span_b))
-    dim_int = dim_a + dim_b - dim_sum
-    reps = None
-    if quotient:
-        if dim_sum != dim_a:
-            raise QuotientUndefined("span_b is not contained in span_a")
-        ech, piv = rref(field, span_b) if span_b else ([], [])
-        reps = []
-        for v in span_a:
-            red = reduce_against(field, v, ech, piv)
-            for r in reps:
-                red = _reduce_vec(field, red, r)
-            if not is_zero_vector(red):
-                lead = next(i for i, a in enumerate(red) if a != 0)
-                red = vec_scale(field, field.inv(red[lead]), red)
-                reps.append(red)
-        # back-substitute for a fully reduced section
-        reps, _ = rref(field, reps) if reps else ([], [])
-    return SubspaceOps(dim_a, dim_b, dim_sum, dim_int, reps)
+    if rank(field, list(span_a) + list(span_b)) != rank(field, span_a):
+        raise QuotientUndefined("span_b is not contained in span_a")
+    ech, piv = rref(field, span_b) if span_b else ([], [])
+    return span_basis(field, [reduce_against(field, v, ech, piv) for v in span_a])
 
 
-def _reduce_vec(field: Field, v: list, pivot_row: list) -> list:
-    lead = next((i for i, a in enumerate(pivot_row) if a != 0), None)
-    if lead is None or v[lead] == 0:
-        return v
-    c = field.div(v[lead], pivot_row[lead])
-    return [field.sub(a, field.mul(c, b)) for a, b in zip(v, pivot_row)]
+def intersect(field: Field, span_a: list[list], span_b: list[list]) -> list[list]:
+    """Echelonized basis of the intersection of two spans."""
+    if not span_a or not span_b:
+        return []
+    cols = list(span_a) + list(span_b)
+    matrix = [list(row) for row in zip(*cols)]
+    kernel = kernel_basis(field, matrix, ncols=len(cols))
+    basis = span_basis(field, [combine(field, k[:len(span_a)], span_a) for k in kernel])
+    assert len(basis) == rank(field, span_a) + rank(field, span_b) - rank(field, cols)
+    return basis
 
 
-def coordinates(field: Field, basis: list[list], v: list) -> list | None:
-    """Coordinates of v in the given (independent) basis, or None."""
-    if not basis:
-        return [] if is_zero_vector(v) else None
-    cols = list(map(list, zip(*basis)))  # matrix with basis as columns
-    return solve(field, cols, v)
+def combine(field: Field, coeffs: list, vectors: list[list]) -> list:
+    """The linear combination sum(c * v); vectors must be nonempty."""
+    out = zero_vector(field, len(vectors[0]))
+    for c, v in zip(coeffs, vectors):
+        if c != 0:
+            out = vec_add(field, out, vec_scale(field, c, v))
+    return out
+
+
+def contract(field: Field, table: list, u: list, v: list) -> list:
+    """Bilinear product from structure constants.
+
+    table[i][j] is the coordinate vector of x_i * x_j.
+    """
+    out = zero_vector(field, len(table))
+    for i, a in enumerate(u):
+        if a == 0:
+            continue
+        for j, b in enumerate(v):
+            if b == 0:
+                continue
+            c = field.mul(a, b)
+            for k, m in enumerate(table[i][j]):
+                if m != 0:
+                    out[k] = field.add(out[k], field.mul(c, m))
+    return out
+
+
+def is_associative(field: Field, table: list) -> bool:
+    """(x_i x_j) x_k == x_i (x_j x_k) for all basis triples."""
+    d = len(table)
+    e = [unit_vector(field, d, i) for i in range(d)]
+    return all(contract(field, table, table[i][j], e[k])
+               == contract(field, table, e[i], table[j][k])
+               for i in range(d) for j in range(d) for k in range(d))
 
 
 def sparse_rank(field: Field, rows) -> int:

@@ -9,10 +9,8 @@ the point: agreement with the arrow-level computation is a real check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import linal
-from .algebra import AlgebraTable, MulTable
+from .algebra import AlgebraTable
 from .errors import NotAssociative, TooLarge
 from .linal import Field
 
@@ -78,89 +76,28 @@ def bar_hh1_dim(a: AlgebraTable) -> int:
     return ker_d1 - im_d0
 
 
-@dataclass
-class CochainProblem:
-    """Explicit differentials d0 and d1 with the complex identity checked.
-
-    d0_images[u] is the flattened commutator map [basis_u, -]; d1_rows are
-    the sparse cocycle conditions.
-    """
-
-    field: Field
-    dim: int
-    d0_images: list
-    d1_rows: list
-
-    @classmethod
-    def assemble(cls, a: AlgebraTable) -> "CochainProblem":
-        d = a.dim
-        if d > MAX_ORACLE_DIM:
-            raise TooLarge(f"oracle limited to dimension {MAX_ORACLE_DIM}, got {d}")
-        field = a.field
-        d0 = []
-        for u in range(d):
-            f = [field.zero] * (d * d)
-            for j in range(d):
-                for i in range(d):
-                    f[_flat(i, j, d)] = field.sub(a.mult[u][j][i], a.mult[j][u][i])
-            d0.append(f)
-        return cls(field, d, d0, _cocycle_rows(field, a.mult, d))
-
-    def complex_identity_holds(self) -> bool:
-        """d1 applied to every image of d0 is zero."""
-        field = self.field
-        for f in self.d0_images:
-            for row in self.d1_rows:
-                total = field.zero
-                for col, val in row.items():
-                    if f[col] != 0:
-                        total = field.add(total, field.mul(val, f[col]))
-                if total != 0:
-                    return False
-        return True
-
-
-def derivations_from_table(t: MulTable, normalize: bool = True) -> list:
+def derivations_from_table(field: Field, mult, idempotents=None) -> list:
     """Basis of the Leibniz maps of a bare table, as flattened matrices.
 
-    With normalize and a known complete idempotent set, the maps are also
-    required to kill the idempotents, matching the arrow-level convention.
+    With a complete orthogonal set of idempotents given, the maps are
+    also required to kill them, matching the arrow-level convention.
     """
-    if not t.check_associative():
-        raise NotAssociative("multiplication table is not associative")
-    d = t.dim
+    d = len(mult)
     if d > MAX_ORACLE_DIM:
         raise TooLarge(f"oracle limited to dimension {MAX_ORACLE_DIM}, got {d}")
-    field = t.field
+    if not linal.is_associative(field, mult):
+        raise NotAssociative("multiplication table is not associative")
     rows = []
-    for sparse in _cocycle_rows(field, t.mult, d):
+    for sparse in _cocycle_rows(field, mult, d):
         row = [field.zero] * (d * d)
         for col, val in sparse.items():
             row[col] = val
         rows.append(row)
-    if normalize and t.idempotents is not None:
-        for e in t.idempotents:
-            for c in range(d):
-                row = [field.zero] * (d * d)
-                for j in range(d):
-                    if e[j] != 0:
-                        row[_flat(c, j, d)] = e[j]
-                rows.append(row)
+    for e in idempotents or ():
+        for c in range(d):
+            row = [field.zero] * (d * d)
+            for j in range(d):
+                if e[j] != 0:
+                    row[_flat(c, j, d)] = e[j]
+            rows.append(row)
     return linal.kernel_basis(field, rows, ncols=d * d)
-
-
-def map_entry(f: list, i: int, j: int, d: int):
-    return f[_flat(i, j, d)]
-
-
-def apply_map(field: Field, f: list, vec: list) -> list:
-    d = len(vec)
-    out = linal.zero_vector(field, d)
-    for j, c in enumerate(vec):
-        if c == 0:
-            continue
-        for i in range(d):
-            v = f[_flat(i, j, d)]
-            if v != 0:
-                out[i] = field.add(out[i], field.mul(c, v))
-    return out

@@ -26,18 +26,20 @@ class Arrow:
 class Quiver:
     vertices: tuple[str, ...]
     arrows: tuple[Arrow, ...]
+    _by_label: dict = dfield(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(set(self.vertices)) != len(self.vertices):
             raise ValueError("duplicate vertex labels")
-        seen = set()
+        by_label = {}
         vset = set(self.vertices)
         for a in self.arrows:
-            if a.label in seen:
+            if a.label in by_label:
                 raise ValueError(f"duplicate arrow label {a.label!r}")
-            seen.add(a.label)
+            by_label[a.label] = a
             if a.source not in vset or a.target not in vset:
                 raise ValueError(f"arrow {a.label!r} references undeclared vertex")
+        object.__setattr__(self, "_by_label", by_label)
 
     @staticmethod
     def make(vertices, arrows) -> "Quiver":
@@ -45,10 +47,7 @@ class Quiver:
         return Quiver(tuple(vertices), tuple(Arrow(*a) for a in arrows))
 
     def arrow(self, label: str) -> Arrow:
-        for a in self.arrows:
-            if a.label == label:
-                return a
-        raise KeyError(label)
+        return self._by_label[label]
 
     def arrows_from(self, v: str) -> list[Arrow]:
         return [a for a in self.arrows if a.source == v]

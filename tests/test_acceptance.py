@@ -206,14 +206,16 @@ def _check_leibniz(t):
     layout, der = derivation_space(t)
     field = t.field
     for v in der:
+        action = layout.action_matrix(v)
+        apply = lambda x: linal.mat_vec(field, action, x)
         for i in range(t.dim):
             bi = linal.unit_vector(field, t.dim, i)
-            dbi = layout.apply(v, bi)
+            dbi = apply(bi)
             for j in range(t.dim):
                 bj = linal.unit_vector(field, t.dim, j)
-                lhs = layout.apply(v, t.multiply(bi, bj))
+                lhs = apply(t.multiply(bi, bj))
                 rhs = linal.vec_add(field, t.multiply(dbi, bj),
-                                    t.multiply(bi, layout.apply(v, bj)))
+                                    t.multiply(bi, apply(bj)))
                 assert lhs == rhs
 
 

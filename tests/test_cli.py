@@ -97,3 +97,22 @@ def test_char2_without_decompose_skips_chains(tmp_path, capsys):
 
 def test_missing_file_exit_code(capsys):
     assert main(["analyze", "/nonexistent/file.dsl"]) == 2
+
+
+@pytest.mark.parametrize("content,extra,fragment", [
+    (b"field Q\nvertex \xe9\n", [], "utf-8"),
+    (None, [], "Is a directory"),
+    (KRONECKER.encode(), ["--field", "fp:4"], "prime"),
+    (KRONECKER.encode(), ["--field", "bogus"], "unknown field"),
+    (b"field fp:3\nvertex 1\narrow x 1 1\nrelation 1/3*(x*x)\n", [], "line 4"),
+], ids=["non_utf8", "directory", "fp4", "bogus_field", "denominator_mod_p"])
+def test_bad_input_is_one_error_line(tmp_path, capsys, content, extra, fragment):
+    path = tmp_path / "input.dsl"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    assert main(["analyze", str(path)] + extra) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert fragment in err and "Traceback" not in err

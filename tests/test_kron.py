@@ -139,6 +139,21 @@ def test_decomposition_report_counts():
     assert rep.flags["qs_nonwild_compatible"]
 
 
+@pytest.mark.parametrize("relations", [
+    [[(1, ("a", "c"))], [(1, ("a", "d"))]],  # only the pair (c, d) projects onto sl2
+    [[(1, ("a", "c"))], [(1, ("b", "c"))]],  # only the pair (a, b) projects onto sl2
+])
+def test_joint_kernel_follows_the_surjective_pair(relations):
+    t = build(["1", "2", "3"],
+              [("a", "1", "2"), ("b", "1", "2"), ("c", "2", "3"), ("d", "2", "3")],
+              relations)
+    rep = decomposition_report(t, hh1(t, rad_only=True))
+    assert rep.m == 1
+    assert sorted(rep.surjectivity[0].per_pair_image_dims.values()) == [2, 3]
+    assert rep.joint_kernel_dim == rep.r_dim == 2
+    assert rep.joint_kernel_derived_dims[-1] == 0
+
+
 def test_decomposition_refuses_characteristic_two():
     t = build(["1", "2"], [("a", "1", "2"), ("b", "1", "2")], [], field=Field(2))
     h = hh1(t, rad_only=True)

@@ -83,13 +83,15 @@ def test_subspace_ops_and_quotient():
     e = lambda i: linal.unit_vector(q, 3, i)
     span_a = [e(0), e(1)]
     span_b = [e(0)]
-    ops = linal.subspace_ops(q, span_a, span_b)
-    assert (ops.dim_a, ops.dim_b) == (2, 1)
-    assert ops.dim_sum == 2
-    assert ops.dim_intersection == 1
-    assert len(ops.quotient_reps) == 1
+    assert linal.intersect(q, span_a, span_b) == [e(0)]
+    assert linal.intersect(q, [e(0), e(1)], [e(1), e(2)]) == [e(1)]
+    assert linal.intersect(q, [e(0)], [e(1)]) == []
+    assert linal.quotient_reps(q, span_a, span_b) == [e(1)]
+    # a non-echelon spanning set still gives the reduced section
+    skew = [linal.vec_add(q, e(0), e(1)), e(2)]
+    assert linal.quotient_reps(q, skew + [e(0)], [e(0)]) == [e(1), e(2)]
     with pytest.raises(QuotientUndefined):
-        linal.subspace_ops(q, [e(0)], [e(1)])
+        linal.quotient_reps(q, [e(0)], [e(1)])
 
 
 def test_sparse_rank_agrees_with_dense():
