@@ -5,9 +5,10 @@ system under the length-then-lex order on paths (arrows ordered by
 declaration, longer paths larger).  Overlap ambiguities are resolved until
 confluence; the finiteness certificate is the exhaustion of normal
 monomials at some length.  The basis of the quotient is the set of normal
-monomials, multiplication is concatenation followed by full reduction, and
-radical powers are computed by exact row reduction (relations need not be
-homogeneous in path length).
+monomials, and multiplication is concatenation followed by full reduction.
+The radical filtration is built once per algebra, as rad^(n+1) =
+span(rad^n * arrows) by exact row reduction (relations need not be
+homogeneous in path length), and its bases are kept on the table.
 """
 
 from __future__ import annotations
@@ -232,9 +233,14 @@ class AlgebraTable:
     basis_source: list[str]
     basis_target: list[str]
     mult: list[list[list]]
-    rad_dims: list[int]
     groebner: list[Poly]
     rewriter: _Rewriter
+    rad_bases: list[list[list]]  # echelonized bases of rad^0 = A, rad^1, ..., 0
+
+    @property
+    def rad_dims(self) -> list[int]:
+        """dim rad^n for n = 0 .. Loewy length."""
+        return [len(b) for b in self.rad_bases]
 
     @property
     def dim(self) -> int:
@@ -288,18 +294,8 @@ class AlgebraTable:
 
     def radical_power_basis(self, n: int) -> list[list]:
         """Echelonized basis of rad(A)^n; rad^0 = A."""
-        field = self.field
-        if n == 0:
-            return [linal.unit_vector(field, self.dim, i) for i in range(self.dim)]
-        rad1 = [linal.unit_vector(field, self.dim, i)
-                for i, p in enumerate(self.basis_paths) if len(p) >= 1]
-        cur = rad1
-        for _ in range(n - 1):
-            if not cur:
-                return []
-            prods = [self.multiply(u, v) for u in cur for v in rad1]
-            cur = linal.span_basis(field, prods)
-        return linal.span_basis(field, cur)
+        bases = self.rad_bases
+        return list(bases[n]) if n < len(bases) else []
 
 
 def build_algebra(p: Presentation) -> AlgebraTable:
@@ -348,11 +344,9 @@ def build_algebra(p: Presentation) -> AlgebraTable:
         return vec
 
     mult = [[product_vector(i, j) for j in range(dim)] for i in range(dim)]
-    table = AlgebraTable(field, q, basis_paths, basis_source, basis_target,
-                         mult, [], [ _rule_poly(field, lead, tail) for lead, tail in rw.rules.items()],
-                         rw)
-    table.rad_dims = _radical_dims(table)
-    return table
+    return AlgebraTable(field, q, basis_paths, basis_source, basis_target, mult,
+                        [_rule_poly(field, lead, tail) for lead, tail in rw.rules.items()],
+                        rw, _radical_filtration(field, basis_paths, mult))
 
 
 def _rule_poly(field: Field, lead: Path, tail: Poly) -> Poly:
@@ -387,17 +381,22 @@ def _normal_monomials(q: Quiver, rw: _Rewriter, cap: int) -> list[Path]:
     return out
 
 
-def _radical_dims(table: AlgebraTable) -> list[int]:
-    dims = [table.dim]
-    n = 1
-    while True:
-        basis = table.radical_power_basis(n)
-        d = len(basis)
-        if dims and d >= dims[-1] and d > 0:
+def _radical_filtration(field: Field, basis_paths: list[Path], mult) -> list[list[list]]:
+    """Echelonized bases of rad^0 = A, rad^1, ... down to the first zero power.
+
+    rad^(n+1) = span(rad^n * rad) is spanned by rad^n times the arrows alone,
+    since a path of length n + 1 is a path of length n followed by an arrow.
+    """
+    dim = len(basis_paths)
+    full = [linal.unit_vector(field, dim, i) for i in range(dim)]
+    rad1 = [full[i] for i, p in enumerate(basis_paths) if p]
+    arrows = [full[i] for i, p in enumerate(basis_paths) if len(p) == 1]
+    bases = [full, rad1]
+    while bases[-1]:
+        prods = (linal.contract(field, mult, u, a) for u in bases[-1] for a in arrows)
+        cur = linal.span_basis(field, [v for v in prods if not linal.is_zero_vector(v)])
+        if cur and len(cur) >= len(bases[-1]):
             raise NotAdmissible(
                 "radical filtration does not terminate; the ideal is not admissible")
-        dims.append(d)
-        if d == 0:
-            return dims
-        n += 1
-
+        bases.append(cur)
+    return bases

@@ -158,7 +158,7 @@ def run_analyze(p: Presentation, options: AnalysisOptions | None = None) -> Anal
         options = AnalysisOptions()
     table = build_algebra(p)
     full = derlie.hh1(table, rad_only=False)
-    rad = derlie.hh1(table, rad_only=True)
+    rad = derlie.hh1(table, rad_only=True, full=full)
     loops = derlie.loop_criterion(table)
     graph = quiver_mod.classify_components(quiver_mod.separated_quiver(p.quiver))
     septype = quiver_mod.reptype_radsq(p.quiver)

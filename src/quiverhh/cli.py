@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success, 2 input errors (unreadable or non-UTF-8 file,
-parse, unknown or non-prime --field, a coefficient whose denominator
-vanishes in the field, admissibility, finiteness), 3 refused operations
-(unsupported characteristic, oversized oracle).
+parse, unknown, non-prime or too large --field, a coefficient whose
+denominator vanishes in the field, admissibility, finiteness), 3 refused
+operations (unsupported characteristic, oversized oracle).
 """
 
 from __future__ import annotations

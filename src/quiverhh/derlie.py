@@ -9,6 +9,7 @@ declaration order.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from . import linal
@@ -238,8 +239,18 @@ class LieAlgebra:
         return dims
 
     def derived_series(self, start: list | None = None) -> list:
-        """Dimensions of the iterated bracket-of-itself chain."""
-        cur = linal.span_basis(self.field, self._full() if start is None else start)
+        """Dimensions of the iterated bracket-of-itself chain from span(start),
+        by default from the whole algebra (computed once per algebra)."""
+        if start is None:
+            return list(self._derived_dims)
+        return self._derived(start)
+
+    @functools.cached_property
+    def _derived_dims(self) -> list:
+        return self._derived(self._full())
+
+    def _derived(self, start: list) -> list:
+        cur = linal.span_basis(self.field, start)
         return self._series(cur, lambda s: self.product_span(s, s))
 
     def lower_central_series(self) -> list:
@@ -255,34 +266,42 @@ class LieAlgebra:
 
 def lie_from_quotient(table: AlgebraTable, layout: DerivationLayout,
                       der_basis: list, inn_basis: list, labels=None) -> LieAlgebra:
-    """Lie algebra on Der/Inn with bracket computed on representatives."""
+    """Lie algebra on Der/Inn with bracket computed on representatives.
+
+    The commutator [d_i, d_j] is a derivation, so it is fixed by its slot
+    vector: the coordinate bi of d_i(d_j(a)) - d_j(d_i(a)) for each slot
+    (a, bi).  Each of the two terms is row bi of one action matrix dotted
+    with the value of the other representative on a; that value lives on
+    the monomials parallel to a, so both are cut to those entries, once
+    per representative and slot.  All d^2 commutators are then written in
+    (reps | inn) coordinates by one row reduction of [reps | inn |
+    commutators]; the reps part is the bracket.  The commutators lie in
+    Der exactly when the pivots of that reduction are the reps and inn
+    columns and nothing else.
+    """
     field = table.field
     reps = linal.quotient_reps(field, der_basis, inn_basis)
     d = len(reps)
-    # express elements of Der in (reps | inn) coordinates and keep the reps part
-    columns = [list(v) for v in reps] + [list(v) for v in inn_basis]
-    matrix = [[columns[c][r] for c in range(len(columns))] for r in range(layout.size)]
-
-    def quotient_coords(slot_vec: list) -> list:
-        sol = linal.solve(field, matrix, slot_vec)
-        if sol is None:
-            raise AssertionError("bracket left the derivation space")
-        return sol[:d]
-
-    actions = [layout.action_matrix(v) for v in reps]
-    bracket = []
-    for i in range(d):
-        row = []
-        for j in range(d):
-            comm = linal.zero_vector(field, layout.size)
-            for pos, (label, bi) in enumerate(layout.slots):
-                val_j = layout.value(reps[j], label)
-                val_i = layout.value(reps[i], label)
-                val = field.sub(linal.mat_vec(field, actions[i], val_j)[bi],
-                                linal.mat_vec(field, actions[j], val_i)[bi])
-                comm[pos] = val
-            row.append(quotient_coords(comm))
-        bracket.append(row)
+    support = {label: [layout.slots[pos][1] for pos in block]
+               for label, block in layout.blocks.items()}
+    values = [{label: [v[pos] for pos in block] for label, block in layout.blocks.items()}
+              for v in reps]
+    rows = []
+    for v in reps:
+        action = layout.action_matrix(v)
+        rows.append([[action[bi][k] for k in support[label]] for label, bi in layout.slots])
+    comms = [[field.sub(linal.dot(field, rows[i][pos], values[j][label]),
+                        linal.dot(field, rows[j][pos], values[i][label]))
+              for pos, (label, _) in enumerate(layout.slots)]
+             for i in range(d) for j in range(d)]
+    columns = reps + inn_basis + comms
+    base = len(reps) + len(inn_basis)
+    matrix = [[col[r] for col in columns] for r in range(layout.size)]
+    ech, pivots = linal.rref(field, matrix)
+    if pivots != list(range(base)):
+        raise AssertionError("bracket left the derivation space")
+    bracket = [[[ech[r][base + i * d + j] for r in range(d)] for j in range(d)]
+               for i in range(d)]
     if labels is None:
         labels = [f"d{i}" for i in range(d)]
     return LieAlgebra(field, d, bracket, labels, layout, reps)
@@ -294,16 +313,32 @@ class HH1Result:
     der_dim: int
     inn_dim: int
     layout: DerivationLayout
+    der: list             # basis of Der, or of its radical-preserving part
+    inn: list             # basis of Inn
 
 
-def hh1(table: AlgebraTable, rad_only: bool = False) -> HH1Result:
-    """HH1(A), or its radical-preserving part, as an explicit Lie algebra."""
-    layout, der = derivation_space(table)
+def hh1(table: AlgebraTable, rad_only: bool = False,
+        full: HH1Result | None = None) -> HH1Result:
+    """HH1(A), or its radical-preserving part, as an explicit Lie algebra.
+
+    ``full`` is an earlier ``hh1(table)`` of the same table whose Der and
+    Inn are reused instead of solving the constraints again.  With
+    ``rad_only``, when the cut keeps all of Der, ``full`` itself is
+    returned: equal spans have the same quotient section, so the bracket
+    would come out the same.
+    """
+    if full is None:
+        layout, der = derivation_space(table)
+        inn = inner_space(table, layout)
+    else:
+        layout, der, inn = full.layout, full.der, full.inn
     if rad_only:
-        der = radical_preserving(table, layout, der)
-    inn = inner_space(table, layout)
+        cut = radical_preserving(table, layout, der)
+        if full is not None and len(cut) == len(der):
+            return full
+        der = cut
     lie = lie_from_quotient(table, layout, der, inn)
-    return HH1Result(lie, len(der), len(inn), layout)
+    return HH1Result(lie, len(der), len(inn), layout, der, inn)
 
 
 # -- the rank-one cut down to sl2 -----------------------------------------

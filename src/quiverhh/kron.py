@@ -229,7 +229,7 @@ def standard_relations_literal(table: AlgebraTable,
         return linal.is_zero_vector(table.normal_form(terms))
 
     s1 = True
-    for c in chain_arrows:
+    for c in chain.arrow_labels:
         for arrow in q.arrows:
             d = arrow.label
             if d in chain_arrows:

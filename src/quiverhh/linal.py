@@ -14,14 +14,32 @@ from fractions import Fraction
 from .errors import QuotientUndefined
 
 
+# Miller-Rabin with the first 13 primes as bases is exact below this bound
+# (Sorenson and Webster 2015); larger characteristics are refused.
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MAX_CHARACTERISTIC = 3317044064679887385961980
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for 0 <= n <= MAX_CHARACTERISTIC."""
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for b in _PRIME_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _PRIME_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -36,6 +54,9 @@ class Field:
     characteristic: int = 0
 
     def __post_init__(self):
+        if self.characteristic > MAX_CHARACTERISTIC:
+            raise ValueError(f"characteristic {self.characteristic} is too large: "
+                             f"primality is certified only up to {MAX_CHARACTERISTIC}")
         if self.characteristic != 0 and not _is_prime(self.characteristic):
             raise ValueError(f"characteristic must be 0 or prime, got {self.characteristic}")
 
@@ -137,12 +158,12 @@ def is_zero_vector(v: list) -> bool:
 
 def mat_vec(field: Field, m: list[list], v: list) -> list:
     return [
-        _dot(field, row, v)
+        dot(field, row, v)
         for row in m
     ]
 
 
-def _dot(field: Field, u: list, v: list):
+def dot(field: Field, u: list, v: list):
     acc = field.zero
     for a, b in zip(u, v):
         if a != 0 and b != 0:

@@ -24,32 +24,37 @@ def _flat(i: int, j: int, d: int) -> int:
 
 
 def _cocycle_rows(field: Field, mult, d: int):
-    """Sparse rows of d1: one per (x, y, coordinate) with some entry."""
+    """Sparse rows of d1: one per (x, y, coordinate) with some entry.
+
+    The row of (x, y, c) is the coefficient of c in x*f(y) + f(x)*y - f(x*y).
+    Only the nonzero structure constants are visited: left[x][c] lists the
+    (i, mult[x][i][c]) and right[y][c] the (i, mult[i][y][c]).
+    """
+    left = [{} for _ in range(d)]
+    right = [{} for _ in range(d)]
+    for x in range(d):
+        for i in range(d):
+            for c, val in enumerate(mult[x][i]):
+                if val != 0:
+                    left[x].setdefault(c, []).append((i, val))
+                    right[i].setdefault(c, []).append((x, val))
     rows = []
     for x in range(d):
         for y in range(d):
-            xy = mult[x][y]
-            for c in range(d):
+            # once x*y != 0, - f(x*y) has an entry in every row c
+            xy = [(k, field.neg(val)) for k, val in enumerate(mult[x][y]) if val != 0]
+            coords = range(d) if xy else sorted(left[x].keys() | right[y].keys())
+            for c in coords:
                 row: dict = {}
-
-                def bump(col, val):
-                    if val == 0:
-                        return
+                entries = [(_flat(i, y, d), val) for i, val in left[x].get(c, ())]
+                entries += [(_flat(i, x, d), val) for i, val in right[y].get(c, ())]
+                entries += [(_flat(c, k, d), val) for k, val in xy]
+                for col, val in entries:
                     cur = field.add(row.get(col, field.zero), val)
                     if cur == 0:
                         row.pop(col, None)
                     else:
                         row[col] = cur
-
-                for i in range(d):
-                    # x * f(y) contributes via left multiplication
-                    bump(_flat(i, y, d), mult[x][i][c])
-                    # f(x) * y contributes via right multiplication
-                    bump(_flat(i, x, d), mult[i][y][c])
-                for k in range(d):
-                    # - f(x*y)
-                    if xy[k] != 0:
-                        bump(_flat(c, k, d), field.neg(xy[k]))
                 if row:
                     rows.append(row)
     return rows

@@ -116,3 +116,51 @@ def test_unit_and_idempotents():
         assert t.multiply(one, v) == v
         assert t.multiply(v, one) == v
 
+
+def paths_of_length(t, n):
+    """Every composable path of n arrows."""
+    paths = [()]
+    for _ in range(n):
+        paths = [p + (a.label,) for p in paths
+                 for a in (t.quiver.arrows if not p else t.quiver.arrows_from(
+                     t.quiver.arrow(p[-1]).target))]
+    return paths
+
+
+@pytest.mark.parametrize("vertices,arrows,relations", [
+    (["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3")], []),
+    (["1"], [("x", "1", "1")], [[(1, ("x",) * 5)]]),
+    # x^2 = y^3 is not homogeneous, so x^2 lies in rad^3
+    (["1"], [("x", "1", "1"), ("y", "1", "1")],
+     [[(1, ("x", "x")), (-1, ("y", "y", "y"))], [(1, ("x", "y"))], [(1, ("y", "x"))]]),
+    (["1", "2", "3"],
+     [("a", "1", "2"), ("b", "1", "2"), ("c", "2", "3"), ("d", "2", "3")],
+     [[(1, ("a", "c"))], [(1, ("b", "d"))], [(1, ("a", "d")), (1, ("b", "c"))]]),
+], ids=["dag", "truncated_loop", "non_homogeneous", "commutative_square"])
+def test_radical_powers_match_products_of_arrows(vertices, arrows, relations):
+    """rad^n is spanned by the images of the paths of length >= n; a path
+    as long as the Loewy length is zero in A."""
+    t = build(vertices, arrows, relations)
+    loewy = len(t.rad_dims) - 1
+    assert all(linal.is_zero_vector(t.path_vector(p)) for p in paths_of_length(t, loewy))
+    for n in range(loewy + 2):
+        if n == 0:
+            spanning = [linal.unit_vector(t.field, t.dim, i) for i in range(t.dim)]
+        else:
+            spanning = [t.path_vector(p) for m in range(n, loewy)
+                        for p in paths_of_length(t, m)]
+        assert t.radical_power_basis(n) == linal.span_basis(t.field, spanning)
+
+
+def test_non_homogeneous_relation_deepens_the_radical():
+    t = build(["1"], [("x", "1", "1"), ("y", "1", "1")],
+              [[(1, ("x", "x")), (-1, ("y", "y", "y"))], [(1, ("x", "y"))], [(1, ("y", "x"))]])
+    assert t.rad_dims == [5, 4, 2, 1, 0]
+    assert t.radical_power_basis(3) == [t.path_vector(("x", "x"))]
+
+
+def test_non_terminating_radical_filtration_is_not_admissible():
+    # x^3 = x^4 leaves rad^4 = rad^3 = span(x^3), which never vanishes
+    with pytest.raises(NotAdmissible, match="radical filtration does not terminate"):
+        build(["1"], [("x", "1", "1")],
+              [[(1, ("x", "x", "x")), (-1, ("x", "x", "x", "x"))]], cap=12)

@@ -105,7 +105,9 @@ def test_missing_file_exit_code(capsys):
     (KRONECKER.encode(), ["--field", "fp:4"], "prime"),
     (KRONECKER.encode(), ["--field", "bogus"], "unknown field"),
     (b"field fp:3\nvertex 1\narrow x 1 1\nrelation 1/3*(x*x)\n", [], "line 4"),
-], ids=["non_utf8", "directory", "fp4", "bogus_field", "denominator_mod_p"])
+    (KRONECKER.encode(), ["--field", "fp:3317044064679887385961981"], "too large"),
+], ids=["non_utf8", "directory", "fp4", "bogus_field", "denominator_mod_p",
+        "fp_too_large"])
 def test_bad_input_is_one_error_line(tmp_path, capsys, content, extra, fragment):
     path = tmp_path / "input.dsl"
     if content is None:

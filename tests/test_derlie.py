@@ -1,11 +1,16 @@
+import pathlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quiverhh import linal
 from quiverhh.algebra import Presentation, Relation, build_algebra
+from quiverhh.analysis import run_analyze
 from quiverhh.derlie import (delta_defined, delta_map, derivation_space, hh1,
-                             inner_space, loop_criterion, radical_preserving)
+                             inner_space, lie_from_quotient, loop_criterion,
+                             radical_preserving)
+from quiverhh.dsl import load_presentation
 from quiverhh.errors import DeltaUndefined, UnsupportedCharacteristic
 from quiverhh.linal import Field
 from quiverhh.quiver import Quiver
@@ -13,10 +18,14 @@ from quiverhh.quiver import Quiver
 Q = Field(0)
 
 
-def build(vertices, arrows, relations, field=Q):
+def presentation(vertices, arrows, relations, field=Q):
     quiver = Quiver.make(vertices, arrows)
     rels = tuple(Relation(tuple(terms)) for terms in relations)
-    return build_algebra(Presentation(quiver, rels, field))
+    return Presentation(quiver, rels, field)
+
+
+def build(vertices, arrows, relations, field=Q):
+    return build_algebra(presentation(vertices, arrows, relations, field))
 
 
 def truncated_loop(n, field=Q):
@@ -167,3 +176,117 @@ def test_jacobi_identity_on_quotient():
                 total = linal.vec_add(f, total,
                                       lie.bracket_of(e(k), lie.bracket_of(e(i), e(j))))
                 assert linal.is_zero_vector(total)
+
+
+CORPUS = sorted((pathlib.Path(__file__).resolve().parent.parent / "corpus").glob("*.dsl"))
+
+
+def assert_bracket_axioms(lie):
+    """Antisymmetry and the Jacobi identity on basis triples."""
+    f, dim = lie.field, lie.dim
+    e = [linal.unit_vector(f, dim, m) for m in range(dim)]
+    for i in range(dim):
+        for j in range(dim):
+            assert lie.bracket[i][j] == [f.neg(c) for c in lie.bracket[j][i]]
+            for k in range(dim):
+                total = linal.zero_vector(f, dim)
+                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                    total = linal.vec_add(f, total, lie.bracket_of(e[a], lie.bracket[b][c]))
+                assert linal.is_zero_vector(total)
+
+
+def bracket_by_commutators(res):
+    """Every bracket entry the direct way: the commutator of the action
+    matrices, read on the arrows and solved in (reps | inn) coordinates."""
+    lie, layout = res.lie, res.layout
+    t = layout.table
+    f = t.field
+    acts = [layout.action_matrix(v) for v in lie.reps]
+    inn = inner_space(t, layout)
+    cols = lie.reps + inn
+    matrix = [[col[r] for col in cols] for r in range(layout.size)]
+
+    def product(a, b):
+        return [[linal.dot(f, row, [b[k][j] for k in range(t.dim)]) for j in range(t.dim)]
+                for row in a]
+
+    table = []
+    for i in range(lie.dim):
+        row = []
+        for j in range(lie.dim):
+            ij, ji = product(acts[i], acts[j]), product(acts[j], acts[i])
+            comm = [f.sub(ij[bi][t.arrow_index(label)], ji[bi][t.arrow_index(label)])
+                    for label, bi in layout.slots]
+            sol = linal.solve(f, matrix, comm)
+            assert sol is not None
+            row.append(sol[:lie.dim])
+        table.append(row)
+    return table
+
+
+@pytest.mark.parametrize("path", CORPUS + ["x15_fp5"],
+                         ids=lambda p: getattr(p, "stem", p))
+def test_batched_bracket_matches_commutators(path):
+    if path == "x15_fp5":
+        t = truncated_loop(15, field=Field(5))
+    else:
+        t = build_algebra(load_presentation(path.read_text()))
+    full = hh1(t)
+    for res in (full, hh1(t, rad_only=True)):
+        assert res.lie.bracket == bracket_by_commutators(res)
+        assert_bracket_axioms(res.lie)
+
+
+def test_bracket_leaving_the_space_is_refused():
+    # Inn + {a -> b} + {b -> a} on the Kronecker quiver is not closed:
+    # [E, F] = H = (a -> a) - (b -> b) lies outside it.
+    t = kronecker_table()
+    layout, _ = derivation_space(t)
+    inn = inner_space(t, layout)
+
+    def arrow_to(a, b):
+        v = linal.zero_vector(t.field, layout.size)
+        v[layout.slots.index((a, t.arrow_index(b)))] = t.field.one
+        return v
+
+    span = inn + [arrow_to("a", "b"), arrow_to("b", "a")]
+    with pytest.raises(AssertionError, match="left the derivation space"):
+        lie_from_quotient(t, layout, span, inn)
+
+
+def test_hh1_rad_shares_the_lie_algebra_when_the_cut_is_a_no_op():
+    kron = run_analyze(presentation(["1", "2"], [("a", "1", "2"), ("b", "1", "2")], []))
+    assert kron.hh1_rad.lie is kron.hh1.lie
+    report = run_analyze(presentation(["1"], [("x", "1", "1")], [[(1, ("x",) * 15)]],
+                                      field=Field(5)))
+    assert report.hh1_rad.lie is not report.hh1.lie
+    assert (report.hh1.lie.dim, report.hh1_rad.lie.dim) == (15, 14)
+    assert report.hh1_rad.lie.bracket == hh1(report.table, rad_only=True).lie.bracket
+
+
+def test_derived_series_is_computed_once():
+    lie = hh1(truncated_loop(5)).lie
+    first = lie.derived_series()
+    first.append(-1)
+    assert lie.derived_series() == first[:-1]
+    assert "_derived_dims" in vars(lie)
+
+
+@st.composite
+def radical_square_zero(draw):
+    """A quiver on up to three vertices with up to four arrows, every path of
+    length two set to zero, over Q or F_7."""
+    vertices = [str(v) for v in range(draw(st.integers(1, 3)))]
+    ends = draw(st.lists(st.tuples(st.sampled_from(vertices), st.sampled_from(vertices)),
+                         min_size=1, max_size=4))
+    arrows = [(f"a{k}", s, t) for k, (s, t) in enumerate(ends)]
+    relations = [[(1, (x, y))] for x, _, tx in arrows for y, sy, _ in arrows if tx == sy]
+    return build(vertices, arrows, relations, field=Field(draw(st.sampled_from((0, 7)))))
+
+
+@settings(max_examples=25, deadline=None)
+@given(radical_square_zero())
+def test_bracket_is_a_lie_bracket_on_radical_square_zero_algebras(table):
+    full = hh1(table)
+    assert_bracket_axioms(full.lie)
+    assert_bracket_axioms(hh1(table, rad_only=True, full=full).lie)

@@ -115,6 +115,14 @@ def test_standard_relations_literal():
     assert any("a*d" in w and "b*c" in w for w in rep2.witnesses)
 
 
+def test_witnesses_follow_the_chain_order():
+    # two S1 witnesses; iterating a set of labels made their order vary
+    # with the string hash seed from one run to the next
+    t = build(["1", "2", "3"], [("a", "1", "2"), ("b", "1", "2"), ("c", "2", "3")], [])
+    rep = standard_relations_literal(t, maximal_chains(t)[0])
+    assert rep.witnesses == ["a*c", "b*c"]
+
+
 def test_surjectivity():
     t = chain_two()
     h = hh1(t, rad_only=True)

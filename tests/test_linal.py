@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -111,3 +112,20 @@ def test_sparse_rank_prime_field():
     rows = [{0: 1, 1: 2}, {0: 2, 1: 1}, {0: 1, 1: 1}]
     # first two rows are proportional mod 3 (2*[1,2] = [2,4] = [2,1])
     assert linal.sparse_rank(f3, rows) == 2
+
+
+def test_prime_check_is_exact_and_fast():
+    def trial_division(n):
+        return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+    assert [n for n in range(3000) if linal._is_prime(n)] == \
+        [n for n in range(3000) if trial_division(n)]
+    start = time.perf_counter()
+    assert Field.parse("fp:2305843009213693951").characteristic == 2305843009213693951
+    assert time.perf_counter() - start < 0.5
+    # Carmichael numbers, and a strong pseudoprime to every prime base up to 37
+    for n in (561, 3215031751, 318665857834031151167461):
+        with pytest.raises(ValueError, match="prime"):
+            Field(n)
+    with pytest.raises(ValueError, match="too large"):
+        Field(linal.MAX_CHARACTERISTIC + 1)

@@ -1,8 +1,11 @@
+import pathlib
+
 import pytest
 
 from quiverhh import linal
 from quiverhh.algebra import Presentation, Relation, build_algebra
 from quiverhh.derlie import derivation_space, hh1
+from quiverhh.dsl import load_presentation
 from quiverhh.errors import NotAssociative, TooLarge
 from quiverhh.linal import Field
 from quiverhh.oracle import (MAX_ORACLE_DIM, _cocycle_rows, bar_hh1_dim,
@@ -132,3 +135,27 @@ def test_too_large_guard():
             bar_hh1_dim(t)
     finally:
         om.MAX_ORACLE_DIM = old
+
+
+CORPUS = sorted((pathlib.Path(__file__).resolve().parent.parent / "corpus").glob("*.dsl"))
+
+
+@pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.stem)
+def test_cocycle_rows_have_the_rank_of_the_dense_d1(path):
+    """d1 written out densely: the row of (x, y, c) holds the coefficient of
+    c in x*f(y) + f(x)*y - f(x*y) for each entry f(e_j)_i of the cochain."""
+    t = build_algebra(load_presentation(path.read_text()))
+    f, m, d = t.field, t.mult, t.dim
+    dense = []
+    for x in range(d):
+        for y in range(d):
+            for c in range(d):
+                row = [f.zero] * (d * d)
+                for i in range(d):
+                    row[i * d + y] = f.add(row[i * d + y], m[x][i][c])
+                    row[i * d + x] = f.add(row[i * d + x], m[i][y][c])
+                for k in range(d):
+                    row[c * d + k] = f.sub(row[c * d + k], m[x][y][k])
+                dense.append({col: v for col, v in enumerate(row) if v != 0})
+    assert (linal.sparse_rank(f, _cocycle_rows(f, m, d))
+            == linal.sparse_rank(f, dense))
