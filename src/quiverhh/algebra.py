@@ -224,7 +224,9 @@ class AlgebraTable:
     basis paths: trivial paths first (empty tuple, one per vertex, in
     vertex order), then arrows, then longer normal monomials in
     length-then-lex order.  mult[i][j] is the coefficient vector of
-    basis_i * basis_j.
+    basis_i * basis_j.  path_index maps each nontrivial basis path to its
+    index; factors of a normal monomial are normal, so every proper
+    factor of a basis path or of a rule word in groebner is found there.
     """
 
     field: Field
@@ -233,6 +235,7 @@ class AlgebraTable:
     basis_source: list[str]
     basis_target: list[str]
     mult: list[list[list]]
+    path_index: dict  # nontrivial basis Path -> index
     groebner: list[Poly]
     rewriter: _Rewriter
     rad_bases: list[list[list]]  # echelonized bases of rad^0 = A, rad^1, ..., 0
@@ -250,8 +253,11 @@ class AlgebraTable:
         return self.quiver.vertices.index(v)
 
     def arrow_index(self, label: str) -> int:
-        path = (label,)
-        return self.basis_paths.index(path)
+        return self.path_index[(label,)]
+
+    def basis_vector(self, path) -> list:
+        """Unit vector of a nontrivial basis path."""
+        return linal.unit_vector(self.field, self.dim, self.path_index[tuple(path)])
 
     def zero(self) -> list:
         return linal.zero_vector(self.field, self.dim)
@@ -266,7 +272,7 @@ class AlgebraTable:
         return linal.contract(self.field, self.mult, u, v)
 
     def normal_form(self, terms) -> list:
-        """Image in A of a linear combination of (coef, path) terms.
+        """Image in A of a linear combination of (coef, nonempty path) terms.
 
         Terms with mismatched endpoints are reduced independently; unknown
         arrow labels raise InvalidArrow; non-composable terms vanish.
@@ -285,7 +291,7 @@ class AlgebraTable:
                 continue
             red = self.rewriter.reduce({path: coef})
             for p, c in red.items():
-                k = self.basis_paths.index(p)
+                k = self.path_index[p]
                 vec[k] = field.add(vec[k], c)
         return vec
 
@@ -323,8 +329,8 @@ def build_algebra(p: Presentation) -> AlgebraTable:
             basis_source.append(q.arrow(path[0]).source)
             basis_target.append(q.arrow(path[-1]).target)
 
-    index = {path: i for i, path in enumerate(basis_paths)}
-    # trivial paths share the empty tuple; disambiguate by position
+    # trivial paths share the empty tuple and are told apart by position
+    index = {path: i for i, path in enumerate(basis_paths) if path}
     dim = len(basis_paths)
     nverts = len(q.vertices)
 
@@ -344,7 +350,7 @@ def build_algebra(p: Presentation) -> AlgebraTable:
         return vec
 
     mult = [[product_vector(i, j) for j in range(dim)] for i in range(dim)]
-    return AlgebraTable(field, q, basis_paths, basis_source, basis_target, mult,
+    return AlgebraTable(field, q, basis_paths, basis_source, basis_target, mult, index,
                         [_rule_poly(field, lead, tail) for lead, tail in rw.rules.items()],
                         rw, _radical_filtration(field, basis_paths, mult))
 

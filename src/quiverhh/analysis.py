@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dfield
+from dataclasses import dataclass
 
 from . import derlie, kron, oracle, quiver as quiver_mod
 from .algebra import Presentation, build_algebra
@@ -161,7 +161,7 @@ def run_analyze(p: Presentation, options: AnalysisOptions | None = None) -> Anal
     rad = derlie.hh1(table, rad_only=True, full=full)
     loops = derlie.loop_criterion(table)
     graph = quiver_mod.classify_components(quiver_mod.separated_quiver(p.quiver))
-    septype = quiver_mod.reptype_radsq(p.quiver)
+    septype = graph.reptype
     chain_report = None
     skipped = None
     if table.field.characteristic == 2:
@@ -170,7 +170,7 @@ def run_analyze(p: Presentation, options: AnalysisOptions | None = None) -> Anal
                 "the sl2 decomposition needs 2 to be invertible")
         skipped = "characteristic 2"
     else:
-        chain_report = kron.decomposition_report(table, rad, options.assert_nonwild)
+        chain_report = kron.decomposition_report(table, rad, septype, options.assert_nonwild)
     oracle_dim = oracle.bar_hh1_dim(table) if options.oracle else None
     return AnalysisReport(p, table, full, rad, loops, septype, graph,
                           chain_report, skipped, oracle_dim)

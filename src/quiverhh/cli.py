@@ -89,7 +89,7 @@ def cmd_chains(args) -> int:
 def cmd_septype(args) -> int:
     p = _load(args)
     graph = quiver_mod.classify_components(quiver_mod.separated_quiver(p.quiver))
-    verdict = quiver_mod.reptype_radsq(p.quiver)
+    verdict = graph.reptype
     payload = {
         "verdict": verdict,
         "components": [{"vertices": list(c.vertices), "verdict": c.verdict,

@@ -44,8 +44,7 @@ class DerivationLayout:
         """dim x dim matrix of the derivation extended to all of A by the product rule.
 
         Column j is the image of basis monomial j.  Idempotents map to
-        zero; factors of normal monomials are normal, so prefixes and
-        suffixes are basis monomials.
+        zero.
         """
         t = self.table
         cols = []
@@ -60,11 +59,15 @@ class DerivationLayout:
 
 
 def _leibniz_term(t: AlgebraTable, path, k: int, value: list) -> list:
-    """path[:k] * value * path[k+1:], the k-th term of the product rule on path."""
+    """path[:k] * value * path[k+1:], the k-th term of the product rule on path.
+
+    path is a basis monomial or a word of a rewriting rule, so its proper
+    prefixes and suffixes are basis monomials (see AlgebraTable).
+    """
     if k > 0:
-        value = t.multiply(t.path_vector(path[:k]), value)
+        value = t.multiply(t.basis_vector(path[:k]), value)
     if k + 1 < len(path):
-        value = t.multiply(value, t.path_vector(path[k + 1:]))
+        value = t.multiply(value, t.basis_vector(path[k + 1:]))
     return value
 
 
@@ -110,10 +113,9 @@ def _constraint_rows(layout: DerivationLayout) -> list:
     return rows
 
 
-def derivation_space(table: AlgebraTable, layout: DerivationLayout | None = None):
+def derivation_space(table: AlgebraTable):
     """Basis (slot vectors) of the idempotent-killing derivations of A."""
-    if layout is None:
-        layout = derivation_layout(table)
+    layout = derivation_layout(table)
     rows = _constraint_rows(layout)
     basis = linal.kernel_basis(table.field, rows, ncols=layout.size)
     return layout, basis
@@ -129,17 +131,14 @@ def inner_space(table: AlgebraTable, layout: DerivationLayout) -> list:
     """
     t = table
     field = t.field
+    mult = t.mult
+    slots = [(t.arrow_index(label), bi) for label, bi in layout.slots]
     vecs = []
     for i in range(t.dim):
         if t.basis_source[i] != t.basis_target[i]:
             continue
-        u = linal.unit_vector(field, t.dim, i)
-        slot_vec = linal.zero_vector(field, layout.size)
-        for pos, (label, bi) in enumerate(layout.slots):
-            a = linal.unit_vector(field, t.dim, t.arrow_index(label))
-            comm = linal.vec_sub(field, t.multiply(u, a), t.multiply(a, u))
-            slot_vec[pos] = comm[bi]
-        vecs.append(slot_vec)
+        # slot (a, bi) of [u, -] is the bi coordinate of u*a - a*u
+        vecs.append([field.sub(mult[i][a][bi], mult[a][i][bi]) for a, bi in slots])
     return linal.span_basis(field, vecs)
 
 
@@ -191,8 +190,10 @@ def loop_criterion(table: AlgebraTable) -> LoopReport:
         power = a
         n = 1
         while True:
-            basis = t.radical_power_basis(n + 1)
-            if linal.contains(t.field, basis, power):
+            # the stored basis is already reduced; read its pivots off the rows
+            ech = t.radical_power_basis(n + 1)
+            pivots = [next(c for c, x in enumerate(row) if x != 0) for row in ech]
+            if linal.is_zero_vector(linal.reduce_against(t.field, power, ech, pivots)):
                 orders[arrow.label] = n
                 break
             power = t.multiply(power, a)
@@ -213,7 +214,6 @@ class LieAlgebra:
     field: Field
     dim: int
     bracket: list
-    labels: list
     layout: DerivationLayout | None = None
     reps: list | None = None
 
@@ -265,7 +265,7 @@ class LieAlgebra:
 
 
 def lie_from_quotient(table: AlgebraTable, layout: DerivationLayout,
-                      der_basis: list, inn_basis: list, labels=None) -> LieAlgebra:
+                      der_basis: list, inn_basis: list) -> LieAlgebra:
     """Lie algebra on Der/Inn with bracket computed on representatives.
 
     The commutator [d_i, d_j] is a derivation, so it is fixed by its slot
@@ -302,9 +302,7 @@ def lie_from_quotient(table: AlgebraTable, layout: DerivationLayout,
         raise AssertionError("bracket left the derivation space")
     bracket = [[[ech[r][base + i * d + j] for r in range(d)] for j in range(d)]
                for i in range(d)]
-    if labels is None:
-        labels = [f"d{i}" for i in range(d)]
-    return LieAlgebra(field, d, bracket, labels, layout, reps)
+    return LieAlgebra(field, d, bracket, layout, reps)
 
 
 @dataclass
@@ -352,9 +350,6 @@ class Sl2Element:
     y: object
     z: object
 
-    def is_zero(self) -> bool:
-        return self.x == 0 and self.y == 0 and self.z == 0
-
 
 def delta_defined(quiver: Quiver, a_label: str, b_label: str) -> bool:
     """The arrows form a parallel pair isolated at both endpoints."""
@@ -392,8 +387,7 @@ class DeltaMap:
         return Sl2Element(*linal.mat_vec(self.field, self.rows, coords))
 
 
-def delta_map(lie: LieAlgebra, a_label: str, b_label: str,
-              check_defined: bool = True) -> DeltaMap:
+def delta_map(lie: LieAlgebra, a_label: str, b_label: str) -> DeltaMap:
     """Read off the sl2 component of each class along the pair (a, b).
 
     For a representative derivation d with
@@ -406,7 +400,7 @@ def delta_map(lie: LieAlgebra, a_label: str, b_label: str,
     if field.characteristic == 2:
         raise UnsupportedCharacteristic(
             "the sl2 projection needs 2 to be invertible")
-    if check_defined and not delta_defined(table.quiver, a_label, b_label):
+    if not delta_defined(table.quiver, a_label, b_label):
         raise DeltaUndefined(
             f"the pair ({a_label}, {b_label}) is not isolated at its endpoints")
     ia = table.arrow_index(a_label)

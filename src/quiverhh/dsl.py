@@ -250,15 +250,25 @@ def presentation_from_json(data, field_override: str | None = None,
         field = Field.parse(data["field"] if field_override is None else field_override)
         vertices = list(data["vertices"])
         arrows = [(a["label"], a["src"], a["dst"]) for a in data["arrows"]]
+        for name in vertices + [a[0] for a in arrows]:
+            if not isinstance(name, str) or not _NAME.match(name):
+                raise ValueError(f"bad name {name!r}")
+        if not vertices:
+            raise ValueError("no vertices declared")
+        # duplicate vertices or labels and undeclared endpoints raise ValueError
+        quiver = Quiver.make(vertices, arrows)
+        labels = {a[0] for a in arrows}
         relations = []
         for rel in data["relations"]:
             terms = tuple(sorted(((Fraction(t["coef"]), tuple(t["path"]))
                                   for t in rel), key=lambda t: t[1]))
+            for _, path in terms:
+                if not set(path) <= labels:
+                    raise ValueError(f"relation path {list(path)} uses an undeclared arrow")
             relations.append(Relation(terms))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad presentation JSON: {exc}") from None
     _check_coefficients(field, relations, [None] * len(relations))
-    quiver = Quiver.make(vertices, arrows)
     return Presentation(quiver, tuple(relations), field, max_length_cap)
 
 

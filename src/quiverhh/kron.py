@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 from . import linal
 from .algebra import AlgebraTable
-from .derlie import HH1Result, LieAlgebra, delta_defined, delta_map
+from .derlie import HH1Result, delta_defined, delta_map
 from .errors import UnsupportedCharacteristic
-from .quiver import reptype_radsq
+from .quiver import reptype_radsq  # noqa: F401  bench/spans.py wraps kron.reptype_radsq
 
 
 @dataclass(frozen=True)
@@ -74,13 +74,15 @@ def kronecker_pairs(table: AlgebraTable):
     return pairs, oversized
 
 
+def _arrow_product(table: AlgebraTable, x: str, y: str) -> list:
+    """The product x*y of two arrows, read from the table."""
+    return table.mult[table.arrow_index(x)][table.arrow_index(y)]
+
+
 def _cross_product_survives(table: AlgebraTable, p: KroneckerPair,
                             q: KroneckerPair) -> bool:
-    for x in (p.a, p.b):
-        for y in (q.a, q.b):
-            if not linal.is_zero_vector(table.path_vector((x, y))):
-                return True
-    return False
+    return any(not linal.is_zero_vector(_arrow_product(table, x, y))
+               for x in (p.a, p.b) for y in (q.a, q.b))
 
 
 def _chain_shape(pairs) -> str:
@@ -225,8 +227,11 @@ def standard_relations_literal(table: AlgebraTable,
     chain_arrows = set(chain.arrow_labels)
     witnesses = []
 
-    def vanishes(terms) -> bool:
-        return linal.is_zero_vector(table.normal_form(terms))
+    def vanishes(*products) -> bool:
+        total = table.zero()
+        for x, y in products:
+            total = linal.vec_add(table.field, total, _arrow_product(table, x, y))
+        return linal.is_zero_vector(total)
 
     s1 = True
     for c in chain.arrow_labels:
@@ -236,19 +241,19 @@ def standard_relations_literal(table: AlgebraTable,
                 continue
             for path in ((c, d), (d, c)):
                 if (q.arrow(path[0]).target == q.arrow(path[1]).source
-                        and not vanishes([(1, path)])):
+                        and not vanishes(path)):
                     s1 = False
                     witnesses.append("*".join(path))
 
     def triple(p: KroneckerPair, r: KroneckerPair) -> bool:
         ok = True
-        if not vanishes([(1, (p.a, r.a))]):
+        if not vanishes((p.a, r.a)):
             ok = False
             witnesses.append(f"{p.a}*{r.a}")
-        if not vanishes([(1, (p.b, r.b))]):
+        if not vanishes((p.b, r.b)):
             ok = False
             witnesses.append(f"{p.b}*{r.b}")
-        if not vanishes([(1, (p.a, r.b)), (1, (p.b, r.a))]):
+        if not vanishes((p.a, r.b), (p.b, r.a)):
             ok = False
             witnesses.append(f"{p.a}*{r.b} + {p.b}*{r.a}")
         return ok
@@ -277,9 +282,12 @@ class ChainReport:
     consistency_ok: bool
 
 
-def decomposition_report(table: AlgebraTable, h: HH1Result,
+def decomposition_report(table: AlgebraTable, h: HH1Result, septype: str,
                          assert_nonwild: bool = False) -> ChainReport:
     """Assemble m, the solvable remainder and the hypothesis flags.
+
+    septype is the representation-type verdict of the separated quiver
+    (``GraphClass.reptype``), which the analysis has already computed.
 
     m counts the rotation classes of maximal chains whose sl2 projection
     is surjective; under the stated hypotheses (characteristic not 2 and
@@ -307,7 +315,6 @@ def decomposition_report(table: AlgebraTable, h: HH1Result,
             kernel = linal.intersect(field, kernel, s.kernel)
     joint_derived = lie.derived_series(kernel) if kernel else [0]
 
-    septype = reptype_radsq(table.quiver)
     flags = {
         "char_ne_2": True,
         "qs_nonwild_compatible": septype != "Wild",

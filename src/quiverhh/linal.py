@@ -1,9 +1,10 @@
-"""Exact scalar arithmetic and the dense linear-algebra kernel.
+"""Exact scalar arithmetic and the linear-algebra kernel.
 
 Scalars are ``fractions.Fraction`` over the rationals and plain residues
-``int`` in ``[0, p)`` over a prime field.  Everything downstream (quotient
-algebras, derivation solves, structure constants) runs through the row
-reduction in this module, so all arithmetic here is exact by construction.
+``int`` in ``[0, p)`` over a prime field.  Vectors are dense lists.
+Everything downstream (quotient algebras, derivation solves, structure
+constants) runs through the one row reduction in this module, which
+eliminates on sparse rows, so all arithmetic here is exact by construction.
 """
 
 from __future__ import annotations
@@ -60,10 +61,6 @@ class Field:
         if self.characteristic != 0 and not _is_prime(self.characteristic):
             raise ValueError(f"characteristic must be 0 or prime, got {self.characteristic}")
 
-    @property
-    def kind(self) -> str:
-        return "rationals" if self.characteristic == 0 else "prime_field"
-
     @classmethod
     def parse(cls, text: str) -> "Field":
         text = text.strip()
@@ -117,13 +114,6 @@ class Field:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, self.characteristic - 2, self.characteristic)
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
-    def render(self, a) -> str:
-        """Exact string form, e.g. '3/2' over Q or '2' over F_p."""
-        return str(a)
-
 
 Scalar = object  # Fraction or int residue; see Field
 
@@ -143,9 +133,6 @@ def unit_vector(field: Field, n: int, i: int) -> list:
 
 def vec_add(field: Field, u: list, v: list) -> list:
     return [field.add(a, b) for a, b in zip(u, v)]
-
-def vec_sub(field: Field, u: list, v: list) -> list:
-    return [field.sub(a, b) for a, b in zip(u, v)]
 
 
 def vec_scale(field: Field, c, u: list) -> list:
@@ -172,39 +159,53 @@ def dot(field: Field, u: list, v: list):
 
 
 def rref(field: Field, rows: list[list]) -> tuple[list[list], list[int]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
-    rows = [list(r) for r in rows]
-    pivots: list[int] = []
-    out: list[list] = []
+    """Reduced row echelon form; returns (nonzero rows, pivot columns).
+
+    Forward elimination on sparse rows, then back-substitution from the
+    last pivot up.  The reduced form is unique, so the result does not
+    depend on the order in which rows are eliminated.
+    """
     ncols = len(rows[0]) if rows else 0
-    r = 0
-    work = rows
-    for col in range(ncols):
-        piv = None
-        for i in range(r, len(work)):
-            if work[i][col] != 0:
-                piv = i
+    ech = _echelon(field, (dict(enumerate(row)) for row in rows))
+    pivots = sorted(ech)
+    for pc in reversed(pivots):
+        row = ech[pc]
+        # rows below are reduced, so clearing one pivot column leaves the others
+        for q in [c for c in row if c != pc and c in ech]:
+            _sub_multiple(field, row, row[q], ech[q])
+    return [[ech[pc].get(c, field.zero) for c in range(ncols)] for pc in pivots], pivots
+
+
+def _sub_multiple(field: Field, row: dict, c, piv: dict) -> None:
+    """row -= c * piv on sparse rows, dropping the entries that vanish."""
+    for col, a in piv.items():
+        val = field.sub(row.get(col, field.zero), field.mul(c, a))
+        if val == 0:
+            row.pop(col, None)
+        else:
+            row[col] = val
+
+
+def _echelon(field: Field, rows) -> dict[int, dict]:
+    """Forward elimination of sparse rows (dicts col -> scalar).
+
+    Returns pivot column -> row with a unit pivot and no entry left of it.
+    """
+    ech: dict[int, dict] = {}
+    for row in rows:
+        row = {c: a for c, a in row.items() if a != 0}
+        while row:
+            lead = min(row)
+            piv = ech.get(lead)
+            if piv is None:
+                inv = field.inv(row[lead])
+                ech[lead] = {c: field.mul(inv, a) for c, a in row.items()}
                 break
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        inv = field.inv(work[r][col])
-        work[r] = [field.mul(inv, a) for a in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][col] != 0:
-                c = work[i][col]
-                work[i] = [field.sub(a, field.mul(c, b)) for a, b in zip(work[i], work[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(work):
-            break
-    out = work[:r]
-    return out, pivots
+            _sub_multiple(field, row, row[lead], piv)
+    return ech
 
 
 def rank(field: Field, rows: list[list]) -> int:
-    if not rows:
-        return 0
     return len(rref(field, rows)[0])
 
 
@@ -248,8 +249,6 @@ def solve(field: Field, m: list[list], b: list) -> list | None:
 
 def span_basis(field: Field, vectors: list[list]) -> list[list]:
     """Echelonized basis of the span."""
-    if not vectors:
-        return []
     return rref(field, vectors)[0]
 
 
@@ -262,11 +261,6 @@ def reduce_against(field: Field, v: list, ech: list[list], pivots: list[int]) ->
     return v
 
 
-def contains(field: Field, span: list[list], v: list) -> bool:
-    ech, piv = rref(field, span) if span else ([], [])
-    return is_zero_vector(reduce_against(field, v, ech, piv))
-
-
 def quotient_reps(field: Field, span_a: list[list], span_b: list[list]) -> list[list]:
     """Row-reduced section of span_a modulo span_b.
 
@@ -274,7 +268,7 @@ def quotient_reps(field: Field, span_a: list[list], span_b: list[list]) -> list[
     """
     if rank(field, list(span_a) + list(span_b)) != rank(field, span_a):
         raise QuotientUndefined("span_b is not contained in span_a")
-    ech, piv = rref(field, span_b) if span_b else ([], [])
+    ech, piv = rref(field, span_b)
     return span_basis(field, [reduce_against(field, v, ech, piv) for v in span_a])
 
 
@@ -329,21 +323,4 @@ def is_associative(field: Field, table: list) -> bool:
 
 def sparse_rank(field: Field, rows) -> int:
     """Rank of a stream of sparse rows (dicts col -> scalar)."""
-    ech: dict[int, dict] = {}  # pivot col -> row with unit pivot
-    for row in rows:
-        row = {c: a for c, a in row.items() if a != 0}
-        while row:
-            lead = min(row)
-            piv = ech.get(lead)
-            if piv is None:
-                inv = field.inv(row[lead])
-                ech[lead] = {c: field.mul(inv, a) for c, a in row.items()}
-                break
-            c = row[lead]
-            for col, a in piv.items():
-                val = field.sub(row.get(col, field.zero), field.mul(c, a))
-                if val == 0:
-                    row.pop(col, None)
-                else:
-                    row[col] = val
-    return len(ech)
+    return len(_echelon(field, rows))

@@ -101,12 +101,17 @@ class GraphClass:
     components: tuple[ComponentVerdict, ...]
 
     @property
-    def all_dynkin(self) -> bool:
-        return all(c.verdict == "Dynkin" for c in self.components)
-
-    @property
-    def all_dynkin_or_euclidean(self) -> bool:
-        return all(c.verdict in ("Dynkin", "Euclidean") for c in self.components)
+    def reptype(self) -> str:
+        """Representation type of the radical-square-zero algebra whose
+        separated quiver this classifies: Finite iff a union of Dynkin
+        graphs, Tame iff Dynkin plus at least one Euclidean, Wild otherwise.
+        """
+        verdicts = {c.verdict for c in self.components}
+        if verdicts <= {"Dynkin"}:
+            return "Finite"
+        if verdicts <= {"Dynkin", "Euclidean"}:
+            return "Tame"
+        return "Wild"
 
 
 def _principal_minor_sums(mat: list[list[Fraction]]) -> list[Fraction]:
@@ -217,16 +222,9 @@ def classify_components(q: Quiver) -> GraphClass:
 def reptype_radsq(q: Quiver) -> str:
     """Representation type of the radical-square-zero algebra with quiver q.
 
-    Exact only for radical-square-zero algebras: Finite iff the separated
-    quiver is a union of Dynkin graphs, Tame iff Dynkin plus at least one
-    Euclidean, Wild otherwise.
+    Exact only for radical-square-zero algebras; see GraphClass.reptype.
     """
-    gc = classify_components(separated_quiver(q))
-    if gc.all_dynkin:
-        return "Finite"
-    if gc.all_dynkin_or_euclidean:
-        return "Tame"
-    return "Wild"
+    return classify_components(separated_quiver(q)).reptype
 
 
 def _topo_order(q: Quiver) -> list[str]:

@@ -1,9 +1,11 @@
+import pathlib
 from fractions import Fraction
 
 import pytest
 
 from quiverhh import linal
 from quiverhh.algebra import Presentation, Relation, build_algebra
+from quiverhh.dsl import load_presentation
 from quiverhh.errors import (InvalidArrow, NotAdmissible, NotFiniteDimensional)
 from quiverhh.linal import Field
 from quiverhh.quiver import Quiver
@@ -164,3 +166,22 @@ def test_non_terminating_radical_filtration_is_not_admissible():
     with pytest.raises(NotAdmissible, match="radical filtration does not terminate"):
         build(["1"], [("x", "1", "1")],
               [[(1, ("x", "x", "x")), (-1, ("x", "x", "x", "x"))]], cap=12)
+
+
+CORPUS = sorted((pathlib.Path(__file__).resolve().parent.parent / "corpus").glob("*.dsl"))
+X2_Y3 = ("field Q\nvertex 1\narrow x 1 1\narrow y 1 1\n"
+         "relation x*x - y*y*y\nrelation x*y\nrelation y*x\n")
+
+
+@pytest.mark.parametrize("text", [p.read_text() for p in CORPUS] + [X2_Y3],
+                         ids=[p.stem for p in CORPUS] + ["x2_y3"])
+def test_proper_factors_of_rule_words_and_basis_monomials_are_indexed(text):
+    """The product rule reads prefixes and suffixes of these words by index."""
+    t = build_algebra(load_presentation(text))
+    assert t.path_index == {p: i for i, p in enumerate(t.basis_paths) if p}
+    words = [w for g in t.groebner for w in g] + list(t.path_index)
+    for w in words:
+        for i in range(len(w)):
+            for j in range(i + 1, len(w) + 1):
+                if j - i < len(w):
+                    assert w[i:j] in t.path_index, (w, w[i:j])

@@ -99,6 +99,14 @@ def test_missing_file_exit_code(capsys):
     assert main(["analyze", "/nonexistent/file.dsl"]) == 2
 
 
+def json_input(vertices, arrows, relations=()) -> bytes:
+    return json.dumps({
+        "field": "Q", "vertices": vertices,
+        "arrows": [{"label": l, "src": s, "dst": t} for l, s, t in arrows],
+        "relations": [[{"coef": "1", "path": path}] for path in relations],
+    }).encode()
+
+
 @pytest.mark.parametrize("content,extra,fragment", [
     (b"field Q\nvertex \xe9\n", [], "utf-8"),
     (None, [], "Is a directory"),
@@ -106,8 +114,18 @@ def test_missing_file_exit_code(capsys):
     (KRONECKER.encode(), ["--field", "bogus"], "unknown field"),
     (b"field fp:3\nvertex 1\narrow x 1 1\nrelation 1/3*(x*x)\n", [], "line 4"),
     (KRONECKER.encode(), ["--field", "fp:3317044064679887385961981"], "too large"),
+    (json_input(["1", "1"], []), [], "duplicate vertex"),
+    (json_input(["1"], [("a", "1", "1"), ("a", "1", "1")]), [], "duplicate arrow label"),
+    (json_input(["1"], [("a", "1", "2")]), [], "undeclared vertex"),
+    (json_input(["1"], [(5, "1", "1")]), [], "bad name 5"),
+    (json_input(["1", "1'"], [("a", "1", "1'")]), [], "bad name"),
+    (json_input([], []), [], "no vertices declared"),
+    (json_input(["1"], [("a", "1", "1")], [[["a"], "a"]]), [], "bad presentation JSON"),
+    (json_input(["1"], [("a", "1", "1")], [["a", "b"]]), [], "undeclared arrow"),
 ], ids=["non_utf8", "directory", "fp4", "bogus_field", "denominator_mod_p",
-        "fp_too_large"])
+        "fp_too_large", "json_duplicate_vertex", "json_duplicate_arrow",
+        "json_undeclared_vertex", "json_non_string_label", "json_primed_vertex",
+        "json_no_vertices", "json_nested_path", "json_undeclared_arrow"])
 def test_bad_input_is_one_error_line(tmp_path, capsys, content, extra, fragment):
     path = tmp_path / "input.dsl"
     if content is None:

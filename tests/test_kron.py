@@ -7,7 +7,7 @@ from quiverhh.kron import (decomposition_report, equivalence_classes,
                            is_surjective_chain, kronecker_pairs, maximal_chains,
                            standard_relations_literal)
 from quiverhh.linal import Field
-from quiverhh.quiver import Quiver
+from quiverhh.quiver import Quiver, reptype_radsq
 
 Q = Field(0)
 
@@ -136,7 +136,7 @@ def test_surjectivity():
 def test_decomposition_report_counts():
     t = triangle()
     h = hh1(t, rad_only=True)
-    rep = decomposition_report(t, h)
+    rep = decomposition_report(t, h, reptype_radsq(t.quiver))
     assert rep.m == 1
     assert rep.hh1_rad_dim == 4
     assert rep.r_dim == 1
@@ -155,7 +155,7 @@ def test_joint_kernel_follows_the_surjective_pair(relations):
     t = build(["1", "2", "3"],
               [("a", "1", "2"), ("b", "1", "2"), ("c", "2", "3"), ("d", "2", "3")],
               relations)
-    rep = decomposition_report(t, hh1(t, rad_only=True))
+    rep = decomposition_report(t, hh1(t, rad_only=True), reptype_radsq(t.quiver))
     assert rep.m == 1
     assert sorted(rep.surjectivity[0].per_pair_image_dims.values()) == [2, 3]
     assert rep.joint_kernel_dim == rep.r_dim == 2
@@ -166,7 +166,7 @@ def test_decomposition_refuses_characteristic_two():
     t = build(["1", "2"], [("a", "1", "2"), ("b", "1", "2")], [], field=Field(2))
     h = hh1(t, rad_only=True)
     with pytest.raises(UnsupportedCharacteristic):
-        decomposition_report(t, h)
+        decomposition_report(t, h, reptype_radsq(t.quiver))
 
 
 def test_standard_implies_surjective_here():

@@ -3,6 +3,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from quiverhh import linal
 from quiverhh.errors import QuotientUndefined
@@ -129,3 +130,33 @@ def test_prime_check_is_exact_and_fast():
             Field(n)
     with pytest.raises(ValueError, match="too large"):
         Field(linal.MAX_CHARACTERISTIC + 1)
+
+
+@st.composite
+def matrices(draw):
+    """A field (Q or F_7) and a rows x cols matrix, possibly empty, mostly zeros."""
+    field = Field(draw(st.sampled_from((0, 7))))
+    nrows, ncols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    entry = st.sampled_from((0, 0, 0, 1, -1, 2, 3)).map(field.of)
+    row = st.lists(entry, min_size=ncols, max_size=ncols)
+    return field, draw(st.lists(row, min_size=nrows, max_size=nrows))
+
+
+@settings(max_examples=25, deadline=None)
+@given(matrices())
+@example((Field(0), []))
+@example((Field(7), [[0, 0, 0], [0, 0, 0]]))
+@example((Field(0), [[], []]))
+def test_rref_is_the_reduced_row_echelon_form(case):
+    field, rows = case
+    ech, pivots = linal.rref(field, rows)
+    assert len(ech) == len(pivots)
+    assert pivots == sorted(set(pivots))
+    for r, (row, pc) in enumerate(zip(ech, pivots)):
+        assert all(a == 0 for a in row[:pc])
+        assert [other[pc] for other in ech] == [field.one if s == r else 0
+                                               for s in range(len(ech))]
+    assert (linal.rank(field, rows + ech) == linal.rank(field, rows)
+            == linal.rank(field, ech) == len(ech))
+    sparse = [{c: a for c, a in enumerate(row) if a != 0} for row in rows]
+    assert linal.sparse_rank(field, sparse) == len(ech)

@@ -1,7 +1,12 @@
+import pathlib
 import random
 
 import pytest
 
+from quiverhh import quiver as quiver_mod
+from quiverhh.analysis import run_analyze
+from quiverhh.cli import main
+from quiverhh.dsl import load_presentation
 from quiverhh.errors import NotAcyclic
 from quiverhh.quiver import (Quiver, classify_components, hereditary_hh1_dim,
                              path_counts, reptype_radsq, separated_quiver)
@@ -121,3 +126,16 @@ def test_hereditary_dim_random_trees():
             # orient parent to child to keep the quiver acyclic
             arrows.append((f"a{i}", str(j), str(i)))
         assert hereditary_hh1_dim(q_make(vertices, arrows)) == 0
+
+
+def test_one_classification_per_analysis(monkeypatch, capsys):
+    path = pathlib.Path(__file__).resolve().parent.parent / "corpus" / "kronecker.dsl"
+    calls = []
+    classify = quiver_mod.classify_components
+    monkeypatch.setattr(quiver_mod, "classify_components",
+                        lambda q: calls.append(q) or classify(q))
+    report = run_analyze(load_presentation(path.read_text()))
+    assert len(calls) == 1
+    assert report.septype == report.to_dict()["septype"]["verdict"] == "Tame"
+    assert main(["septype", str(path)]) == 0
+    assert len(calls) == 2 and capsys.readouterr().out.startswith("Tame\n")
