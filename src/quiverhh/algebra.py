@@ -223,10 +223,15 @@ class AlgebraTable:
 
     basis paths: trivial paths first (empty tuple, one per vertex, in
     vertex order), then arrows, then longer normal monomials in
-    length-then-lex order.  mult[i][j] is the coefficient vector of
-    basis_i * basis_j.  path_index maps each nontrivial basis path to its
-    index; factors of a normal monomial are normal, so every proper
-    factor of a basis path or of a rule word in groebner is found there.
+    length-then-lex order.  products[i][j] is the sparse coefficient
+    vector (dict index -> nonzero scalar) of basis_i * basis_j, reduced
+    once; these sparse structure constants are behind every product
+    (``multiply``, the radical filtration, the derivation action).
+    mult[i][j] is the same vector dense, filled from products, for the
+    code that reads coefficients by position.  path_index maps each
+    nontrivial basis path to its index; factors of a normal monomial are
+    normal, so every proper factor of a basis path or of a rule word in
+    groebner is found there.
     """
 
     field: Field
@@ -234,6 +239,7 @@ class AlgebraTable:
     basis_paths: list[Path]
     basis_source: list[str]
     basis_target: list[str]
+    products: list[list[dict]]
     mult: list[list[list]]
     path_index: dict  # nontrivial basis Path -> index
     groebner: list[Poly]
@@ -255,10 +261,6 @@ class AlgebraTable:
     def arrow_index(self, label: str) -> int:
         return self.path_index[(label,)]
 
-    def basis_vector(self, path) -> list:
-        """Unit vector of a nontrivial basis path."""
-        return linal.unit_vector(self.field, self.dim, self.path_index[tuple(path)])
-
     def zero(self) -> list:
         return linal.zero_vector(self.field, self.dim)
 
@@ -269,7 +271,8 @@ class AlgebraTable:
         return v
 
     def multiply(self, u: list, v: list) -> list:
-        return linal.contract(self.field, self.mult, u, v)
+        prod = linal.contract(self.field, self.products, linal.sparse(u), linal.sparse(v))
+        return linal.dense(self.field, self.dim, prod)
 
     def normal_form(self, terms) -> list:
         """Image in A of a linear combination of (coef, nonempty path) terms.
@@ -334,25 +337,22 @@ def build_algebra(p: Presentation) -> AlgebraTable:
     dim = len(basis_paths)
     nverts = len(q.vertices)
 
-    def product_vector(i: int, j: int) -> list:
-        vec = linal.zero_vector(field, dim)
+    def product(i: int, j: int) -> dict:
         if basis_target[i] != basis_source[j]:
-            return vec
+            return {}
         if i < nverts:
-            vec[j] = field.one
-            return vec
+            return {j: field.one}
         if j < nverts:
-            vec[i] = field.one
-            return vec
+            return {i: field.one}
         red = rw.reduce({basis_paths[i] + basis_paths[j]: field.one})
-        for path, c in red.items():
-            vec[index[path]] = c
-        return vec
+        return {index[path]: c for path, c in red.items()}
 
-    mult = [[product_vector(i, j) for j in range(dim)] for i in range(dim)]
-    return AlgebraTable(field, q, basis_paths, basis_source, basis_target, mult, index,
+    products = [[product(i, j) for j in range(dim)] for i in range(dim)]
+    mult = [[linal.dense(field, dim, e) for e in row] for row in products]
+    return AlgebraTable(field, q, basis_paths, basis_source, basis_target, products, mult,
+                        index,
                         [_rule_poly(field, lead, tail) for lead, tail in rw.rules.items()],
-                        rw, _radical_filtration(field, basis_paths, mult))
+                        rw, _radical_filtration(field, basis_paths, products))
 
 
 def _rule_poly(field: Field, lead: Path, tail: Poly) -> Poly:
@@ -387,7 +387,8 @@ def _normal_monomials(q: Quiver, rw: _Rewriter, cap: int) -> list[Path]:
     return out
 
 
-def _radical_filtration(field: Field, basis_paths: list[Path], mult) -> list[list[list]]:
+def _radical_filtration(field: Field, basis_paths: list[Path],
+                        products: list[list[dict]]) -> list[list[list]]:
     """Echelonized bases of rad^0 = A, rad^1, ... down to the first zero power.
 
     rad^(n+1) = span(rad^n * rad) is spanned by rad^n times the arrows alone,
@@ -396,11 +397,12 @@ def _radical_filtration(field: Field, basis_paths: list[Path], mult) -> list[lis
     dim = len(basis_paths)
     full = [linal.unit_vector(field, dim, i) for i in range(dim)]
     rad1 = [full[i] for i, p in enumerate(basis_paths) if p]
-    arrows = [full[i] for i, p in enumerate(basis_paths) if len(p) == 1]
+    arrows = [{i: field.one} for i, p in enumerate(basis_paths) if len(p) == 1]
     bases = [full, rad1]
     while bases[-1]:
-        prods = (linal.contract(field, mult, u, a) for u in bases[-1] for a in arrows)
-        cur = linal.span_basis(field, [v for v in prods if not linal.is_zero_vector(v)])
+        rows = [linal.sparse(u) for u in bases[-1]]
+        prods = (linal.contract(field, products, u, a) for u in rows for a in arrows)
+        cur = linal.span_basis(field, [linal.dense(field, dim, v) for v in prods if v])
         if cur and len(cur) >= len(bases[-1]):
             raise NotAdmissible(
                 "radical filtration does not terminate; the ideal is not admissible")

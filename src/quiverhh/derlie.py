@@ -31,43 +31,57 @@ class DerivationLayout:
     def size(self) -> int:
         return len(self.slots)
 
+    def sparse_value(self, vec: list, arrow_label: str) -> dict:
+        """The element delta(arrow) of A as a sparse vector."""
+        return {self.slots[pos][1]: vec[pos] for pos in self.blocks[arrow_label]
+                if vec[pos] != 0}
+
     def value(self, vec: list, arrow_label: str) -> list:
         """The element delta(arrow) of A as a coefficient vector."""
-        out = self.table.zero()
-        for pos in self.blocks[arrow_label]:
-            _, bi = self.slots[pos]
-            if vec[pos] != 0:
-                out[bi] = vec[pos]
-        return out
+        t = self.table
+        return linal.dense(t.field, t.dim, self.sparse_value(vec, arrow_label))
+
+    def action_columns(self, vec: list, indices) -> dict:
+        """Images of the basis monomials in indices under the derivation
+        extended to all of A by the product rule: index -> sparse vector.
+
+        Idempotents map to zero.
+        """
+        t = self.table
+        field = t.field
+        values = {label: self.sparse_value(vec, label) for label in self.blocks}
+        cols = {}
+        for j in indices:
+            path = t.basis_paths[j]
+            img: dict = {}
+            for k, label in enumerate(path):
+                linal.add_multiple(field, img, field.one, _leibniz_term(t, path, k, values[label]))
+            cols[j] = img
+        return cols
 
     def action_matrix(self, vec: list) -> list:
         """dim x dim matrix of the derivation extended to all of A by the product rule.
 
-        Column j is the image of basis monomial j.  Idempotents map to
-        zero.
+        Column j is the image of basis monomial j (see action_columns).
         """
         t = self.table
-        cols = []
-        for path in t.basis_paths:
-            img = t.zero()
-            for k, label in enumerate(path):
-                term = _leibniz_term(t, path, k, self.value(vec, label))
-                img = linal.vec_add(t.field, img, term)
-            cols.append(img)
-        rows = [[cols[j][i] for j in range(t.dim)] for i in range(t.dim)]
-        return rows
+        cols = self.action_columns(vec, range(t.dim))
+        return [[cols[j].get(i, t.field.zero) for j in range(t.dim)] for i in range(t.dim)]
 
 
-def _leibniz_term(t: AlgebraTable, path, k: int, value: list) -> list:
-    """path[:k] * value * path[k+1:], the k-th term of the product rule on path.
+def _leibniz_term(t: AlgebraTable, path, k: int, value: dict) -> dict:
+    """path[:k] * value * path[k+1:], the k-th term of the product rule on path,
+    for a sparse value; the result is sparse.
 
     path is a basis monomial or a word of a rewriting rule, so its proper
-    prefixes and suffixes are basis monomials (see AlgebraTable).
+    prefixes and suffixes are basis monomials (see AlgebraTable), and
+    their products are read from the sparse table.
     """
+    field = t.field
     if k > 0:
-        value = t.multiply(t.basis_vector(path[:k]), value)
+        value = linal.contract(field, t.products, {t.path_index[path[:k]]: field.one}, value)
     if k + 1 < len(path):
-        value = t.multiply(value, t.basis_vector(path[k + 1:]))
+        value = linal.contract(field, t.products, value, {t.path_index[path[k + 1:]]: field.one})
     return value
 
 
@@ -90,24 +104,20 @@ def _constraint_rows(layout: DerivationLayout) -> list:
     reduced rewriting generators g."""
     t = layout.table
     field = t.field
-    n = layout.size
     rows = []
     for g in t.groebner:
         # columns of the constraint: contribution of each unknown slot
         contribs = []
-        for pos in range(n):
-            label, bi = layout.slots[pos]
-            total = t.zero()
-            bvec = linal.unit_vector(field, t.dim, bi)
+        for label, bi in layout.slots:
+            total: dict = {}
             for w, c in g.items():
                 for k, wl in enumerate(w):
-                    if wl != label:
-                        continue
-                    term = _leibniz_term(t, w, k, bvec)
-                    total = linal.vec_add(field, total, linal.vec_scale(field, c, term))
+                    if wl == label:
+                        linal.add_multiple(field, total, c,
+                                           _leibniz_term(t, w, k, {bi: field.one}))
             contribs.append(total)
         for coord in range(t.dim):
-            row = [contribs[pos][coord] for pos in range(n)]
+            row = [col.get(coord, field.zero) for col in contribs]
             if any(x != 0 for x in row):
                 rows.append(row)
     return rows
@@ -217,12 +227,21 @@ class LieAlgebra:
     layout: DerivationLayout | None = None
     reps: list | None = None
 
+    @functools.cached_property
+    def _structure(self) -> list:
+        """The bracket table as sparse structure constants."""
+        return linal.sparse_table(self.bracket)
+
     def bracket_of(self, u: list, v: list) -> list:
-        return linal.contract(self.field, self.bracket, u, v)
+        prod = linal.contract(self.field, self._structure, linal.sparse(u), linal.sparse(v))
+        return linal.dense(self.field, self.dim, prod)
 
     def product_span(self, span_a: list, span_b: list) -> list:
-        prods = [self.bracket_of(u, v) for u in span_a for v in span_b]
-        return linal.span_basis(self.field, prods)
+        b = [linal.sparse(v) for v in span_b]
+        prods = (linal.contract(self.field, self._structure, u, v)
+                 for u in map(linal.sparse, span_a) for v in b)
+        return linal.span_basis(self.field,
+                                [linal.dense(self.field, self.dim, p) for p in prods if p])
 
     def _full(self) -> list:
         return [linal.unit_vector(self.field, self.dim, i) for i in range(self.dim)]
@@ -270,30 +289,33 @@ def lie_from_quotient(table: AlgebraTable, layout: DerivationLayout,
 
     The commutator [d_i, d_j] is a derivation, so it is fixed by its slot
     vector: the coordinate bi of d_i(d_j(a)) - d_j(d_i(a)) for each slot
-    (a, bi).  Each of the two terms is row bi of one action matrix dotted
-    with the value of the other representative on a; that value lives on
-    the monomials parallel to a, so both are cut to those entries, once
-    per representative and slot.  All d^2 commutators are then written in
-    (reps | inn) coordinates by one row reduction of [reps | inn |
-    commutators]; the reps part is the bracket.  The commutators lie in
-    Der exactly when the pivots of that reduction are the reps and inn
-    columns and nothing else.
+    (a, bi).  The value of a representative on an arrow a lives on the
+    monomials parallel to a, so each representative's action is needed
+    only on the monomials parallel to some arrow: those sparse columns
+    are computed once per representative, and each term is a combination
+    of them.  All d^2 commutators are then written in (reps | inn)
+    coordinates by one row reduction of [reps | inn | commutators]; the
+    reps part is the bracket.  The commutators lie in Der exactly when the
+    pivots of that reduction are the reps and inn columns and nothing else.
     """
     field = table.field
     reps = linal.quotient_reps(field, der_basis, inn_basis)
     d = len(reps)
-    support = {label: [layout.slots[pos][1] for pos in block]
-               for label, block in layout.blocks.items()}
-    values = [{label: [v[pos] for pos in block] for label, block in layout.blocks.items()}
-              for v in reps]
-    rows = []
-    for v in reps:
-        action = layout.action_matrix(v)
-        rows.append([[action[bi][k] for k in support[label]] for label, bi in layout.slots])
-    comms = [[field.sub(linal.dot(field, rows[i][pos], values[j][label]),
-                        linal.dot(field, rows[j][pos], values[i][label]))
-              for pos, (label, _) in enumerate(layout.slots)]
-             for i in range(d) for j in range(d)]
+    parallel = sorted({bi for _, bi in layout.slots})
+    values = [{label: layout.sparse_value(v, label) for label in layout.blocks} for v in reps]
+    cols = [layout.action_columns(v, parallel) for v in reps]
+    comms = []
+    for i in range(d):
+        for j in range(d):
+            images = {}
+            for label in layout.blocks:
+                img: dict = {}
+                for m, c in values[j][label].items():
+                    linal.add_multiple(field, img, c, cols[i][m])
+                for m, c in values[i][label].items():
+                    linal.add_multiple(field, img, field.neg(c), cols[j][m])
+                images[label] = img
+            comms.append([images[label].get(bi, field.zero) for label, bi in layout.slots])
     columns = reps + inn_basis + comms
     base = len(reps) + len(inn_basis)
     matrix = [[col[r] for col in columns] for r in range(layout.size)]

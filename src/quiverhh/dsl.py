@@ -169,6 +169,8 @@ def parse_presentation(text: str, field_override: str | None = None,
             if len(parts) != 3:
                 raise ParseError("arrow needs: label source target", line_no)
             label, src, dst = parts
+            if not _NAME.match(label):
+                raise ParseError(f"bad arrow label {label!r}", line_no)
             if any(a[0] == label for a in arrows):
                 raise ParseError(f"duplicate arrow label {label!r}", line_no)
             if src not in vertices or dst not in vertices:
@@ -248,7 +250,7 @@ def presentation_from_json(data, field_override: str | None = None,
             raise ParseError(f"bad JSON: {exc}", exc.lineno, exc.colno) from None
     try:
         field = Field.parse(data["field"] if field_override is None else field_override)
-        vertices = list(data["vertices"])
+        vertices = _array(data["vertices"], "vertices")
         arrows = [(a["label"], a["src"], a["dst"]) for a in data["arrows"]]
         for name in vertices + [a[0] for a in arrows]:
             if not isinstance(name, str) or not _NAME.match(name):
@@ -260,7 +262,7 @@ def presentation_from_json(data, field_override: str | None = None,
         labels = {a[0] for a in arrows}
         relations = []
         for rel in data["relations"]:
-            terms = tuple(sorted(((Fraction(t["coef"]), tuple(t["path"]))
+            terms = tuple(sorted(((Fraction(t["coef"]), tuple(_array(t["path"], "path")))
                                   for t in rel), key=lambda t: t[1]))
             for _, path in terms:
                 if not set(path) <= labels:
@@ -270,6 +272,13 @@ def presentation_from_json(data, field_override: str | None = None,
         raise ParseError(f"bad presentation JSON: {exc}") from None
     _check_coefficients(field, relations, [None] * len(relations))
     return Presentation(quiver, tuple(relations), field, max_length_cap)
+
+
+def _array(value, key: str) -> list:
+    """A JSON array; a string would otherwise be split into characters."""
+    if not isinstance(value, list):
+        raise ValueError(f"{key!r} must be an array, got {value!r}")
+    return value
 
 
 def load_presentation(text: str, field_override: str | None = None,

@@ -2,9 +2,12 @@
 
 Scalars are ``fractions.Fraction`` over the rationals and plain residues
 ``int`` in ``[0, p)`` over a prime field.  Vectors are dense lists.
-Everything downstream (quotient algebras, derivation solves, structure
-constants) runs through the one row reduction in this module, which
-eliminates on sparse rows, so all arithmetic here is exact by construction.
+Structure constants are sparse: a table entry is a dict index -> nonzero
+scalar, and ``contract`` multiplies sparse vectors of that form, visiting
+only nonzero entries.  Everything downstream (quotient algebras,
+derivation solves, structure constants) runs through the one row
+reduction in this module, which eliminates on sparse rows, so all
+arithmetic here is exact by construction.
 """
 
 from __future__ import annotations
@@ -172,14 +175,15 @@ def rref(field: Field, rows: list[list]) -> tuple[list[list], list[int]]:
         row = ech[pc]
         # rows below are reduced, so clearing one pivot column leaves the others
         for q in [c for c in row if c != pc and c in ech]:
-            _sub_multiple(field, row, row[q], ech[q])
+            add_multiple(field, row, field.neg(row[q]), ech[q])
     return [[ech[pc].get(c, field.zero) for c in range(ncols)] for pc in pivots], pivots
 
 
-def _sub_multiple(field: Field, row: dict, c, piv: dict) -> None:
-    """row -= c * piv on sparse rows, dropping the entries that vanish."""
-    for col, a in piv.items():
-        val = field.sub(row.get(col, field.zero), field.mul(c, a))
+def add_multiple(field: Field, row: dict, c, v: dict) -> None:
+    """row += c * v on sparse vectors, dropping the entries that vanish."""
+    zero = field.zero
+    for col, a in v.items():
+        val = field.add(row.get(col, zero), field.mul(c, a))
         if val == 0:
             row.pop(col, None)
         else:
@@ -201,7 +205,7 @@ def _echelon(field: Field, rows) -> dict[int, dict]:
                 inv = field.inv(row[lead])
                 ech[lead] = {c: field.mul(inv, a) for c, a in row.items()}
                 break
-            _sub_multiple(field, row, row[lead], piv)
+            add_multiple(field, row, field.neg(row[lead]), piv)
     return ech
 
 
@@ -293,31 +297,47 @@ def combine(field: Field, coeffs: list, vectors: list[list]) -> list:
     return out
 
 
-def contract(field: Field, table: list, u: list, v: list) -> list:
-    """Bilinear product from structure constants.
+def sparse(v: list) -> dict:
+    """The nonzero entries of a dense vector, as a dict index -> scalar."""
+    return {i: a for i, a in enumerate(v) if a != 0}
 
-    table[i][j] is the coordinate vector of x_i * x_j.
+
+def dense(field: Field, n: int, v: dict) -> list:
+    """The dense vector of length n with the entries of a sparse one."""
+    out = zero_vector(field, n)
+    for i, a in v.items():
+        out[i] = a
+    return out
+
+
+def sparse_table(table: list) -> list:
+    """Sparse structure constants of a dense table[i][j][k]."""
+    return [[sparse(entry) for entry in row] for row in table]
+
+
+def contract(field: Field, table: list, u: dict, v: dict) -> dict:
+    """Bilinear product u * v of sparse vectors from sparse structure constants.
+
+    table[i][j] is the sparse vector of x_i * x_j; only the nonzero
+    entries of u, of v and of each table entry are visited.
     """
-    out = zero_vector(field, len(table))
-    for i, a in enumerate(u):
-        if a == 0:
-            continue
-        for j, b in enumerate(v):
-            if b == 0:
-                continue
-            c = field.mul(a, b)
-            for k, m in enumerate(table[i][j]):
-                if m != 0:
-                    out[k] = field.add(out[k], field.mul(c, m))
+    out: dict = {}
+    for i, a in u.items():
+        row = table[i]
+        for j, b in v.items():
+            entry = row[j]
+            if entry:
+                add_multiple(field, out, field.mul(a, b), entry)
     return out
 
 
 def is_associative(field: Field, table: list) -> bool:
-    """(x_i x_j) x_k == x_i (x_j x_k) for all basis triples."""
+    """(x_i x_j) x_k == x_i (x_j x_k) for all basis triples of a dense table."""
     d = len(table)
-    e = [unit_vector(field, d, i) for i in range(d)]
-    return all(contract(field, table, table[i][j], e[k])
-               == contract(field, table, e[i], table[j][k])
+    st = sparse_table(table)
+    one = field.one
+    return all(contract(field, st, st[i][j], {k: one})
+               == contract(field, st, {i: one}, st[j][k])
                for i in range(d) for j in range(d) for k in range(d))
 
 

@@ -185,3 +185,23 @@ def test_proper_factors_of_rule_words_and_basis_monomials_are_indexed(text):
             for j in range(i + 1, len(w) + 1):
                 if j - i < len(w):
                     assert w[i:j] in t.path_index, (w, w[i:j])
+
+
+@pytest.mark.parametrize("text", [p.read_text() for p in CORPUS] + ["x15_fp5"],
+                         ids=[p.stem for p in CORPUS] + ["x15_fp5"])
+def test_sparse_products_are_the_dense_table(text):
+    """products[i][j] holds exactly the nonzero entries of mult[i][j], and
+    each product of nontrivial paths is the normal form of their word."""
+    if text == "x15_fp5":
+        t = build(["1"], [("x", "1", "1")], [[(1, ("x",) * 15)]], field=Field(5))
+    else:
+        t = build_algebra(load_presentation(text))
+    assert [[linal.dense(t.field, t.dim, e) for e in row] for row in t.products] == t.mult
+    for i, p in enumerate(t.basis_paths):
+        for j, q in enumerate(t.basis_paths):
+            entry = t.products[i][j]
+            assert all(c != 0 for c in entry.values())
+            if p and q:
+                expected = (t.path_vector(p + q) if t.basis_target[i] == t.basis_source[j]
+                            else t.zero())
+                assert entry == linal.sparse(expected)

@@ -122,10 +122,14 @@ def json_input(vertices, arrows, relations=()) -> bytes:
     (json_input([], []), [], "no vertices declared"),
     (json_input(["1"], [("a", "1", "1")], [[["a"], "a"]]), [], "bad presentation JSON"),
     (json_input(["1"], [("a", "1", "1")], [["a", "b"]]), [], "undeclared arrow"),
+    (json_input("12", []), [], "'vertices' must be an array"),
+    (json_input(["1"], [("a", "1", "1")], ["aa"]), [], "'path' must be an array"),
+    (b"field Q\nvertex 1 2\narrow a' 1 2\n", [], "bad arrow label"),
 ], ids=["non_utf8", "directory", "fp4", "bogus_field", "denominator_mod_p",
         "fp_too_large", "json_duplicate_vertex", "json_duplicate_arrow",
         "json_undeclared_vertex", "json_non_string_label", "json_primed_vertex",
-        "json_no_vertices", "json_nested_path", "json_undeclared_arrow"])
+        "json_no_vertices", "json_nested_path", "json_undeclared_arrow",
+        "json_string_vertices", "json_string_path", "dsl_primed_arrow"])
 def test_bad_input_is_one_error_line(tmp_path, capsys, content, extra, fragment):
     path = tmp_path / "input.dsl"
     if content is None:

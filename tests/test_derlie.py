@@ -90,6 +90,18 @@ def test_loop_criterion():
     assert rep5.holds
 
 
+def test_loop_criterion_reads_pivots_of_rows_with_several_entries():
+    # y^2 = y*x^2 puts y^2 in rad^3; with x*y = 2*y*x - y^2, rad^3 is spanned
+    # by x^3 and x*y - 2*y*x, a stored row with two nonzero entries
+    t = build(["1"], [("x", "1", "1"), ("y", "1", "1")],
+              [[(1, ("y", "y")), (-1, ("y", "x", "x"))],
+               [(1, ("x", "y")), (-2, ("y", "x")), (1, ("y", "y"))],
+               [(1, ("x",) * 4)]])
+    assert t.rad_dims == [7, 6, 4, 2, 0]
+    assert any(sum(1 for c in row if c != 0) > 1 for row in t.rad_bases[3])
+    assert loop_criterion(t).orders == {"x": 4, "y": 2}
+
+
 def kronecker_table(field=Q):
     return build(["1", "2"], [("a", "1", "2"), ("b", "1", "2")], [], field=field)
 
@@ -305,3 +317,36 @@ def test_analysis_reads_products_from_the_table(path, monkeypatch):
     rad = hh1(t, rad_only=True)
     loop_criterion(t)
     decomposition_report(t, rad, reptype_radsq(t.quiver))
+
+
+@pytest.mark.parametrize("path", CORPUS + ["x15_fp5"],
+                         ids=lambda p: getattr(p, "stem", p))
+def test_action_columns_are_the_product_rule(path):
+    """The sparse columns on the monomials parallel to the arrows equal the
+    columns of action_matrix and the product rule written out densely."""
+    if path == "x15_fp5":
+        t = truncated_loop(15, field=Field(5))
+    else:
+        t = build_algebra(load_presentation(path.read_text()))
+    f = t.field
+    layout, der = derivation_space(t)
+    parallel = sorted({bi for _, bi in layout.slots})
+
+    def factor(w):
+        return t.path_vector(w) if w else t.unit()
+
+    for v in der:
+        cols = layout.action_columns(v, parallel)
+        matrix = layout.action_matrix(v)
+        assert sorted(cols) == parallel
+        for j in parallel:
+            assert all(c != 0 for c in cols[j].values())
+            dense = linal.dense(f, t.dim, cols[j])
+            assert dense == [row[j] for row in matrix]
+            w = t.basis_paths[j]
+            expected = t.zero()
+            for k, label in enumerate(w):
+                term = t.multiply(t.multiply(factor(w[:k]), layout.value(v, label)),
+                                  factor(w[k + 1:]))
+                expected = linal.vec_add(f, expected, term)
+            assert dense == expected

@@ -160,3 +160,31 @@ def test_rref_is_the_reduced_row_echelon_form(case):
             == linal.rank(field, ech) == len(ech))
     sparse = [{c: a for c, a in enumerate(row) if a != 0} for row in rows]
     assert linal.sparse_rank(field, sparse) == len(ech)
+
+
+@st.composite
+def sparse_products(draw):
+    """A field (Q or F_7), sparse structure constants on a basis of size n
+    (entries mostly empty) and two sparse vectors of length n."""
+    field = Field(draw(st.sampled_from((0, 7))))
+    n = draw(st.integers(0, 5))
+    scalar = st.sampled_from((1, -1, 2, 3, Fraction(1, 2))).map(field.of)
+    vector = st.dictionaries(st.integers(0, n - 1), scalar, max_size=n) if n else st.just({})
+    table = [[draw(vector) for _ in range(n)] for _ in range(n)]
+    return field, n, table, draw(vector), draw(vector)
+
+
+@settings(max_examples=50, deadline=None)
+@given(sparse_products())
+def test_contract_is_the_bilinear_product_of_the_table(case):
+    field, n, table, u, v = case
+    du, dv = linal.dense(field, n, u), linal.dense(field, n, v)
+    expected = linal.zero_vector(field, n)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                c = table[i][j].get(k, field.zero)
+                expected[k] = field.add(expected[k], field.mul(field.mul(du[i], dv[j]), c))
+    got = linal.contract(field, table, u, v)
+    assert all(c != 0 for c in got.values())
+    assert linal.dense(field, n, got) == expected
