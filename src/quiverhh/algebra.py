@@ -46,7 +46,10 @@ class _Order:
         self.index = {a.label: i for i, a in enumerate(quiver.arrows)}
 
     def key(self, path: Path):
-        return (len(path), tuple(self.index[l] for l in path))
+        # tuple() of a list allocates the exact size from the tuple free
+        # list; tuple() of a generator grows by resizing, and every such
+        # key freed parks on the free list until a full garbage collection
+        return (len(path), tuple([self.index[l] for l in path]))
 
 
 def _validate_relation(q: Quiver, rel: Relation) -> None:
@@ -226,9 +229,8 @@ class AlgebraTable:
     length-then-lex order.  products[i][j] is the sparse coefficient
     vector (dict index -> nonzero scalar) of basis_i * basis_j, reduced
     once; these sparse structure constants are behind every product
-    (``multiply``, the radical filtration, the derivation action).
-    mult[i][j] is the same vector dense, filled from products, for the
-    code that reads coefficients by position.  path_index maps each
+    (``multiply``, the radical filtration, the derivation action, the
+    chain tests and the oracle).  path_index maps each
     nontrivial basis path to its index; factors of a normal monomial are
     normal, so every proper factor of a basis path or of a rule word in
     groebner is found there.
@@ -240,11 +242,10 @@ class AlgebraTable:
     basis_source: list[str]
     basis_target: list[str]
     products: list[list[dict]]
-    mult: list[list[list]]
     path_index: dict  # nontrivial basis Path -> index
     groebner: list[Poly]
     rewriter: _Rewriter
-    rad_bases: list[list[list]]  # echelonized bases of rad^0 = A, rad^1, ..., 0
+    rad_bases: list[list[dict]]  # reduced sparse bases of rad^0 = A, rad^1, ..., 0
 
     @property
     def rad_dims(self) -> list[int]:
@@ -302,9 +303,11 @@ class AlgebraTable:
         return self.normal_form([(1, tuple(path))])
 
     def radical_power_basis(self, n: int) -> list[list]:
-        """Echelonized basis of rad(A)^n; rad^0 = A."""
+        """Echelonized basis of rad(A)^n, as coefficient vectors; rad^0 = A."""
         bases = self.rad_bases
-        return list(bases[n]) if n < len(bases) else []
+        if n >= len(bases):
+            return []
+        return [linal.dense(self.field, self.dim, v) for v in bases[n]]
 
 
 def build_algebra(p: Presentation) -> AlgebraTable:
@@ -348,9 +351,7 @@ def build_algebra(p: Presentation) -> AlgebraTable:
         return {index[path]: c for path, c in red.items()}
 
     products = [[product(i, j) for j in range(dim)] for i in range(dim)]
-    mult = [[linal.dense(field, dim, e) for e in row] for row in products]
-    return AlgebraTable(field, q, basis_paths, basis_source, basis_target, products, mult,
-                        index,
+    return AlgebraTable(field, q, basis_paths, basis_source, basis_target, products, index,
                         [_rule_poly(field, lead, tail) for lead, tail in rw.rules.items()],
                         rw, _radical_filtration(field, basis_paths, products))
 
@@ -388,21 +389,18 @@ def _normal_monomials(q: Quiver, rw: _Rewriter, cap: int) -> list[Path]:
 
 
 def _radical_filtration(field: Field, basis_paths: list[Path],
-                        products: list[list[dict]]) -> list[list[list]]:
-    """Echelonized bases of rad^0 = A, rad^1, ... down to the first zero power.
+                        products: list[list[dict]]) -> list[list[dict]]:
+    """Reduced sparse bases of rad^0 = A, rad^1, ... down to the first zero power.
 
     rad^(n+1) = span(rad^n * rad) is spanned by rad^n times the arrows alone,
     since a path of length n + 1 is a path of length n followed by an arrow.
     """
-    dim = len(basis_paths)
-    full = [linal.unit_vector(field, dim, i) for i in range(dim)]
-    rad1 = [full[i] for i, p in enumerate(basis_paths) if p]
+    full = [{i: field.one} for i in range(len(basis_paths))]
     arrows = [{i: field.one} for i, p in enumerate(basis_paths) if len(p) == 1]
-    bases = [full, rad1]
+    bases = [full, [u for u, p in zip(full, basis_paths) if p]]
     while bases[-1]:
-        rows = [linal.sparse(u) for u in bases[-1]]
-        prods = (linal.contract(field, products, u, a) for u in rows for a in arrows)
-        cur = linal.span_basis(field, [linal.dense(field, dim, v) for v in prods if v])
+        prods = (linal.contract(field, products, u, a) for u in bases[-1] for a in arrows)
+        cur = linal.span_basis(field, [v for v in prods if v])
         if cur and len(cur) >= len(bases[-1]):
             raise NotAdmissible(
                 "radical filtration does not terminate; the ideal is not admissible")

@@ -4,7 +4,8 @@ Derivations are normalised to vanish on the vertex idempotents; such a
 derivation is determined by its values on arrows, and the value on an
 arrow a lies in the span of basis monomials parallel to a.  The unknowns
 of the linear problem are those coefficients, one block per arrow in
-declaration order.
+declaration order; a derivation is a sparse slot vector (slot position ->
+nonzero coefficient), the form ``linal`` eliminates on.
 """
 
 from __future__ import annotations
@@ -31,17 +32,17 @@ class DerivationLayout:
     def size(self) -> int:
         return len(self.slots)
 
-    def sparse_value(self, vec: list, arrow_label: str) -> dict:
+    def sparse_value(self, vec: dict, arrow_label: str) -> dict:
         """The element delta(arrow) of A as a sparse vector."""
         return {self.slots[pos][1]: vec[pos] for pos in self.blocks[arrow_label]
-                if vec[pos] != 0}
+                if pos in vec}
 
-    def value(self, vec: list, arrow_label: str) -> list:
+    def value(self, vec: dict, arrow_label: str) -> list:
         """The element delta(arrow) of A as a coefficient vector."""
         t = self.table
         return linal.dense(t.field, t.dim, self.sparse_value(vec, arrow_label))
 
-    def action_columns(self, vec: list, indices) -> dict:
+    def action_columns(self, vec: dict, indices) -> dict:
         """Images of the basis monomials in indices under the derivation
         extended to all of A by the product rule: index -> sparse vector.
 
@@ -59,7 +60,7 @@ class DerivationLayout:
             cols[j] = img
         return cols
 
-    def action_matrix(self, vec: list) -> list:
+    def action_matrix(self, vec: dict) -> list:
         """dim x dim matrix of the derivation extended to all of A by the product rule.
 
         Column j is the image of basis monomial j (see action_columns).
@@ -100,26 +101,24 @@ def derivation_layout(table: AlgebraTable) -> DerivationLayout:
 
 
 def _constraint_rows(layout: DerivationLayout) -> list:
-    """Linear conditions on the slot vector forcing delta(g) = 0 for all
-    reduced rewriting generators g."""
+    """Sparse linear conditions on the slot vector forcing delta(g) = 0 for
+    all reduced rewriting generators g: one row per generator and nonzero
+    coordinate of A."""
     t = layout.table
     field = t.field
     rows = []
     for g in t.groebner:
-        # columns of the constraint: contribution of each unknown slot
-        contribs = []
-        for label, bi in layout.slots:
+        by_coord: dict = {}  # coordinate of delta(g) -> its row
+        for s, (label, bi) in enumerate(layout.slots):
             total: dict = {}
             for w, c in g.items():
                 for k, wl in enumerate(w):
                     if wl == label:
                         linal.add_multiple(field, total, c,
                                            _leibniz_term(t, w, k, {bi: field.one}))
-            contribs.append(total)
-        for coord in range(t.dim):
-            row = [col.get(coord, field.zero) for col in contribs]
-            if any(x != 0 for x in row):
-                rows.append(row)
+            for coord, a in total.items():
+                by_coord.setdefault(coord, {})[s] = a
+        rows.extend(by_coord[coord] for coord in sorted(by_coord))
     return rows
 
 
@@ -127,7 +126,7 @@ def derivation_space(table: AlgebraTable):
     """Basis (slot vectors) of the idempotent-killing derivations of A."""
     layout = derivation_layout(table)
     rows = _constraint_rows(layout)
-    basis = linal.kernel_basis(table.field, rows, ncols=layout.size)
+    basis = linal.kernel_basis(table.field, rows, layout.size)
     return layout, basis
 
 
@@ -141,14 +140,20 @@ def inner_space(table: AlgebraTable, layout: DerivationLayout) -> list:
     """
     t = table
     field = t.field
-    mult = t.mult
+    zero = field.zero
+    products = t.products
     slots = [(t.arrow_index(label), bi) for label, bi in layout.slots]
     vecs = []
     for i in range(t.dim):
         if t.basis_source[i] != t.basis_target[i]:
             continue
         # slot (a, bi) of [u, -] is the bi coordinate of u*a - a*u
-        vecs.append([field.sub(mult[i][a][bi], mult[a][i][bi]) for a, bi in slots])
+        vec = {}
+        for s, (a, bi) in enumerate(slots):
+            val = field.sub(products[i][a].get(bi, zero), products[a][i].get(bi, zero))
+            if val != 0:
+                vec[s] = val
+        vecs.append(vec)
     return linal.span_basis(field, vecs)
 
 
@@ -172,9 +177,14 @@ def radical_preserving(table: AlgebraTable, layout: DerivationLayout,
                 conditions.append(pos)
     if not conditions or not der_basis:
         return list(der_basis)
-    rows = [[b[pos] for b in der_basis] for pos in conditions]
-    combo = linal.kernel_basis(field, rows, ncols=len(der_basis))
-    return linal.span_basis(field, [linal.combine(field, c, der_basis) for c in combo])
+    rows = [{k: b[pos] for k, b in enumerate(der_basis) if pos in b} for pos in conditions]
+    vecs = []
+    for combo in linal.kernel_basis(field, rows, len(der_basis)):
+        vec: dict = {}
+        for k, c in combo.items():
+            linal.add_multiple(field, vec, c, der_basis[k])
+        vecs.append(vec)
+    return linal.span_basis(field, vecs)
 
 
 @dataclass
@@ -191,60 +201,57 @@ def loop_criterion(table: AlgebraTable) -> LoopReport:
     why HH1 and its radical-preserving part can differ.
     """
     t = table
-    p = t.field.characteristic
+    field = t.field
+    p = field.characteristic
+    # the stored bases are already reduced; rad^n = 0 past the Loewy length
+    rad = t.rad_bases + [[]]
     orders = {}
     for arrow in t.quiver.arrows:
         if arrow.source != arrow.target:
             continue
-        a = linal.unit_vector(t.field, t.dim, t.arrow_index(arrow.label))
+        a = {t.arrow_index(arrow.label): field.one}
         power = a
         n = 1
-        while True:
-            # the stored basis is already reduced; read its pivots off the rows
-            ech = t.radical_power_basis(n + 1)
-            pivots = [next(c for c, x in enumerate(row) if x != 0) for row in ech]
-            if linal.is_zero_vector(linal.reduce_against(t.field, power, ech, pivots)):
-                orders[arrow.label] = n
-                break
-            power = t.multiply(power, a)
+        while linal.reduce_against(field, power, rad[n + 1]):
+            power = linal.contract(field, t.products, power, a)
             n += 1
+        orders[arrow.label] = n
     holds = p == 0 or all(n % p != 0 for n in orders.values())
     return LoopReport(orders, holds)
 
 
 @dataclass
 class LieAlgebra:
-    """Finite-dimensional Lie algebra with an explicit bracket table.
+    """Finite-dimensional Lie algebra with explicit structure constants.
 
-    bracket[i][j] is the coordinate vector of [x_i, x_j] in the chosen
-    basis.  For cohomology quotients the basis vectors are derivation
-    slot vectors kept in `reps` together with their layout.
+    structure[i][j] is the sparse coordinate vector of [x_i, x_j] in the
+    chosen basis, and bracket[i][j] the same vector as a list.  For
+    cohomology quotients the basis vectors are derivation slot vectors
+    kept in `reps` together with their layout.
     """
 
     field: Field
     dim: int
-    bracket: list
+    structure: list
     layout: DerivationLayout | None = None
     reps: list | None = None
 
     @functools.cached_property
-    def _structure(self) -> list:
-        """The bracket table as sparse structure constants."""
-        return linal.sparse_table(self.bracket)
+    def bracket(self) -> list:
+        """The bracket table as coordinate lists."""
+        return [[linal.dense(self.field, self.dim, e) for e in row] for row in self.structure]
 
     def bracket_of(self, u: list, v: list) -> list:
-        prod = linal.contract(self.field, self._structure, linal.sparse(u), linal.sparse(v))
+        prod = linal.contract(self.field, self.structure, linal.sparse(u), linal.sparse(v))
         return linal.dense(self.field, self.dim, prod)
 
     def product_span(self, span_a: list, span_b: list) -> list:
-        b = [linal.sparse(v) for v in span_b]
-        prods = (linal.contract(self.field, self._structure, u, v)
-                 for u in map(linal.sparse, span_a) for v in b)
-        return linal.span_basis(self.field,
-                                [linal.dense(self.field, self.dim, p) for p in prods if p])
+        prods = (linal.contract(self.field, self.structure, u, v)
+                 for u in span_a for v in span_b)
+        return linal.span_basis(self.field, [p for p in prods if p])
 
     def _full(self) -> list:
-        return [linal.unit_vector(self.field, self.dim, i) for i in range(self.dim)]
+        return [{i: self.field.one} for i in range(self.dim)]
 
     def _series(self, cur: list, step) -> list:
         """Dimensions of cur, step(cur), ... until the dimension stops falling."""
@@ -315,16 +322,23 @@ def lie_from_quotient(table: AlgebraTable, layout: DerivationLayout,
                 for m, c in values[i][label].items():
                     linal.add_multiple(field, img, field.neg(c), cols[j][m])
                 images[label] = img
-            comms.append([images[label].get(bi, field.zero) for label, bi in layout.slots])
-    columns = reps + inn_basis + comms
+            comms.append({s: images[label][bi] for s, (label, bi) in enumerate(layout.slots)
+                          if bi in images[label]})
     base = len(reps) + len(inn_basis)
-    matrix = [[col[r] for col in columns] for r in range(layout.size)]
+    matrix = [{} for _ in range(layout.size)]
+    for k, col in enumerate(reps + inn_basis + comms):
+        for r, c in col.items():
+            matrix[r][k] = c
     ech, pivots = linal.rref(field, matrix)
     if pivots != list(range(base)):
         raise AssertionError("bracket left the derivation space")
-    bracket = [[[ech[r][base + i * d + j] for r in range(d)] for j in range(d)]
-               for i in range(d)]
-    return LieAlgebra(field, d, bracket, layout, reps)
+    structure = [[{} for _ in range(d)] for _ in range(d)]
+    for r in range(d):
+        for col, c in ech[r].items():
+            if col >= base:
+                i, j = divmod(col - base, d)
+                structure[i][j][r] = c
+    return LieAlgebra(field, d, structure, layout, reps)
 
 
 @dataclass
@@ -392,9 +406,13 @@ class DeltaMap:
 
     field: Field
     pair: tuple
-    rows: list             # H, E and F coordinates of each source basis vector
-    rank: int
-    kernel: list           # coordinate vectors spanning the kernel
+    rows: list             # sparse H, E and F rows, indexed by source basis vector
+    dim: int               # dimension of the source
+    kernel: list           # sparse coordinate vectors spanning the kernel
+
+    @property
+    def rank(self) -> int:
+        return self.dim - len(self.kernel)
 
     @property
     def surjective(self) -> bool:
@@ -403,10 +421,14 @@ class DeltaMap:
     @property
     def images(self) -> list:
         """Sl2Element per basis vector of the source."""
-        return [Sl2Element(*col) for col in zip(*self.rows)]
+        zero = self.field.zero
+        return [Sl2Element(*(row.get(k, zero) for row in self.rows))
+                for k in range(self.dim)]
 
     def image_of(self, coords: list) -> Sl2Element:
-        return Sl2Element(*linal.mat_vec(self.field, self.rows, coords))
+        """Sl2Element of the source vector with coordinate list coords."""
+        return Sl2Element(*(self.field.of(sum(a * coords[k] for k, a in row.items()))
+                            for row in self.rows))
 
 
 def delta_map(lie: LieAlgebra, a_label: str, b_label: str) -> DeltaMap:
@@ -428,12 +450,14 @@ def delta_map(lie: LieAlgebra, a_label: str, b_label: str) -> DeltaMap:
     ia = table.arrow_index(a_label)
     ib = table.arrow_index(b_label)
     half = field.inv(field.of(2))
-    rows = [[], [], []]
-    for rep in lie.reps:
-        va = layout.value(rep, a_label)
-        vb = layout.value(rep, b_label)
-        rows[0].append(field.mul(half, field.sub(va[ia], vb[ib])))
-        rows[1].append(vb[ia])
-        rows[2].append(va[ib])
-    kernel = linal.kernel_basis(field, rows, ncols=lie.dim)
-    return DeltaMap(field, (a_label, b_label), rows, lie.dim - len(kernel), kernel)
+    zero = field.zero
+    rows = [{}, {}, {}]
+    for k, rep in enumerate(lie.reps):
+        va = layout.sparse_value(rep, a_label)
+        vb = layout.sparse_value(rep, b_label)
+        x = field.mul(half, field.sub(va.get(ia, zero), vb.get(ib, zero)))
+        for row, c in zip(rows, (x, vb.get(ia, zero), va.get(ib, zero))):
+            if c != 0:
+                row[k] = c
+    kernel = linal.kernel_basis(field, rows, lie.dim)
+    return DeltaMap(field, (a_label, b_label), rows, lie.dim, kernel)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from . import linal
 from .algebra import AlgebraTable
-from .derlie import HH1Result, delta_defined, delta_map
+from .derlie import DeltaMap, HH1Result, delta_defined, delta_map
 from .errors import UnsupportedCharacteristic
 from .quiver import reptype_radsq  # noqa: F401  bench/spans.py wraps kron.reptype_radsq
 
@@ -74,15 +74,14 @@ def kronecker_pairs(table: AlgebraTable):
     return pairs, oversized
 
 
-def _arrow_product(table: AlgebraTable, x: str, y: str) -> list:
-    """The product x*y of two arrows, read from the table."""
-    return table.mult[table.arrow_index(x)][table.arrow_index(y)]
+def _arrow_product(table: AlgebraTable, x: str, y: str) -> dict:
+    """The product x*y of two arrows, as a sparse vector read from the table."""
+    return table.products[table.arrow_index(x)][table.arrow_index(y)]
 
 
 def _cross_product_survives(table: AlgebraTable, p: KroneckerPair,
                             q: KroneckerPair) -> bool:
-    return any(not linal.is_zero_vector(_arrow_product(table, x, y))
-               for x in (p.a, p.b) for y in (q.a, q.b))
+    return any(_arrow_product(table, x, y) for x in (p.a, p.b) for y in (q.a, q.b))
 
 
 def _chain_shape(pairs) -> str:
@@ -101,18 +100,16 @@ def maximal_chains(table: AlgebraTable):
         return (q is not p and p.target == q.source
                 and _cross_product_survives(table, p, q))
 
+    # every chain, depth first from each pair in order; an explicit stack,
+    # because a recursive closure is a reference cycle that keeps the table
+    # alive until the next full garbage collection
     all_chains = []
-
-    def extend(seq):
-        all_chains.append(tuple(seq))
-        for q in pairs:
-            if q not in seq and can_follow(seq[-1], q):
-                seq.append(q)
-                extend(seq)
-                seq.pop()
-
-    for p in pairs:
-        extend([p])
+    stack = [(p,) for p in reversed(pairs)]
+    while stack:
+        seq = stack.pop()
+        all_chains.append(seq)
+        stack.extend(seq + (q,) for q in reversed(pairs)
+                     if q not in seq and can_follow(seq[-1], q))
 
     def extendable(seq) -> bool:
         for q in pairs:
@@ -172,10 +169,13 @@ def equivalence_classes(table: AlgebraTable, chains) -> list:
 
 @dataclass
 class SurjectivityReport:
-    surjective: bool
     per_pair_image_dims: dict   # pair labels -> rank of its sl2 projection
     kernels_coincide: bool
-    kernel: list | None         # kernel of the first surjective pair's projection
+    delta: DeltaMap | None      # projection of the first surjective pair
+
+    @property
+    def surjective(self) -> bool:
+        return self.delta is not None
 
 
 def is_surjective_chain(table: AlgebraTable, h: HH1Result,
@@ -189,17 +189,17 @@ def is_surjective_chain(table: AlgebraTable, h: HH1Result,
         raise UnsupportedCharacteristic(
             "surjectivity onto sl2 needs 2 to be invertible")
     dims = {}
-    kernels = []
+    surjective = []
     for pair in chain.pairs:
         if not pair.delta_defined:
             continue
         dm = delta_map(h.lie, pair.a, pair.b)
         dims[pair.labels] = dm.rank
         if dm.surjective:
-            kernels.append(linal.span_basis(table.field, dm.kernel))
+            surjective.append(dm)
+    kernels = [linal.span_basis(table.field, dm.kernel) for dm in surjective]
     coincide = all(k == kernels[0] for k in kernels)
-    return SurjectivityReport(bool(kernels), dims, coincide,
-                              kernels[0] if kernels else None)
+    return SurjectivityReport(dims, coincide, surjective[0] if surjective else None)
 
 
 @dataclass
@@ -228,10 +228,10 @@ def standard_relations_literal(table: AlgebraTable,
     witnesses = []
 
     def vanishes(*products) -> bool:
-        total = table.zero()
+        total: dict = {}
         for x, y in products:
-            total = linal.vec_add(table.field, total, _arrow_product(table, x, y))
-        return linal.is_zero_vector(total)
+            linal.add_multiple(table.field, total, table.field.one, _arrow_product(table, x, y))
+        return not total
 
     s1 = True
     for c in chain.arrow_labels:
@@ -276,10 +276,14 @@ class ChainReport:
     solvable: bool
     derived_dims: list
     r_dim: int
-    joint_kernel_dim: int
+    joint_kernel: list            # sparse basis of the kernel onto the m sl2 summands
     joint_kernel_derived_dims: list
     flags: dict
     consistency_ok: bool
+
+    @property
+    def joint_kernel_dim(self) -> int:
+        return len(self.joint_kernel)
 
 
 def decomposition_report(table: AlgebraTable, h: HH1Result, septype: str,
@@ -308,11 +312,10 @@ def decomposition_report(table: AlgebraTable, h: HH1Result, septype: str,
     solvable = derived[-1] == 0
     r_dim = lie.dim - 3 * m
 
-    # kernel of the combined projection onto the m sl2 summands
-    kernel = [linal.unit_vector(field, lie.dim, i) for i in range(lie.dim)]
-    for s in surj:
-        if s.surjective:
-            kernel = linal.intersect(field, kernel, s.kernel)
+    # kernel of the combined projection onto the m sl2 summands: the
+    # stacked rows of each surjective class's first surjective pair
+    rows = [row for s in surj if s.surjective for row in s.delta.rows]
+    kernel = linal.kernel_basis(field, rows, lie.dim)
     joint_derived = lie.derived_series(kernel) if kernel else [0]
 
     flags = {
@@ -323,5 +326,5 @@ def decomposition_report(table: AlgebraTable, h: HH1Result, septype: str,
     conditional = flags["qs_nonwild_compatible"] or flags["user_asserted_nonwild"]
     consistency_ok = (not conditional) or (solvable == (m == 0))
     return ChainReport(classes, surj, std, m, lie.dim, solvable, derived,
-                       r_dim, len(kernel), joint_derived, flags, consistency_ok)
+                       r_dim, kernel, joint_derived, flags, consistency_ok)
 

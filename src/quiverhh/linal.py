@@ -1,17 +1,21 @@
 """Exact scalar arithmetic and the linear-algebra kernel.
 
 Scalars are ``fractions.Fraction`` over the rationals and plain residues
-``int`` in ``[0, p)`` over a prime field.  Vectors are dense lists.
-Structure constants are sparse: a table entry is a dict index -> nonzero
-scalar, and ``contract`` multiplies sparse vectors of that form, visiting
+``int`` in ``[0, p)`` over a prime field.  Vectors and matrix rows are
+sparse: a dict index -> nonzero scalar, with no zero stored.  Row
+reduction, kernels, spans, quotient sections and solves take and return
+that form, and so do structure constants: a table entry is such a vector,
+and ``contract`` multiplies sparse vectors through the table, visiting
 only nonzero entries.  Everything downstream (quotient algebras,
 derivation solves, structure constants) runs through the one row
-reduction in this module, which eliminates on sparse rows, so all
-arithmetic here is exact by construction.
+reduction in this module, so all arithmetic here is exact by
+construction.  Dense lists are made only by ``dense``, for the public
+methods that return coordinate lists.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -56,6 +60,9 @@ class Field:
     """
 
     characteristic: int = 0
+    # built once per field; not compared, hashed or shown
+    zero: object = dataclasses.field(init=False, repr=False, compare=False)
+    one: object = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.characteristic > MAX_CHARACTERISTIC:
@@ -63,6 +70,9 @@ class Field:
                              f"primality is certified only up to {MAX_CHARACTERISTIC}")
         if self.characteristic != 0 and not _is_prime(self.characteristic):
             raise ValueError(f"characteristic must be 0 or prime, got {self.characteristic}")
+        rational = self.characteristic == 0
+        object.__setattr__(self, "zero", Fraction(0) if rational else 0)
+        object.__setattr__(self, "one", Fraction(1) if rational else 1)
 
     @classmethod
     def parse(cls, text: str) -> "Field":
@@ -77,14 +87,6 @@ class Field:
         return "Q" if self.characteristic == 0 else f"fp:{self.characteristic}"
 
     # -- scalar arithmetic ------------------------------------------------
-
-    @property
-    def zero(self):
-        return Fraction(0) if self.characteristic == 0 else 0
-
-    @property
-    def one(self):
-        return Fraction(1) if self.characteristic == 0 else 1 % self.characteristic
 
     def of(self, value) -> "Scalar":
         """Coerce an int or Fraction into a field scalar."""
@@ -112,7 +114,7 @@ class Field:
 
     def inv(self, a):
         if self.characteristic == 0:
-            return Fraction(1) / a
+            return self.one / a
         if a % self.characteristic == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, self.characteristic - 2, self.characteristic)
@@ -121,180 +123,11 @@ class Field:
 Scalar = object  # Fraction or int residue; see Field
 
 
-# -- vectors and matrices (lists of scalars) ------------------------------
+# -- dense coordinate lists, for the public methods that return them --------
 
 
 def zero_vector(field: Field, n: int) -> list:
     return [field.zero] * n
-
-
-def unit_vector(field: Field, n: int, i: int) -> list:
-    v = zero_vector(field, n)
-    v[i] = field.one
-    return v
-
-
-def vec_add(field: Field, u: list, v: list) -> list:
-    return [field.add(a, b) for a, b in zip(u, v)]
-
-
-def vec_scale(field: Field, c, u: list) -> list:
-    return [field.mul(c, a) for a in u]
-
-
-def is_zero_vector(v: list) -> bool:
-    return all(a == 0 for a in v)
-
-
-def mat_vec(field: Field, m: list[list], v: list) -> list:
-    return [
-        dot(field, row, v)
-        for row in m
-    ]
-
-
-def dot(field: Field, u: list, v: list):
-    acc = field.zero
-    for a, b in zip(u, v):
-        if a != 0 and b != 0:
-            acc = field.add(acc, field.mul(a, b))
-    return acc
-
-
-def rref(field: Field, rows: list[list]) -> tuple[list[list], list[int]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot columns).
-
-    Forward elimination on sparse rows, then back-substitution from the
-    last pivot up.  The reduced form is unique, so the result does not
-    depend on the order in which rows are eliminated.
-    """
-    ncols = len(rows[0]) if rows else 0
-    ech = _echelon(field, (dict(enumerate(row)) for row in rows))
-    pivots = sorted(ech)
-    for pc in reversed(pivots):
-        row = ech[pc]
-        # rows below are reduced, so clearing one pivot column leaves the others
-        for q in [c for c in row if c != pc and c in ech]:
-            add_multiple(field, row, field.neg(row[q]), ech[q])
-    return [[ech[pc].get(c, field.zero) for c in range(ncols)] for pc in pivots], pivots
-
-
-def add_multiple(field: Field, row: dict, c, v: dict) -> None:
-    """row += c * v on sparse vectors, dropping the entries that vanish."""
-    zero = field.zero
-    for col, a in v.items():
-        val = field.add(row.get(col, zero), field.mul(c, a))
-        if val == 0:
-            row.pop(col, None)
-        else:
-            row[col] = val
-
-
-def _echelon(field: Field, rows) -> dict[int, dict]:
-    """Forward elimination of sparse rows (dicts col -> scalar).
-
-    Returns pivot column -> row with a unit pivot and no entry left of it.
-    """
-    ech: dict[int, dict] = {}
-    for row in rows:
-        row = {c: a for c, a in row.items() if a != 0}
-        while row:
-            lead = min(row)
-            piv = ech.get(lead)
-            if piv is None:
-                inv = field.inv(row[lead])
-                ech[lead] = {c: field.mul(inv, a) for c, a in row.items()}
-                break
-            add_multiple(field, row, field.neg(row[lead]), piv)
-    return ech
-
-
-def rank(field: Field, rows: list[list]) -> int:
-    return len(rref(field, rows)[0])
-
-
-def kernel_basis(field: Field, m: list[list], ncols: int | None = None) -> list[list]:
-    """Basis of the right null space {v : m v = 0}.
-
-    ``ncols`` is required when ``m`` has no rows (kernel of the zero map).
-    """
-    if not m:
-        if ncols is None:
-            raise ValueError("ncols required for an empty matrix")
-        return [unit_vector(field, ncols, i) for i in range(ncols)]
-    ncols = len(m[0])
-    ech, pivots = rref(field, m)
-    pivset = set(pivots)
-    free = [c for c in range(ncols) if c not in pivset]
-    basis = []
-    for fc in free:
-        v = zero_vector(field, ncols)
-        v[fc] = field.one
-        for rrow, pc in zip(ech, pivots):
-            v[pc] = field.neg(rrow[fc])
-        basis.append(v)
-    return basis
-
-
-def solve(field: Field, m: list[list], b: list) -> list | None:
-    """One solution x of m x = b, or None if inconsistent."""
-    if not m:
-        return [] if is_zero_vector(b) else None
-    ncols = len(m[0])
-    aug = [list(row) + [val] for row, val in zip(m, b)]
-    ech, pivots = rref(field, aug)
-    x = zero_vector(field, ncols)
-    for row, pc in zip(ech, pivots):
-        if pc == ncols:
-            return None
-        x[pc] = row[-1]
-    return x
-
-
-def span_basis(field: Field, vectors: list[list]) -> list[list]:
-    """Echelonized basis of the span."""
-    return rref(field, vectors)[0]
-
-
-def reduce_against(field: Field, v: list, ech: list[list], pivots: list[int]) -> list:
-    v = list(v)
-    for row, pc in zip(ech, pivots):
-        if v[pc] != 0:
-            c = v[pc]
-            v = [field.sub(a, field.mul(c, b)) for a, b in zip(v, row)]
-    return v
-
-
-def quotient_reps(field: Field, span_a: list[list], span_b: list[list]) -> list[list]:
-    """Row-reduced section of span_a modulo span_b.
-
-    Only defined when span_b is contained in span_a.
-    """
-    if rank(field, list(span_a) + list(span_b)) != rank(field, span_a):
-        raise QuotientUndefined("span_b is not contained in span_a")
-    ech, piv = rref(field, span_b)
-    return span_basis(field, [reduce_against(field, v, ech, piv) for v in span_a])
-
-
-def intersect(field: Field, span_a: list[list], span_b: list[list]) -> list[list]:
-    """Echelonized basis of the intersection of two spans."""
-    if not span_a or not span_b:
-        return []
-    cols = list(span_a) + list(span_b)
-    matrix = [list(row) for row in zip(*cols)]
-    kernel = kernel_basis(field, matrix, ncols=len(cols))
-    basis = span_basis(field, [combine(field, k[:len(span_a)], span_a) for k in kernel])
-    assert len(basis) == rank(field, span_a) + rank(field, span_b) - rank(field, cols)
-    return basis
-
-
-def combine(field: Field, coeffs: list, vectors: list[list]) -> list:
-    """The linear combination sum(c * v); vectors must be nonempty."""
-    out = zero_vector(field, len(vectors[0]))
-    for c, v in zip(coeffs, vectors):
-        if c != 0:
-            out = vec_add(field, out, vec_scale(field, c, v))
-    return out
 
 
 def sparse(v: list) -> dict:
@@ -310,9 +143,118 @@ def dense(field: Field, n: int, v: dict) -> list:
     return out
 
 
-def sparse_table(table: list) -> list:
-    """Sparse structure constants of a dense table[i][j][k]."""
-    return [[sparse(entry) for entry in row] for row in table]
+# -- sparse rows -----------------------------------------------------------
+
+
+def add_multiple(field: Field, row: dict, c, v: dict) -> None:
+    """row += c * v on sparse vectors, dropping the entries that vanish."""
+    zero = field.zero
+    for col, a in v.items():
+        val = field.add(row.get(col, zero), field.mul(c, a))
+        if val == 0:
+            row.pop(col, None)
+        else:
+            row[col] = val
+
+
+def _echelon(field: Field, rows) -> dict[int, dict]:
+    """Forward elimination of sparse rows.
+
+    Returns pivot column -> row with a unit pivot and no entry left of it.
+    The input rows are not modified.
+    """
+    ech: dict[int, dict] = {}
+    for row in rows:
+        row = {c: a for c, a in row.items() if a != 0}
+        while row:
+            lead = min(row)
+            piv = ech.get(lead)
+            if piv is None:
+                inv = field.inv(row[lead])
+                ech[lead] = {c: field.mul(inv, a) for c, a in row.items()}
+                break
+            add_multiple(field, row, field.neg(row[lead]), piv)
+    return ech
+
+
+def sparse_rank(field: Field, rows) -> int:
+    """Rank of a stream of sparse rows."""
+    return len(_echelon(field, rows))
+
+
+def rref(field: Field, rows: list[dict]) -> tuple[list[dict], list[int]]:
+    """Reduced row echelon form of sparse rows; returns (nonzero rows, pivot
+    columns).
+
+    Forward elimination, then back-substitution from the last pivot up.
+    The reduced form is unique, so the result does not depend on the order
+    in which rows are eliminated.
+    """
+    ech = _echelon(field, rows)
+    pivots = sorted(ech)
+    for pc in reversed(pivots):
+        row = ech[pc]
+        # rows below are reduced, so clearing one pivot column leaves the others
+        for q in [c for c in row if c != pc and c in ech]:
+            add_multiple(field, row, field.neg(row[q]), ech[q])
+    return [ech[pc] for pc in pivots], pivots
+
+
+def kernel_basis(field: Field, rows: list[dict], ncols: int) -> list[dict]:
+    """Basis of {v in k^ncols : row . v = 0 for every row}, one vector per
+    free column, in column order."""
+    ech, pivots = rref(field, rows)
+    pivset = set(pivots)
+    basis = {c: {c: field.one} for c in range(ncols) if c not in pivset}
+    for row, pc in zip(ech, pivots):
+        # a reduced row has no entry in another pivot column
+        for c, a in row.items():
+            if c != pc:
+                basis[c][pc] = field.neg(a)
+    return list(basis.values())
+
+
+def solve(field: Field, rows: list[dict], b: dict) -> dict | None:
+    """One solution x of rows . x = b, or None if inconsistent.
+
+    b maps row positions to their right-hand sides; free unknowns are 0.
+    """
+    aug = 1 + max((c for row in rows for c in row), default=-1)
+    ech, pivots = rref(field, [{**row, aug: b[r]} if r in b else row
+                               for r, row in enumerate(rows)])
+    if pivots and pivots[-1] == aug:
+        return None
+    return {pc: row[aug] for row, pc in zip(ech, pivots) if aug in row}
+
+
+def span_basis(field: Field, vectors: list[dict]) -> list[dict]:
+    """Reduced echelon basis of the span."""
+    return rref(field, vectors)[0]
+
+
+def reduce_against(field: Field, v: dict, ech: list[dict]) -> dict:
+    """v minus its combination of the rows of a reduced echelon basis; it
+    is empty exactly when v lies in their span."""
+    v = dict(v)
+    for row in ech:
+        c = v.get(min(row))
+        if c is not None:
+            add_multiple(field, v, field.neg(c), row)
+    return v
+
+
+def quotient_reps(field: Field, span_a: list[dict], span_b: list[dict]) -> list[dict]:
+    """Reduced echelon section of span_a modulo span_b.
+
+    Only defined when span_b is contained in span_a.
+    """
+    if sparse_rank(field, [*span_a, *span_b]) != sparse_rank(field, span_a):
+        raise QuotientUndefined("span_b is not contained in span_a")
+    ech = span_basis(field, span_b)
+    return span_basis(field, [reduce_against(field, v, ech) for v in span_a])
+
+
+# -- structure constants ---------------------------------------------------
 
 
 def contract(field: Field, table: list, u: dict, v: dict) -> dict:
@@ -332,15 +274,9 @@ def contract(field: Field, table: list, u: dict, v: dict) -> dict:
 
 
 def is_associative(field: Field, table: list) -> bool:
-    """(x_i x_j) x_k == x_i (x_j x_k) for all basis triples of a dense table."""
+    """(x_i x_j) x_k == x_i (x_j x_k) for all basis triples of a sparse table."""
     d = len(table)
-    st = sparse_table(table)
     one = field.one
-    return all(contract(field, st, st[i][j], {k: one})
-               == contract(field, st, {i: one}, st[j][k])
+    return all(contract(field, table, table[i][j], {k: one})
+               == contract(field, table, {i: one}, table[j][k])
                for i in range(d) for j in range(d) for k in range(d))
-
-
-def sparse_rank(field: Field, rows) -> int:
-    """Rank of a stream of sparse rows (dicts col -> scalar)."""
-    return len(_echelon(field, rows))

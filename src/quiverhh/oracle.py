@@ -1,10 +1,12 @@
 """Brute-force cross-checks for the derivation machinery.
 
-Everything here works on the raw multiplication table: a cochain is an
-arbitrary linear map A -> A with d*d unknown entries, and the first
-cohomology is dim ker d1 - dim im d0 for the standard differentials.  No
-quiver structure, rewriting or idempotent normalisation is used, which is
-the point: agreement with the arrow-level computation is a real check.
+Everything here works on the raw structure constants (a table whose
+entry [i][j] is the sparse vector of x_i * x_j, as ``AlgebraTable.products``):
+a cochain is an arbitrary linear map A -> A with d*d unknown entries, and
+the first cohomology is dim ker d1 - dim im d0 for the standard
+differentials.  No quiver structure, rewriting or idempotent normalisation
+is used, which is the point: agreement with the arrow-level computation is
+a real check.
 """
 
 from __future__ import annotations
@@ -23,26 +25,26 @@ def _flat(i: int, j: int, d: int) -> int:
     return i * d + j
 
 
-def _cocycle_rows(field: Field, mult, d: int):
+def _cocycle_rows(field: Field, table, d: int):
     """Sparse rows of d1: one per (x, y, coordinate) with some entry.
 
     The row of (x, y, c) is the coefficient of c in x*f(y) + f(x)*y - f(x*y).
     Only the nonzero structure constants are visited: left[x][c] lists the
-    (i, mult[x][i][c]) and right[y][c] the (i, mult[i][y][c]).
+    (i, coefficient of c in x*x_i) and right[y][c] the (i, coefficient of c
+    in x_i*y).
     """
     left = [{} for _ in range(d)]
     right = [{} for _ in range(d)]
     for x in range(d):
         for i in range(d):
-            for c, val in enumerate(mult[x][i]):
-                if val != 0:
-                    left[x].setdefault(c, []).append((i, val))
-                    right[i].setdefault(c, []).append((x, val))
+            for c, val in table[x][i].items():
+                left[x].setdefault(c, []).append((i, val))
+                right[i].setdefault(c, []).append((x, val))
     rows = []
     for x in range(d):
         for y in range(d):
             # once x*y != 0, - f(x*y) has an entry in every row c
-            xy = [(k, field.neg(val)) for k, val in enumerate(mult[x][y]) if val != 0]
+            xy = [(k, field.neg(val)) for k, val in table[x][y].items()]
             coords = range(d) if xy else sorted(left[x].keys() | right[y].keys())
             for c in coords:
                 row: dict = {}
@@ -60,14 +62,18 @@ def _cocycle_rows(field: Field, mult, d: int):
     return rows
 
 
-def _center_dim(field: Field, mult, d: int) -> int:
-    rows = []
-    for y in range(d):
-        for c in range(d):
-            row = [field.sub(mult[u][y][c], mult[y][u][c]) for u in range(d)]
-            if any(v != 0 for v in row):
-                rows.append(row)
-    return d - linal.rank(field, rows)
+def _center_dim(field: Field, table, d: int) -> int:
+    """d minus the rank of u -> (u*y - y*u)_c over all (y, c): one sparse
+    row per (y, c), visiting only nonzero structure constants."""
+    minus_one = field.neg(field.one)
+    rows: dict = {}
+    for u in range(d):
+        for y in range(d):
+            comm = dict(table[u][y])
+            linal.add_multiple(field, comm, minus_one, table[y][u])
+            for c, val in comm.items():
+                rows.setdefault((y, c), {})[u] = val
+    return d - linal.sparse_rank(field, rows.values())
 
 
 def bar_hh1_dim(a: AlgebraTable) -> int:
@@ -76,33 +82,25 @@ def bar_hh1_dim(a: AlgebraTable) -> int:
     if d > MAX_ORACLE_DIM:
         raise TooLarge(f"oracle limited to dimension {MAX_ORACLE_DIM}, got {d}")
     field = a.field
-    ker_d1 = d * d - linal.sparse_rank(field, _cocycle_rows(field, a.mult, d))
-    im_d0 = d - _center_dim(field, a.mult, d)
+    ker_d1 = d * d - linal.sparse_rank(field, _cocycle_rows(field, a.products, d))
+    im_d0 = d - _center_dim(field, a.products, d)
     return ker_d1 - im_d0
 
 
-def derivations_from_table(field: Field, mult, idempotents=None) -> list:
-    """Basis of the Leibniz maps of a bare table, as flattened matrices.
+def derivations_from_table(field: Field, table, idempotents=None) -> list:
+    """Basis of the Leibniz maps of a bare sparse table, as sparse flattened
+    matrices (see ``_flat``).
 
-    With a complete orthogonal set of idempotents given, the maps are
-    also required to kill them, matching the arrow-level convention.
+    With a complete orthogonal set of idempotents given (sparse vectors),
+    the maps are also required to kill them, matching the arrow-level
+    convention.
     """
-    d = len(mult)
+    d = len(table)
     if d > MAX_ORACLE_DIM:
         raise TooLarge(f"oracle limited to dimension {MAX_ORACLE_DIM}, got {d}")
-    if not linal.is_associative(field, mult):
+    if not linal.is_associative(field, table):
         raise NotAssociative("multiplication table is not associative")
-    rows = []
-    for sparse in _cocycle_rows(field, mult, d):
-        row = [field.zero] * (d * d)
-        for col, val in sparse.items():
-            row[col] = val
-        rows.append(row)
+    rows = _cocycle_rows(field, table, d)
     for e in idempotents or ():
-        for c in range(d):
-            row = [field.zero] * (d * d)
-            for j in range(d):
-                if e[j] != 0:
-                    row[_flat(c, j, d)] = e[j]
-            rows.append(row)
-    return linal.kernel_basis(field, rows, ncols=d * d)
+        rows += [{_flat(c, j, d): a for j, a in e.items()} for c in range(d)]
+    return linal.kernel_basis(field, rows, d * d)

@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import pytest
 
@@ -140,3 +141,15 @@ def test_bad_input_is_one_error_line(tmp_path, capsys, content, extra, fragment)
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert fragment in err and "Traceback" not in err
+
+
+CORPUS = sorted((pathlib.Path(__file__).resolve().parent.parent / "corpus").glob("*.dsl"))
+
+
+@pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.stem)
+def test_analyze_prints_the_frozen_json_byte_for_byte(path, capsys):
+    """A dict comparison cannot tell True from 1 or 1.0, nor key order or
+    indentation; the printed text can."""
+    assert main(["analyze", str(path), "--json", "--oracle"]) == 0
+    expected = path.with_name(path.stem + ".expected.json").read_text()
+    assert capsys.readouterr().out == expected

@@ -29,6 +29,14 @@ def build(vertices, arrows, relations, field=Q):
     return build_algebra(presentation(vertices, arrows, relations, field))
 
 
+def unit(f, n, i):
+    return linal.dense(f, n, {i: f.one})
+
+
+def add(f, u, v):
+    return [f.add(a, b) for a, b in zip(u, v)]
+
+
 def truncated_loop(n, field=Q):
     return build(["1"], [("x", "1", "1")], [[(1, ("x",) * n)]], field=field)
 
@@ -98,7 +106,7 @@ def test_loop_criterion_reads_pivots_of_rows_with_several_entries():
                [(1, ("x", "y")), (-2, ("y", "x")), (1, ("y", "y"))],
                [(1, ("x",) * 4)]])
     assert t.rad_dims == [7, 6, 4, 2, 0]
-    assert any(sum(1 for c in row if c != 0) > 1 for row in t.rad_bases[3])
+    assert any(len(row) > 1 for row in t.rad_bases[3])
     assert loop_criterion(t).orders == {"x": 4, "y": 2}
 
 
@@ -123,9 +131,9 @@ def test_inner_derivations_are_derivations():
               [[(1, ("a", "c"))]])
     layout, der = derivation_space(t)
     inn = inner_space(t, layout)
-    der_ech, der_piv = linal.rref(t.field, der)
+    der_ech = linal.span_basis(t.field, der)
     for v in inn:
-        assert linal.is_zero_vector(linal.reduce_against(t.field, v, der_ech, der_piv))
+        assert not linal.reduce_against(t.field, v, der_ech)
 
 
 def test_delta_defined():
@@ -146,8 +154,8 @@ def test_delta_map_on_kronecker():
     # images must satisfy the sl2 bracket through the quotient bracket
     for i in range(res.lie.dim):
         for j in range(res.lie.dim):
-            u = linal.unit_vector(res.lie.field, res.lie.dim, i)
-            v = linal.unit_vector(res.lie.field, res.lie.dim, j)
+            u = unit(res.lie.field, res.lie.dim, i)
+            v = unit(res.lie.field, res.lie.dim, j)
             im = dm.image_of(res.lie.bracket_of(u, v))
             a, b = dm.images[i], dm.images[j]
             f = res.lie.field
@@ -182,13 +190,11 @@ def test_jacobi_identity_on_quotient():
     for i in range(dim):
         for j in range(dim):
             for k in range(dim):
-                e = lambda m: linal.unit_vector(f, dim, m)
+                e = lambda m: unit(f, dim, m)
                 total = lie.bracket_of(e(i), lie.bracket_of(e(j), e(k)))
-                total = linal.vec_add(f, total,
-                                      lie.bracket_of(e(j), lie.bracket_of(e(k), e(i))))
-                total = linal.vec_add(f, total,
-                                      lie.bracket_of(e(k), lie.bracket_of(e(i), e(j))))
-                assert linal.is_zero_vector(total)
+                total = add(f, total, lie.bracket_of(e(j), lie.bracket_of(e(k), e(i))))
+                total = add(f, total, lie.bracket_of(e(k), lie.bracket_of(e(i), e(j))))
+                assert not any(total)
 
 
 CORPUS = sorted((pathlib.Path(__file__).resolve().parent.parent / "corpus").glob("*.dsl"))
@@ -197,15 +203,15 @@ CORPUS = sorted((pathlib.Path(__file__).resolve().parent.parent / "corpus").glob
 def assert_bracket_axioms(lie):
     """Antisymmetry and the Jacobi identity on basis triples."""
     f, dim = lie.field, lie.dim
-    e = [linal.unit_vector(f, dim, m) for m in range(dim)]
+    e = [unit(f, dim, m) for m in range(dim)]
     for i in range(dim):
         for j in range(dim):
             assert lie.bracket[i][j] == [f.neg(c) for c in lie.bracket[j][i]]
             for k in range(dim):
                 total = linal.zero_vector(f, dim)
                 for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                    total = linal.vec_add(f, total, lie.bracket_of(e[a], lie.bracket[b][c]))
-                assert linal.is_zero_vector(total)
+                    total = add(f, total, lie.bracket_of(e[a], lie.bracket[b][c]))
+                assert not any(total)
 
 
 def bracket_by_commutators(res):
@@ -217,10 +223,17 @@ def bracket_by_commutators(res):
     acts = [layout.action_matrix(v) for v in lie.reps]
     inn = inner_space(t, layout)
     cols = lie.reps + inn
-    matrix = [[col[r] for col in cols] for r in range(layout.size)]
+    matrix = [{k: col[r] for k, col in enumerate(cols) if r in col} for r in range(layout.size)]
+
+    def dot(u, v):
+        total = f.zero
+        for a, b in zip(u, v):
+            if a != 0 and b != 0:
+                total = f.add(total, f.mul(a, b))
+        return total
 
     def product(a, b):
-        return [[linal.dot(f, row, [b[k][j] for k in range(t.dim)]) for j in range(t.dim)]
+        return [[dot(row, [b[k][j] for k in range(t.dim)]) for j in range(t.dim)]
                 for row in a]
 
     table = []
@@ -230,9 +243,9 @@ def bracket_by_commutators(res):
             ij, ji = product(acts[i], acts[j]), product(acts[j], acts[i])
             comm = [f.sub(ij[bi][t.arrow_index(label)], ji[bi][t.arrow_index(label)])
                     for label, bi in layout.slots]
-            sol = linal.solve(f, matrix, comm)
+            sol = linal.solve(f, matrix, linal.sparse(comm))
             assert sol is not None
-            row.append(sol[:lie.dim])
+            row.append(linal.dense(f, lie.dim, {k: a for k, a in sol.items() if k < lie.dim}))
         table.append(row)
     return table
 
@@ -258,9 +271,7 @@ def test_bracket_leaving_the_space_is_refused():
     inn = inner_space(t, layout)
 
     def arrow_to(a, b):
-        v = linal.zero_vector(t.field, layout.size)
-        v[layout.slots.index((a, t.arrow_index(b)))] = t.field.one
-        return v
+        return {layout.slots.index((a, t.arrow_index(b))): t.field.one}
 
     span = inn + [arrow_to("a", "b"), arrow_to("b", "a")]
     with pytest.raises(AssertionError, match="left the derivation space"):
@@ -348,5 +359,5 @@ def test_action_columns_are_the_product_rule(path):
             for k, label in enumerate(w):
                 term = t.multiply(t.multiply(factor(w[:k]), layout.value(v, label)),
                                   factor(w[k + 1:]))
-                expected = linal.vec_add(f, expected, term)
+                expected = add(f, expected, term)
             assert dense == expected

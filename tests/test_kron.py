@@ -1,7 +1,14 @@
+import gc
+import pathlib
+import weakref
+
 import pytest
 
+from quiverhh import linal
 from quiverhh.algebra import Presentation, Relation, build_algebra
-from quiverhh.derlie import hh1
+from quiverhh.analysis import run_analyze
+from quiverhh.derlie import delta_map, hh1
+from quiverhh.dsl import load_presentation
 from quiverhh.errors import UnsupportedCharacteristic
 from quiverhh.kron import (decomposition_report, equivalence_classes,
                            is_surjective_chain, kronecker_pairs, maximal_chains,
@@ -175,3 +182,78 @@ def test_standard_implies_surjective_here():
         for chain in maximal_chains(t):
             if standard_relations_literal(t, chain).all_hold:
                 assert is_surjective_chain(t, h, chain).surjective
+
+
+def radsq_cycle(n):
+    """The n-cycle of double arrows with every path of length two zero."""
+    arrows = [(f"{s}{i}", str(i), str((i + 1) % n)) for i in range(n) for s in "ab"]
+    relations = [[(1, (x, y))] for x, _, tx in arrows for y, sy, _ in arrows if tx == sy]
+    return build([str(i) for i in range(n)], arrows, relations)
+
+
+def intersect(field, span_a, span_b):
+    """Basis of span(span_a) & span(span_b): the vectors sum a_i u_i with
+    sum a_i u_i = sum b_j w_j, from the kernel of the map (a, b) -> that
+    difference, one coordinate per row."""
+    rows: dict = {}
+    for k, u in enumerate(span_a):
+        for r, c in u.items():
+            rows.setdefault(r, {})[k] = c
+    for k, w in enumerate(span_b, start=len(span_a)):
+        for r, c in w.items():
+            rows.setdefault(r, {})[k] = field.neg(c)
+    out = []
+    for coeffs in linal.kernel_basis(field, list(rows.values()), len(span_a) + len(span_b)):
+        v: dict = {}
+        for k, c in coeffs.items():
+            if k < len(span_a):
+                linal.add_multiple(field, v, c, span_a[k])
+        out.append(v)
+    return linal.span_basis(field, out)
+
+
+CORPUS = sorted((pathlib.Path(__file__).resolve().parent.parent / "corpus").glob("*.dsl"))
+
+
+@pytest.mark.parametrize("case", CORPUS + [3, 4, 5, 6],
+                         ids=lambda c: getattr(c, "stem", f"radsq_cycle{c}"))
+def test_joint_kernel_is_the_intersection_of_the_class_kernels(case):
+    """The report stacks the sl2 rows of each surjective class; intersecting
+    the kernels of those projections one class at a time gives the same space."""
+    t = radsq_cycle(case) if isinstance(case, int) else build_algebra(
+        load_presentation(case.read_text()))
+    h = hh1(t, rad_only=True)
+    rep = decomposition_report(t, h, reptype_radsq(t.quiver))
+    f, lie = t.field, h.lie
+    expected = [{i: f.one} for i in range(lie.dim)]
+    for cl, s in zip(rep.classes, rep.surjectivity):
+        if not s.surjective:
+            continue
+        first = next(dm for dm in (delta_map(lie, p.a, p.b)
+                                   for p in cl.representative.pairs if p.delta_defined)
+                     if dm.surjective)
+        expected = intersect(f, expected, first.kernel)
+    assert linal.span_basis(f, rep.joint_kernel) == expected
+    assert rep.joint_kernel_dim == len(expected)
+    if isinstance(case, int):
+        assert rep.m == case and rep.joint_kernel_dim == lie.dim - 3 * case
+
+
+def test_an_analysis_frees_its_table_without_the_garbage_collector():
+    """A reference cycle (such as a recursive closure over the table) keeps
+    every analysed table alive until the next full collection."""
+    q = Quiver.make(["1", "2", "3"],
+                    [("a", "1", "2"), ("b", "1", "2"), ("c", "2", "3"), ("d", "2", "3")])
+    p = Presentation(q, (Relation(((1, ("a", "c")),)),), Q)
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        report = run_analyze(p)
+        assert report.chain_report.classes
+        table = weakref.ref(report.table)
+        del report
+        assert table() is None
+    finally:
+        if enabled:
+            gc.enable()
