@@ -1,9 +1,12 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 input errors (unreadable or non-UTF-8 file,
-parse, unknown, non-prime or too large --field, a coefficient whose
-denominator vanishes in the field, admissibility, finiteness), 3 refused
-operations (unsupported characteristic, oversized oracle).
+Each subcommand builds one staged analysis and computes only what it
+prints. Exit codes: 0 success, 2 input errors (unreadable or non-UTF-8
+file, parse, unknown, non-prime or too large --field, a coefficient whose
+denominator vanishes in the field, admissibility, finiteness), 3 every
+other error of the package, a refused or failed operation (unsupported
+characteristic, oversized oracle, undefined Delta map or quotient, a
+cyclic quiver where an acyclic one is needed, a non-associative table).
 """
 
 from __future__ import annotations
@@ -12,15 +15,13 @@ import argparse
 import json
 import sys
 
-from . import dsl, oracle, quiver as quiver_mod
-from .algebra import build_algebra
-from .analysis import AnalysisOptions, run_analyze
-from .errors import (DeltaUndefined, InvalidArrow, NotAdmissible,
-                     NotFiniteDimensional, ParseError, TooLarge,
-                     UnsupportedCharacteristic)
+from . import dsl
+from .algebra import build_algebra  # noqa: F401  bench/spans.py wraps cli.build_algebra
+from .analysis import AnalysisOptions, AnalysisReport, render_text, run_analyze
+from .errors import (InvalidArrow, NotAdmissible, NotFiniteDimensional,
+                     ParseError, QuiverHHError)
 
 INPUT_ERRORS = (ParseError, NotAdmissible, NotFiniteDimensional, InvalidArrow)
-REFUSALS = (UnsupportedCharacteristic, TooLarge, DeltaUndefined)
 
 
 def _read_input(path: str) -> str:
@@ -39,76 +40,44 @@ def _load(args):
                                  max_length_cap=args.max_length)
 
 
-def _emit(args, payload: dict, text: str) -> None:
-    if args.json:
-        json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
-    else:
-        sys.stdout.write(text)
-
-
-def cmd_analyze(args) -> int:
-    p = _load(args)
+def cmd_analyze(args) -> tuple[dict, str]:
     options = AnalysisOptions(oracle=args.oracle, decompose=args.decompose,
                               assert_nonwild=args.assert_nonwild)
-    report = run_analyze(p, options)
-    _emit(args, report.to_dict(), report.to_text())
-    return 0
+    d = run_analyze(_load(args), options).to_dict()
+    return d, render_text(d)
 
 
-def cmd_hh1(args) -> int:
-    p = _load(args)
-    report = run_analyze(p, AnalysisOptions())
-    d = report.to_dict()
-    payload = {"hh1": d["hh1"], "hh1_rad": d["hh1_rad"],
-               "loop_criterion": d["loop_criterion"]}
-    text = []
-    for key, name in (("hh1", "HH1"), ("hh1_rad", "HH1_rad")):
-        h = d[key]
-        text.append(f"{name}: dim {h['dim']}, "
-                    + ("solvable" if h["solvable"] else "not solvable"))
-    _emit(args, payload, "\n".join(text) + "\n")
-    return 0
+def cmd_hh1(args) -> tuple[dict, str]:
+    d = AnalysisReport(_load(args)).hh1_sections()
+    text = [f"{name}: dim {d[key]['dim']}, "
+            + ("solvable" if d[key]["solvable"] else "not solvable")
+            for key, name in (("hh1", "HH1"), ("hh1_rad", "HH1_rad"))]
+    return d, "\n".join(text) + "\n"
 
 
-def cmd_chains(args) -> int:
-    p = _load(args)
+def cmd_chains(args) -> tuple[dict, str]:
     options = AnalysisOptions(decompose=True, assert_nonwild=args.assert_nonwild)
-    report = run_analyze(p, options)
-    d = report.to_dict()
-    payload = {"chains": d["chains"], "m": d["m"], "flags": d["flags"]}
+    d = AnalysisReport(_load(args), options).chain_sections()
     text = [f"m = {d['m']}"]
     for cl in d["chains"]["classes"]:
         pairs = " ".join("(" + ",".join(pr) + ")" for pr in cl["pairs"])
         text.append(f"{pairs} [{cl['shape']}] "
                     + ("surjective" if cl["surjective"] else "not surjective"))
-    _emit(args, payload, "\n".join(text) + "\n")
-    return 0
+    return d, "\n".join(text) + "\n"
 
 
-def cmd_septype(args) -> int:
-    p = _load(args)
-    graph = quiver_mod.classify_components(quiver_mod.separated_quiver(p.quiver))
-    verdict = graph.reptype
-    payload = {
-        "verdict": verdict,
-        "components": [{"vertices": list(c.vertices), "verdict": c.verdict,
-                        "name": c.name} for c in graph.components],
-    }
-    text = [verdict]
-    for c in graph.components:
-        text.append(f"  {{{', '.join(c.vertices)}}}: {c.verdict}"
-                    + (f" ({c.name})" if c.name else ""))
-    _emit(args, payload, "\n".join(text) + "\n")
-    return 0
+def cmd_septype(args) -> tuple[dict, str]:
+    d = AnalysisReport(_load(args)).septype_section()
+    text = [d["verdict"]]
+    for c in d["components"]:
+        text.append(f"  {{{', '.join(c['vertices'])}}}: {c['verdict']}"
+                    + (f" ({c['name']})" if c["name"] else ""))
+    return d, "\n".join(text) + "\n"
 
 
-def cmd_oracle(args) -> int:
-    p = _load(args)
-    table = build_algebra(p)
-    dim = oracle.bar_hh1_dim(table)
-    _emit(args, {"bar_hh1_dim": dim}, f"oracle HH1 dim: {dim}\n")
-    return 0
+def cmd_oracle(args) -> tuple[dict, str]:
+    dim = AnalysisReport(_load(args)).oracle_dim
+    return {"bar_hh1_dim": dim}, f"oracle HH1 dim: {dim}\n"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -146,15 +115,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; each returns its JSON payload and its text."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        payload, text = args.func(args)
     except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except REFUSALS as exc:
+    except QuiverHHError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 3
+    if args.json:
+        json.dump(payload, sys.stdout, indent=2, sort_keys=True)
+        sys.stdout.write("\n")
+    else:
+        sys.stdout.write(text)
+    return 0
 
 
 if __name__ == "__main__":

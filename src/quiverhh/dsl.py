@@ -39,6 +39,8 @@ def _tokenize(text: str, line_no: int):
             break
         num, ident, op = m.groups()
         if num is not None:
+            if "/" in num and not int(num.partition("/")[2]):
+                raise ParseError(f"zero denominator in {num!r}", line_no, m.start(1) + 1)
             tokens.append(("num", Fraction(num), m.start(1) + 1))
         elif ident is not None:
             tokens.append(("ident", ident, m.start(2) + 1))
@@ -125,6 +127,19 @@ def _combine(terms):
     return [(c, p) for p, c in acc.items() if c != 0]
 
 
+def _relation(terms, labels, line_no: int | None = None) -> Relation:
+    """The relation of the terms by the rules of both front ends: declared arrows
+    only, like terms combined, zero terms dropped, sorted, not cancelling to zero."""
+    for _, path in terms:
+        for label in path:
+            if label not in labels:
+                raise ParseError(f"relation uses undeclared arrow {label!r}", line_no)
+    terms = _combine(terms)
+    if not terms:
+        raise ParseError("relation cancels to zero", line_no)
+    return Relation(tuple(sorted(terms, key=lambda t: t[1])))
+
+
 def _parse_field(text: str, line_no: int | None = None) -> Field:
     try:
         return Field.parse(text)
@@ -181,15 +196,7 @@ def parse_presentation(text: str, field_override: str | None = None,
             if not tokens:
                 raise ParseError("empty relation", line_no)
             terms = _ExprParser(tokens, line_no).parse()
-            labels = {a[0] for a in arrows}
-            for _, path in terms:
-                for l in path:
-                    if l not in labels:
-                        raise ParseError(f"relation uses undeclared arrow {l!r}",
-                                         line_no)
-            if not terms:
-                raise ParseError("relation cancels to zero", line_no)
-            relations.append(Relation(tuple(sorted(terms, key=lambda t: t[1]))))
+            relations.append(_relation(terms, {a[0] for a in arrows}, line_no))
             relation_lines.append(line_no)
         else:
             raise ParseError(f"unknown directive {head!r}", line_no)
@@ -262,13 +269,9 @@ def presentation_from_json(data, field_override: str | None = None,
         labels = {a[0] for a in arrows}
         relations = []
         for rel in data["relations"]:
-            terms = tuple(sorted(((Fraction(t["coef"]), tuple(_array(t["path"], "path")))
-                                  for t in rel), key=lambda t: t[1]))
-            for _, path in terms:
-                if not set(path) <= labels:
-                    raise ValueError(f"relation path {list(path)} uses an undeclared arrow")
-            relations.append(Relation(terms))
-    except (KeyError, TypeError, ValueError) as exc:
+            terms = [(Fraction(t["coef"]), tuple(_array(t["path"], "path"))) for t in rel]
+            relations.append(_relation(terms, labels))
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad presentation JSON: {exc}") from None
     _check_coefficients(field, relations, [None] * len(relations))
     return Presentation(quiver, tuple(relations), field, max_length_cap)
@@ -284,7 +287,8 @@ def _array(value, key: str) -> list:
 def load_presentation(text: str, field_override: str | None = None,
                       max_length_cap: int = 64) -> Presentation:
     """Accept either the DSL or the JSON schema, sniffing the format."""
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        return presentation_from_json(text, field_override, max_length_cap)
-    return parse_presentation(text, field_override, max_length_cap)
+    parse = presentation_from_json if text.lstrip().startswith("{") else parse_presentation
+    try:
+        return parse(text, field_override, max_length_cap)
+    except RecursionError:
+        raise ParseError("presentation is nested too deeply") from None

@@ -76,6 +76,8 @@ class Field:
 
     @classmethod
     def parse(cls, text: str) -> "Field":
+        if not isinstance(text, str):
+            raise ValueError(f"field descriptor must be a string, got {text!r}")
         text = text.strip()
         if text in ("Q", "QQ", "rationals", "0"):
             return cls(0)

@@ -1,8 +1,10 @@
 import json
 import pathlib
+from collections import Counter
 
 import pytest
 
+from quiverhh import analysis, cli, derlie, errors, kron, oracle
 from quiverhh.cli import main
 
 KRONECKER = """\
@@ -100,12 +102,19 @@ def test_missing_file_exit_code(capsys):
     assert main(["analyze", "/nonexistent/file.dsl"]) == 2
 
 
-def json_input(vertices, arrows, relations=()) -> bytes:
+def json_input(vertices, arrows, relations=(), field="Q") -> bytes:
     return json.dumps({
-        "field": "Q", "vertices": vertices,
+        "field": field, "vertices": vertices,
         "arrows": [{"label": l, "src": s, "dst": t} for l, s, t in arrows],
         "relations": [[{"coef": "1", "path": path}] for path in relations],
     }).encode()
+
+
+LOOP = "field Q\nvertex 1\narrow x 1 1\nrelation "
+CANCELLING = json.dumps({
+    "field": "Q", "vertices": ["1"], "arrows": [{"label": "x", "src": "1", "dst": "1"}],
+    "relations": [[{"coef": "1", "path": ["x"] * 3}, {"coef": "-1", "path": ["x"] * 3}]],
+}).encode()
 
 
 @pytest.mark.parametrize("content,extra,fragment", [
@@ -126,11 +135,24 @@ def json_input(vertices, arrows, relations=()) -> bytes:
     (json_input("12", []), [], "'vertices' must be an array"),
     (json_input(["1"], [("a", "1", "1")], ["aa"]), [], "'path' must be an array"),
     (b"field Q\nvertex 1 2\narrow a' 1 2\n", [], "bad arrow label"),
+    (json_input(["1"], [], field=5), [], "must be a string, got 5"),
+    (json_input(["1"], [], field=None), [], "must be a string, got None"),
+    (json_input(["1"], [], field=["Q"]), [], "must be a string, got ['Q']"),
+    ((LOOP + "(" * 3000 + "x*x" + ")" * 3000).encode(), [], "nested too deeply"),
+    ((LOOP + "-" * 3000 + "x*x").encode(), [], "nested too deeply"),
+    (b'{"field": "Q", "vertices": ' + b"[" * 100000 + b"]" * 100000 + b"}", [],
+     "nested too deeply"),
+    (CANCELLING, [], "relation cancels to zero"),
+    ((LOOP + "1/00 * (x*x)").encode(), [], "zero denominator in '1/00'"),
+    (CANCELLING.replace(b'"-1"', b'"-1/0"'), [], "bad presentation JSON"),
 ], ids=["non_utf8", "directory", "fp4", "bogus_field", "denominator_mod_p",
         "fp_too_large", "json_duplicate_vertex", "json_duplicate_arrow",
         "json_undeclared_vertex", "json_non_string_label", "json_primed_vertex",
         "json_no_vertices", "json_nested_path", "json_undeclared_arrow",
-        "json_string_vertices", "json_string_path", "dsl_primed_arrow"])
+        "json_string_vertices", "json_string_path", "dsl_primed_arrow",
+        "json_int_field", "json_null_field", "json_list_field",
+        "dsl_deep_parentheses", "dsl_deep_minus", "json_deep_arrays",
+        "json_cancelling_relation", "dsl_zero_denominator", "json_zero_denominator"])
 def test_bad_input_is_one_error_line(tmp_path, capsys, content, extra, fragment):
     path = tmp_path / "input.dsl"
     if content is None:
@@ -153,3 +175,71 @@ def test_analyze_prints_the_frozen_json_byte_for_byte(path, capsys):
     assert main(["analyze", str(path), "--json", "--oracle"]) == 0
     expected = path.with_name(path.stem + ".expected.json").read_text()
     assert capsys.readouterr().out == expected
+
+
+# each subcommand's --json output, as a function of the full frozen report
+SECTIONS = {
+    "hh1": lambda d: {k: d[k] for k in ("hh1", "hh1_rad", "loop_criterion")},
+    "chains": lambda d: {k: d[k] for k in ("chains", "m", "flags")},
+    "septype": lambda d: d["septype"],
+    "oracle": lambda d: {"bar_hh1_dim": d["oracle"]["bar_hh1_dim"]},
+}
+
+
+@pytest.mark.parametrize("command", SECTIONS)
+@pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.stem)
+def test_subcommand_prints_its_sections_of_the_frozen_report(path, command, capsys):
+    expected = json.loads(path.with_name(path.stem + ".expected.json").read_text())
+    assert main([command, str(path), "--json"]) == 0
+    section = SECTIONS[command](expected)
+    assert capsys.readouterr().out == json.dumps(section, indent=2, sort_keys=True) + "\n"
+
+
+STAGES = ((analysis, "build_algebra"), (cli, "build_algebra"), (derlie, "hh1"),
+          (derlie, "derivation_space"), (derlie, "loop_criterion"),
+          (kron, "decomposition_report"), (oracle, "bar_hh1_dim"))
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (["hh1"], {"build_algebra": 1, "hh1": 2, "derivation_space": 1,
+               "loop_criterion": 1}),
+    (["chains"], {"build_algebra": 1, "hh1": 2, "derivation_space": 1,
+                  "decomposition_report": 1}),
+    (["septype"], {}),
+    (["oracle"], {"build_algebra": 1, "bar_hh1_dim": 1}),
+    (["analyze", "--oracle"], {"build_algebra": 1, "hh1": 2, "derivation_space": 1,
+                               "loop_criterion": 1, "decomposition_report": 1,
+                               "bar_hh1_dim": 1}),
+], ids=["hh1", "chains", "septype", "oracle", "analyze_oracle"])
+def test_each_subcommand_computes_only_what_it_prints(argv, expected, monkeypatch,
+                                                      capsys):
+    calls = Counter()
+    for module, name in STAGES:
+        def counted(*args, _original=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    path = CORPUS[0].parent / "loops_solvable.dsl"
+    assert main([argv[0], str(path)] + argv[1:]) == 0
+    assert calls == Counter(expected)
+
+
+EXIT_CODES = {
+    errors.ParseError: 2, errors.NotAdmissible: 2, errors.NotFiniteDimensional: 2,
+    errors.InvalidArrow: 2, errors.QuiverHHError: 3, errors.QuotientUndefined: 3,
+    errors.NotAcyclic: 3, errors.DeltaUndefined: 3, errors.UnsupportedCharacteristic: 3,
+    errors.TooLarge: 3, errors.NotAssociative: 3,
+}
+
+
+def test_every_error_class_exits_with_its_documented_code(kronecker_file, monkeypatch,
+                                                          capsys):
+    assert set(EXIT_CODES) == {c for c in vars(errors).values() if isinstance(c, type)
+                               and issubclass(c, errors.QuiverHHError)}
+    for cls, code in EXIT_CODES.items():
+        def fail(args, cls=cls):
+            raise cls("the message")
+        monkeypatch.setattr(cli, "_load", fail)
+        assert main(["hh1", kronecker_file]) == code, cls.__name__
+        prefix = "error" if code == 2 else "refused"
+        assert capsys.readouterr().err == f"{prefix}: the message\n"

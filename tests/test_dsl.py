@@ -100,3 +100,23 @@ def test_bad_json_rejected():
         presentation_from_json("{not json")
     with pytest.raises(ParseError):
         presentation_from_json(json.dumps({"field": "Q"}))
+
+
+def test_json_relations_follow_the_dsl_rules():
+    """Like terms combine and zero terms drop in both front ends alike; a
+    relation that cancels to zero is refused (tests/test_cli.py)."""
+    dsl = ("field Q\nvertex 1\narrow x 1 1\narrow y 1 1\n"
+           "relation x*x*x - x*x*x + 0*(y*y) + x*y + 1/2*(x*y)\n"
+           "relation y*x + y*x\n")
+
+    def relation(*terms):
+        return [{"coef": c, "path": list(path)} for c, path in terms]
+    data = {"field": "Q", "vertices": ["1"],
+            "arrows": [{"label": l, "src": "1", "dst": "1"} for l in "xy"],
+            "relations": [relation(("1", "xxx"), ("-1", "xxx"), ("0", "yy"),
+                                   ("1", "xy"), ("1/2", "xy")),
+                          relation(("1", "yx"), ("1", "yx"))]}
+    p = parse_presentation(dsl)
+    assert presentation_from_json(json.dumps(data)) == p
+    assert render_presentation(p).splitlines()[-2:] == [
+        "relation 3/2 * (x*y)", "relation 2 * (y*x)"]
