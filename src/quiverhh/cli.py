@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Each subcommand builds one staged analysis and computes only what it
-prints. Exit codes: 0 success, 2 input errors (unreadable or non-UTF-8
+prints. Exit codes: 0 success, 1 stdout closed by its reader before the
+output was written (no traceback), 2 input errors (unreadable or non-UTF-8
 file, parse, unknown, non-prime or too large --field, a coefficient whose
 denominator vanishes in the field, admissibility, finiteness), 3 every
 other error of the package, a refused or failed operation (unsupported
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import dsl
@@ -125,11 +127,20 @@ def main(argv=None) -> int:
     except QuiverHHError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 3
-    if args.json:
-        json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
-    else:
-        sys.stdout.write(text)
+    try:
+        if args.json:
+            json.dump(payload, sys.stdout, indent=2, sort_keys=True)
+            sys.stdout.write("\n")
+        else:
+            sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: send what is still buffered to the null
+        # device, so the flush at exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     return 0
 
 

@@ -6,6 +6,12 @@ arrow a lies in the span of basis monomials parallel to a.  The unknowns
 of the linear problem are those coefficients, one block per arrow in
 declaration order; a derivation is a sparse slot vector (slot position ->
 nonzero coefficient), the form ``linal`` eliminates on.
+
+A derivation extends from the arrows to paths one arrow at a time by the
+product rule d(p a) = d(p) a + p d(a) (``_extend``).  A proper prefix of
+a normal monomial or of a rule word is normal, so p is a basis monomial
+and both products are read from the table: two contractions per path,
+given the image of its prefix.
 """
 
 from __future__ import annotations
@@ -46,19 +52,14 @@ class DerivationLayout:
         """Images of the basis monomials in indices under the derivation
         extended to all of A by the product rule: index -> sparse vector.
 
-        Idempotents map to zero.
+        Each image is d(p a) = d(p) a + p d(a) from the image of its prefix
+        p, itself a basis monomial (see _extend).  Idempotents map to zero.
         """
         t = self.table
-        field = t.field
         values = {label: self.sparse_value(vec, label) for label in self.blocks}
-        cols = {}
-        for j in indices:
-            path = t.basis_paths[j]
-            img: dict = {}
-            for k, label in enumerate(path):
-                linal.add_multiple(field, img, field.one, _leibniz_term(t, path, k, values[label]))
-            cols[j] = img
-        return cols
+        paths = [t.basis_paths[j] for j in indices]
+        images = _extend(t, values, paths)
+        return {j: images[p] if p else {} for j, p in zip(indices, paths)}
 
     def action_matrix(self, vec: dict) -> list:
         """dim x dim matrix of the derivation extended to all of A by the product rule.
@@ -70,20 +71,36 @@ class DerivationLayout:
         return [[cols[j].get(i, t.field.zero) for j in range(t.dim)] for i in range(t.dim)]
 
 
-def _leibniz_term(t: AlgebraTable, path, k: int, value: dict) -> dict:
-    """path[:k] * value * path[k+1:], the k-th term of the product rule on path,
-    for a sparse value; the result is sparse.
-
-    path is a basis monomial or a word of a rewriting rule, so its proper
-    prefixes and suffixes are basis monomials (see AlgebraTable), and
-    their products are read from the sparse table.
-    """
+def _extend(t: AlgebraTable, values: dict, words) -> dict:
+    """d(p) for every nonempty prefix p of the words (basis monomials or
+    rule words), each by the product rule from the image of its own prefix,
+    where d(a) = values.get(a, 0): prefix -> sparse vector.  Each word is
+    walked on from its longest prefix already imaged."""
     field = t.field
-    if k > 0:
-        value = linal.contract(field, t.products, {t.path_index[path[:k]]: field.one}, value)
-    if k + 1 < len(path):
-        value = linal.contract(field, t.products, value, {t.path_index[path[k + 1:]]: field.one})
-    return value
+    one = field.one
+    products = t.products
+    images: dict = {}
+    for w in words:
+        n = len(w) if images else 0
+        while n and w[:n] not in images:
+            n -= 1
+        head = w[:n]
+        for a in w[n:]:
+            da = values.get(a)
+            if head:
+                dp = images[head]
+                img = linal.contract(field, products, dp, {t.arrow_index(a): one}) if dp else {}
+                if da:
+                    pda = linal.contract(field, products, {t.path_index[head]: one}, da)
+                    if img:
+                        linal.add_multiple(field, img, one, pda)
+                    else:
+                        img = pda
+            else:
+                img = dict(da) if da else {}
+            head += (a,)
+            images[head] = img
+    return images
 
 
 def derivation_layout(table: AlgebraTable) -> DerivationLayout:
@@ -103,21 +120,26 @@ def derivation_layout(table: AlgebraTable) -> DerivationLayout:
 def _constraint_rows(layout: DerivationLayout) -> list:
     """Sparse linear conditions on the slot vector forcing delta(g) = 0 for
     all reduced rewriting generators g: one row per generator and nonzero
-    coordinate of A."""
+    coordinate of A.  The entry in column s is that coordinate of d_s(g),
+    for the unit derivation d_s of slot s; only the slots of arrows
+    occurring in g can give one."""
     t = layout.table
     field = t.field
+    one = field.one
     rows = []
     for g in t.groebner:
         by_coord: dict = {}  # coordinate of delta(g) -> its row
-        for s, (label, bi) in enumerate(layout.slots):
-            total: dict = {}
-            for w, c in g.items():
-                for k, wl in enumerate(w):
-                    if wl == label:
-                        linal.add_multiple(field, total, c,
-                                           _leibniz_term(t, w, k, {bi: field.one}))
-            for coord, a in total.items():
-                by_coord.setdefault(coord, {})[s] = a
+        for label, block in layout.blocks.items():
+            words = [w for w in g if label in w]
+            if not words:
+                continue
+            for s in block:
+                images = _extend(t, {label: {layout.slots[s][1]: one}}, words)
+                total: dict = {}
+                for w in words:
+                    linal.add_multiple(field, total, g[w], images[w])
+                for coord, a in total.items():
+                    by_coord.setdefault(coord, {})[s] = a
         rows.extend(by_coord[coord] for coord in sorted(by_coord))
     return rows
 

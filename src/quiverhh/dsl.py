@@ -269,12 +269,20 @@ def presentation_from_json(data, field_override: str | None = None,
         labels = {a[0] for a in arrows}
         relations = []
         for rel in data["relations"]:
-            terms = [(Fraction(t["coef"]), tuple(_array(t["path"], "path"))) for t in rel]
+            terms = [(_coefficient(t["coef"]), tuple(_array(t["path"], "path"))) for t in rel]
             relations.append(_relation(terms, labels))
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad presentation JSON: {exc}") from None
     _check_coefficients(field, relations, [None] * len(relations))
     return Presentation(quiver, tuple(relations), field, max_length_cap)
+
+
+def _coefficient(value) -> Fraction:
+    """A JSON coefficient: an integer or a string; a float would carry its
+    binary rounding into the field, and a bool is not a number."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValueError(f"coefficient must be an integer or a string, got {value!r}")
+    return Fraction(value)
 
 
 def _array(value, key: str) -> list:

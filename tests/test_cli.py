@@ -145,6 +145,8 @@ CANCELLING = json.dumps({
     (CANCELLING, [], "relation cancels to zero"),
     ((LOOP + "1/00 * (x*x)").encode(), [], "zero denominator in '1/00'"),
     (CANCELLING.replace(b'"-1"', b'"-1/0"'), [], "bad presentation JSON"),
+    (CANCELLING.replace(b'"-1"', b'0.1'), [], "must be an integer or a string, got 0.1"),
+    (CANCELLING.replace(b'"-1"', b'true'), [], "must be an integer or a string, got True"),
 ], ids=["non_utf8", "directory", "fp4", "bogus_field", "denominator_mod_p",
         "fp_too_large", "json_duplicate_vertex", "json_duplicate_arrow",
         "json_undeclared_vertex", "json_non_string_label", "json_primed_vertex",
@@ -152,7 +154,8 @@ CANCELLING = json.dumps({
         "json_string_vertices", "json_string_path", "dsl_primed_arrow",
         "json_int_field", "json_null_field", "json_list_field",
         "dsl_deep_parentheses", "dsl_deep_minus", "json_deep_arrays",
-        "json_cancelling_relation", "dsl_zero_denominator", "json_zero_denominator"])
+        "json_cancelling_relation", "dsl_zero_denominator", "json_zero_denominator",
+        "json_float_coefficient", "json_bool_coefficient"])
 def test_bad_input_is_one_error_line(tmp_path, capsys, content, extra, fragment):
     path = tmp_path / "input.dsl"
     if content is None:
@@ -163,6 +166,31 @@ def test_bad_input_is_one_error_line(tmp_path, capsys, content, extra, fragment)
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert fragment in err and "Traceback" not in err
+
+
+class ClosedPipe:
+    """A stdout whose reader has gone: every write fails as on a closed pipe."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.fd
+
+
+@pytest.mark.parametrize("extra", [[], ["--json"]])
+def test_a_closed_stdout_exits_1_without_a_traceback(kronecker_file, tmp_path, capsys,
+                                                     monkeypatch, extra):
+    with open(tmp_path / "stdout", "w") as fh:
+        monkeypatch.setattr("sys.stdout", ClosedPipe(fh.fileno()))
+        assert main(["analyze", kronecker_file] + extra) == 1
+    assert capsys.readouterr().err == ""
 
 
 CORPUS = sorted((pathlib.Path(__file__).resolve().parent.parent / "corpus").glob("*.dsl"))

@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 from quiverhh import linal
 from quiverhh.algebra import Presentation, Relation, build_algebra
 from quiverhh.analysis import run_analyze
-from quiverhh.derlie import (delta_defined, delta_map, derivation_space, hh1,
-                             inner_space, lie_from_quotient, loop_criterion,
-                             radical_preserving)
+from quiverhh.derlie import (delta_defined, delta_map, derivation_layout,
+                             derivation_space, hh1, inner_space, lie_from_quotient,
+                             loop_criterion, radical_preserving)
 from quiverhh.dsl import load_presentation
 from quiverhh.errors import DeltaUndefined, UnsupportedCharacteristic
 from quiverhh.kron import decomposition_report
@@ -330,13 +330,37 @@ def test_analysis_reads_products_from_the_table(path, monkeypatch):
     decomposition_report(t, rad, reptype_radsq(t.quiver))
 
 
-@pytest.mark.parametrize("path", CORPUS + ["x15_fp5"],
+# algebras where the product d(p)*a of the product rule reduces through a
+# binomial rule, which a monomial algebra never does
+BINOMIAL = {
+    # x^2 = y^3 and xy = yx = 0: y^3 rewrites to x^2
+    "x2_eq_y3": lambda: build(["1"], [("x", "1", "1"), ("y", "1", "1")],
+                              [[(1, ("x", "x")), (-1, ("y", "y", "y"))],
+                               [(1, ("x", "y"))], [(1, ("y", "x"))]]),
+    # the two-loop algebra of the loop criterion test above
+    "two_loops": lambda: build(["1"], [("x", "1", "1"), ("y", "1", "1")],
+                               [[(1, ("y", "y")), (-1, ("y", "x", "x"))],
+                                [(1, ("x", "y")), (-2, ("y", "x")), (1, ("y", "y"))],
+                                [(1, ("x",) * 4)]]),
+    # the commutative square: c*d rewrites to a*b
+    "commutative_square": lambda: build(["1", "2", "3", "4"],
+                                        [("a", "1", "2"), ("b", "2", "4"),
+                                         ("c", "1", "3"), ("d", "3", "4")],
+                                        [[(1, ("a", "b")), (-1, ("c", "d"))]]),
+}
+
+
+@pytest.mark.parametrize("path", CORPUS + ["x15_fp5"] + list(BINOMIAL),
                          ids=lambda p: getattr(p, "stem", p))
 def test_action_columns_are_the_product_rule(path):
     """The sparse columns on the monomials parallel to the arrows equal the
-    columns of action_matrix and the product rule written out densely."""
+    columns of action_matrix and the product rule written out densely, for
+    each derivation of a basis of Der and for the slot vector of all ones,
+    which need not be a derivation."""
     if path == "x15_fp5":
         t = truncated_loop(15, field=Field(5))
+    elif path in BINOMIAL:
+        t = BINOMIAL[path]()
     else:
         t = build_algebra(load_presentation(path.read_text()))
     f = t.field
@@ -346,7 +370,7 @@ def test_action_columns_are_the_product_rule(path):
     def factor(w):
         return t.path_vector(w) if w else t.unit()
 
-    for v in der:
+    for v in der + [dict.fromkeys(range(layout.size), f.one)]:
         cols = layout.action_columns(v, parallel)
         matrix = layout.action_matrix(v)
         assert sorted(cols) == parallel
@@ -361,3 +385,26 @@ def test_action_columns_are_the_product_rule(path):
                                   factor(w[k + 1:]))
                 expected = add(f, expected, term)
             assert dense == expected
+
+
+@pytest.mark.parametrize("n,field", [(15, Field(5)), (32, Q)], ids=["x15_fp5", "x32_Q"])
+def test_action_columns_take_one_product_rule_step_per_monomial(monkeypatch, n, field):
+    """Each image is d(p a) = d(p) a + p d(a) from the image of its prefix:
+    at most two contractions per basis monomial of length >= 2, where
+    expanding the product rule at every position takes about 2L for
+    length L."""
+    t = truncated_loop(n, field)
+    layout = derivation_layout(t)
+    vec = dict.fromkeys(range(layout.size), field.one)
+    contract = linal.contract
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return contract(*args)
+
+    monkeypatch.setattr(linal, "contract", counted)
+    layout.action_columns(vec, range(t.dim))
+    longer = sum(len(p) >= 2 for p in t.basis_paths)
+    assert longer == n - 2
+    assert 0 < len(calls) <= 2 * longer
