@@ -38,7 +38,9 @@ class TooLarge(QuiverHHError):
 
 
 class NotAssociative(QuiverHHError):
-    """Multiplication table fails an associativity check."""
+    """Multiplication table fails a structural check: associativity, or the
+    oracle's check that its first basis vectors are orthogonal idempotents
+    summing to the unit and every basis vector is homogeneous for them."""
 
 
 class ParseError(QuiverHHError):

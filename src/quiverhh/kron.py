@@ -316,7 +316,12 @@ def decomposition_report(table: AlgebraTable, h: HH1Result, septype: str,
     # stacked rows of each surjective class's first surjective pair
     rows = [row for s in surj if s.surjective for row in s.delta.rows]
     kernel = linal.kernel_basis(field, rows, lie.dim)
-    joint_derived = lie.derived_series(kernel) if kernel else [0]
+    if not rows:  # no sl2 summand: the joint kernel is all of L
+        joint_derived = list(derived)
+    elif kernel:
+        joint_derived = lie.derived_series(kernel)
+    else:
+        joint_derived = [0]
 
     flags = {
         "char_ne_2": True,

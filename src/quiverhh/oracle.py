@@ -1,15 +1,20 @@
 """Brute-force cross-checks for the derivation machinery.
 
 Everything here works on the raw structure constants (a table whose
-entry [i][j] is the sparse vector of x_i * x_j, as ``AlgebraTable.products``):
-a cochain is an arbitrary linear map A -> A with d*d unknown entries, and
-the first cohomology is dim ker d1 - dim im d0 for the standard
-differentials.  No quiver structure, rewriting or idempotent normalisation
-is used, which is the point: agreement with the arrow-level computation is
-a real check.
+entry [i][j] is the sparse vector of x_i * x_j, as ``AlgebraTable.products``).
+``bar_hh1_dim`` solves the Hochschild complex relative to E = kQ0, the span
+of the vertex idempotents: a cochain is a linear map A -> A that commutes
+with E, so it sends x_j in e_s A e_t into e_s A e_t and has one unknown per
+pair of parallel basis vectors.  E is separable, so this complex has the
+same HH1 as the full one (Cibils 1998).  The idempotents and the pair
+(s, t) of each basis vector are read off the products and checked there;
+no arrow, path or rewriting rule is used, which is the point: agreement
+with the arrow-level computation is a real check.
 """
 
 from __future__ import annotations
+
+import itertools
 
 from . import linal
 from .algebra import AlgebraTable
@@ -25,71 +30,112 @@ def _flat(i: int, j: int, d: int) -> int:
     return i * d + j
 
 
-def _cocycle_rows(field: Field, table, d: int):
-    """Sparse rows of d1: one per (x, y, coordinate) with some entry.
+def _full_columns(d: int) -> list[dict]:
+    """The column map of the full complex: every entry of a map A -> A."""
+    return [{c: _flat(c, j, d) for c in range(d)} for j in range(d)]
 
-    The row of (x, y, c) is the coefficient of c in x*f(y) + f(x)*y - f(x*y).
-    Only the nonzero structure constants are visited: left[x][c] lists the
-    (i, coefficient of c in x*x_i) and right[y][c] the (i, coefficient of c
-    in x_i*y).
+
+def _cocycle_rows(field: Field, table, cols: list[dict]):
+    """Sparse rows of d1 on the cochains with the unknowns of ``cols``.
+
+    cols[j] maps each coordinate c that f(x_j) may have to the column of
+    the unknown f(x_j)_c.  The row of (x, y, c) is the coefficient of c in
+    x*f(y) + f(x)*y - f(x*y), and only the nonzero structure constants
+    next to an unknown are visited.  For maps commuting with the vertex
+    idempotents (cols[j] the basis vectors parallel to x_j) the pairs that
+    are not composable and the coordinates not parallel to x*y give no row.
     """
-    left = [{} for _ in range(d)]
-    right = [{} for _ in range(d)]
-    for x in range(d):
-        for i in range(d):
-            for c, val in table[x][i].items():
-                left[x].setdefault(c, []).append((i, val))
-                right[i].setdefault(c, []).append((x, val))
+    d = len(table)
     rows = []
     for x in range(d):
         for y in range(d):
-            # once x*y != 0, - f(x*y) has an entry in every row c
-            xy = [(k, field.neg(val)) for k, val in table[x][y].items()]
-            coords = range(d) if xy else sorted(left[x].keys() | right[y].keys())
-            for c in coords:
-                row: dict = {}
-                entries = [(_flat(i, y, d), val) for i, val in left[x].get(c, ())]
-                entries += [(_flat(i, x, d), val) for i, val in right[y].get(c, ())]
-                entries += [(_flat(c, k, d), val) for k, val in xy]
-                for col, val in entries:
-                    cur = field.add(row.get(col, field.zero), val)
-                    if cur == 0:
-                        row.pop(col, None)
-                    else:
-                        row[col] = cur
+            # (coordinate c, column, value) of x*f(y), f(x)*y and - f(x*y)
+            entries = [(c, col, val) for i, col in cols[y].items()
+                       for c, val in table[x][i].items()]
+            entries += [(c, col, val) for i, col in cols[x].items()
+                        for c, val in table[i][y].items()]
+            entries += [(c, col, field.neg(val)) for k, val in table[x][y].items()
+                        for c, col in cols[k].items()]
+            by_coord: dict = {}
+            for c, col, val in entries:
+                row = by_coord.setdefault(c, {})
+                row[col] = field.add(row[col], val) if col in row else val
+            for row in by_coord.values():
+                row = {col: val for col, val in row.items() if val != 0}
                 if row:
                     rows.append(row)
     return rows
 
 
-def _center_dim(field: Field, table, d: int) -> int:
-    """d minus the rank of u -> (u*y - y*u)_c over all (y, c): one sparse
-    row per (y, c), visiting only nonzero structure constants."""
+def _vertex_pairs(table, nverts: int, one) -> list[tuple[int, int]]:
+    """The pair (s, t) with e_s x_j = x_j = x_j e_t of each basis vector x_j,
+    where e_0 .. e_{nverts-1} are the first basis vectors.
+
+    Raises NotAssociative unless those are orthogonal idempotents and each
+    x_j is fixed by exactly one of them on each side and killed by the
+    others, which also makes them sum to the unit.
+    """
+    for i in range(nverts):
+        for k in range(nverts):
+            if table[i][k] != ({i: one} if i == k else {}):
+                raise NotAssociative(
+                    f"oracle check failed: the first {nverts} basis vectors are not "
+                    f"orthogonal idempotents (product of basis vectors {i} and {k})")
+    pairs = []
+    for j, row in enumerate(table):
+        left = [v for v in range(nverts) if table[v][j]]
+        right = [v for v in range(nverts) if row[v]]
+        if (len(left) != 1 or len(right) != 1
+                or table[left[0]][j] != {j: one} or row[right[0]] != {j: one}):
+            raise NotAssociative(
+                f"oracle check failed: basis vector {j} is not homogeneous "
+                f"(not in e_s A e_t for exactly one pair of vertex idempotents)")
+        pairs.append((left[0], right[0]))
+    return pairs
+
+
+def _center_dim(field: Field, table, units: list[int]) -> int:
+    """Dimension of the centre within the span of the basis vectors ``units``:
+    their number minus the rank of u -> (u*y - y*u)_c over all (y, c), one
+    sparse row per (y, c), visiting only nonzero structure constants."""
     minus_one = field.neg(field.one)
     rows: dict = {}
-    for u in range(d):
-        for y in range(d):
+    for u in units:
+        for y in range(len(table)):
             comm = dict(table[u][y])
             linal.add_multiple(field, comm, minus_one, table[y][u])
             for c, val in comm.items():
                 rows.setdefault((y, c), {})[u] = val
-    return d - linal.sparse_rank(field, rows.values())
+    return len(units) - linal.sparse_rank(field, rows.values())
 
 
 def bar_hh1_dim(a: AlgebraTable) -> int:
-    """dim HH1 as dim ker d1 - dim im d0 on the cochain complex."""
+    """dim HH1 from the complex of cochains commuting with E = kQ0.
+
+    The unknowns are f(x_j)_c for x_c parallel to x_j: d1 has the sum of
+    n_st^2 columns, n_st = dim e_s A e_t, not d^2.  C^0 = A^E is spanned by
+    the x_u with s = t and contains the centre, so
+    dim HH1 = dim ker d1 - (dim A^E - dim Z(A)).  The idempotents are the
+    first |Q0| basis vectors, checked on the products alone (``_vertex_pairs``).
+    """
     d = a.dim
     if d > MAX_ORACLE_DIM:
         raise TooLarge(f"oracle limited to dimension {MAX_ORACLE_DIM}, got {d}")
-    field = a.field
-    ker_d1 = d * d - linal.sparse_rank(field, _cocycle_rows(field, a.products, d))
-    im_d0 = d - _center_dim(field, a.products, d)
-    return ker_d1 - im_d0
+    field, table = a.field, a.products
+    pairs = _vertex_pairs(table, len(a.quiver.vertices), field.one)
+    parallel: dict = {}
+    for j, pair in enumerate(pairs):
+        parallel.setdefault(pair, []).append(j)
+    column = itertools.count()
+    cols = [{c: next(column) for c in parallel[pair]} for pair in pairs]
+    ker_d1 = sum(map(len, cols)) - linal.sparse_rank(field, _cocycle_rows(field, table, cols))
+    diagonal = [u for u, (s, t) in enumerate(pairs) if s == t]
+    return ker_d1 - (len(diagonal) - _center_dim(field, table, diagonal))
 
 
 def derivations_from_table(field: Field, table, idempotents=None) -> list:
     """Basis of the Leibniz maps of a bare sparse table, as sparse flattened
-    matrices (see ``_flat``).
+    matrices (see ``_flat``), from the full complex with all d^2 unknowns.
 
     With a complete orthogonal set of idempotents given (sparse vectors),
     the maps are also required to kill them, matching the arrow-level
@@ -100,7 +146,7 @@ def derivations_from_table(field: Field, table, idempotents=None) -> list:
         raise TooLarge(f"oracle limited to dimension {MAX_ORACLE_DIM}, got {d}")
     if not linal.is_associative(field, table):
         raise NotAssociative("multiplication table is not associative")
-    rows = _cocycle_rows(field, table, d)
+    rows = _cocycle_rows(field, table, _full_columns(d))
     for e in idempotents or ():
         rows += [{_flat(c, j, d): a for j, a in e.items()} for c in range(d)]
     return linal.kernel_basis(field, rows, d * d)

@@ -7,7 +7,7 @@ import pytest
 from quiverhh import linal
 from quiverhh.algebra import Presentation, Relation, build_algebra
 from quiverhh.analysis import run_analyze
-from quiverhh.derlie import delta_map, hh1
+from quiverhh.derlie import LieAlgebra, delta_map, hh1
 from quiverhh.dsl import load_presentation
 from quiverhh.errors import UnsupportedCharacteristic
 from quiverhh.kron import (decomposition_report, equivalence_classes,
@@ -167,6 +167,26 @@ def test_joint_kernel_follows_the_surjective_pair(relations):
     assert sorted(rep.surjectivity[0].per_pair_image_dims.values()) == [2, 3]
     assert rep.joint_kernel_dim == rep.r_dim == 2
     assert rep.joint_kernel_derived_dims[-1] == 0
+
+
+def test_a_report_without_sl2_summands_computes_the_derived_series_once(monkeypatch):
+    """With m = 0 the joint kernel is all of HH1_rad, so its derived series
+    is the one already computed for the whole algebra."""
+    t = build(["1"], [("x", "1", "1")], [[(1, ("x",) * 15)]], field=Field(5))
+    h = hh1(t, rad_only=True)
+    calls = []
+    real = LieAlgebra._derived
+
+    def counted(self, start):
+        calls.append(len(start))
+        return real(self, start)
+
+    monkeypatch.setattr(LieAlgebra, "_derived", counted)
+    rep = decomposition_report(t, h, reptype_radsq(t.quiver))
+    assert rep.m == 0
+    assert rep.joint_kernel_dim == h.lie.dim
+    assert rep.joint_kernel_derived_dims == rep.derived_dims
+    assert calls == [h.lie.dim]
 
 
 def test_decomposition_refuses_characteristic_two():

@@ -1,14 +1,17 @@
+import itertools
 import pathlib
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from quiverhh import linal
+from quiverhh import analysis, cli, linal, oracle
 from quiverhh.algebra import Presentation, Relation, build_algebra
 from quiverhh.derlie import derivation_space, hh1
 from quiverhh.dsl import load_presentation
 from quiverhh.errors import NotAssociative, TooLarge
 from quiverhh.linal import Field
-from quiverhh.oracle import (MAX_ORACLE_DIM, _cocycle_rows, bar_hh1_dim,
+from quiverhh.oracle import (MAX_ORACLE_DIM, _cocycle_rows, _full_columns, bar_hh1_dim,
                              derivations_from_table)
 from quiverhh.quiver import Quiver
 
@@ -59,7 +62,7 @@ def test_cochain_complex_identity():
     # d1 applied to every commutator map [basis_u, -] is zero
     t = build(["1", "2"], [("a", "1", "2"), ("b", "1", "2")], [])
     d, field = t.dim, t.field
-    d1_rows = _cocycle_rows(field, t.products, d)
+    d1_rows = _cocycle_rows(field, t.products, _full_columns(d))
     for u in range(d):
         d0_image = {i * d + j: field.sub(t.products[u][j].get(i, field.zero),
                                          t.products[j][u].get(i, field.zero))
@@ -142,23 +145,151 @@ def test_too_large_guard():
 CORPUS = sorted((pathlib.Path(__file__).resolve().parent.parent / "corpus").glob("*.dsl"))
 
 
-@pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.stem)
-def test_cocycle_rows_have_the_rank_of_the_dense_d1(path):
-    """d1 written out densely: the row of (x, y, c) holds the coefficient of
-    c in x*f(y) + f(x)*y - f(x*y) for each entry f(e_j)_i of the cochain."""
-    t = build_algebra(load_presentation(path.read_text()))
+def dense_d1(t):
+    """d1 of the full complex written out from the dense table: the row of
+    (x, y, c) holds the coefficient of c in x*f(y) + f(x)*y - f(x*y) for each
+    entry f(e_j)_i of the cochain, at column i*d + j."""
     f, d = t.field, t.dim
     m = [[linal.dense(f, d, e) for e in row] for row in t.products]
-    dense = []
-    for x in range(d):
-        for y in range(d):
-            for c in range(d):
-                row = [f.zero] * (d * d)
-                for i in range(d):
-                    row[i * d + y] = f.add(row[i * d + y], m[x][i][c])
-                    row[i * d + x] = f.add(row[i * d + x], m[i][y][c])
-                for k in range(d):
-                    row[c * d + k] = f.sub(row[c * d + k], m[x][y][k])
-                dense.append({col: v for col, v in enumerate(row) if v != 0})
-    assert (linal.sparse_rank(f, _cocycle_rows(f, t.products, d))
-            == linal.sparse_rank(f, dense))
+    rows = []
+    for x, y, c in itertools.product(range(d), repeat=3):
+        row = {}
+        for i in range(d):
+            for col, v in ((i * d + y, m[x][i][c]), (i * d + x, m[i][y][c]),
+                           (c * d + i, f.neg(m[x][y][i]))):
+                if v:
+                    row[col] = f.add(row.get(col, f.zero), v)
+        rows.append({col: v for col, v in row.items() if v != 0})
+    return rows
+
+
+def dense_hh1_dim(t):
+    """dim HH1 of the full complex, with all d^2 entries of a map A -> A
+    unknown: d^2 - rank d1 - rank d0, where d0 sends u to the flattened
+    matrix of x -> u*x - x*u."""
+    f, d = t.field, t.dim
+    m = [[linal.dense(f, d, e) for e in row] for row in t.products]
+    d0 = [{i * d + j: v for i in range(d) for j in range(d)
+           if (v := f.sub(m[u][j][i], m[j][u][i])) != 0} for u in range(d)]
+    return d * d - linal.sparse_rank(f, dense_d1(t)) - linal.sparse_rank(f, d0)
+
+
+@pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.stem)
+def test_cocycle_rows_have_the_rank_of_the_dense_d1(path):
+    t = build_algebra(load_presentation(path.read_text()))
+    f, d = t.field, t.dim
+    assert (linal.sparse_rank(f, _cocycle_rows(f, t.products, _full_columns(d)))
+            == linal.sparse_rank(f, dense_d1(t)))
+
+
+def radsq_cycle(n):
+    """The n-cycle of double arrows with every path of length two zero."""
+    arrows = [(f"{s}{i}", str(i), str((i + 1) % n)) for i in range(n) for s in "ab"]
+    relations = [[(1, (x, y))] for x, _, tx in arrows for y, sy, _ in arrows if tx == sy]
+    return build([str(i) for i in range(n)], arrows, relations)
+
+
+def doubled_path(n):
+    """The path algebra of A_n with its first arrow doubled."""
+    arrows = [(f"a{i}", str(i), str(i + 1)) for i in range(1, n)] + [("b1", "1", "2")]
+    return build([str(i) for i in range(1, n + 1)], arrows, [])
+
+
+@pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.stem)
+def test_oracle_matches_the_full_complex_on_the_corpus(path):
+    t = build_algebra(load_presentation(path.read_text()))
+    assert bar_hh1_dim(t) == dense_hh1_dim(t)
+
+
+@pytest.mark.parametrize("make, n", [(radsq_cycle, 3), (radsq_cycle, 4),
+                                     (doubled_path, 4), (doubled_path, 6)],
+                         ids=["radsq3", "radsq4", "A4_doubled", "A6_doubled"])
+def test_oracle_matches_the_full_complex_on_families(make, n):
+    t = make(n)
+    assert bar_hh1_dim(t) == dense_hh1_dim(t)
+
+
+@st.composite
+def monomial_algebras(draw):
+    """A quiver on up to three vertices with up to four arrows (loops and
+    multiple arrows allowed), over Q, F_2 or F_3: some paths of length two
+    are kept, the others and every path of length three are zero, so
+    dim A <= 16."""
+    vertices = [str(v) for v in range(draw(st.integers(1, 3)))]
+    ends = draw(st.lists(st.tuples(st.sampled_from(vertices), st.sampled_from(vertices)),
+                         max_size=4))
+    arrows = [(f"a{k}", s, t) for k, (s, t) in enumerate(ends)]
+    composable = {label: [b for b, sb, _ in arrows if sb == t] for label, _, t in arrows}
+    twos = [(a, b) for a in composable for b in composable[a]]
+    kept = draw(st.lists(st.sampled_from(twos), unique=True,
+                         max_size=16 - len(vertices) - len(arrows))) if twos else []
+    relations = [[(1, p)] for p in twos if p not in kept]
+    relations += [[(1, (a, b, c))] for a, b in twos for c in composable[b]]
+    return build(vertices, arrows, relations, field=Field(draw(st.sampled_from((0, 2, 3)))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(monomial_algebras())
+def test_oracle_matches_the_full_complex_on_monomial_algebras(t):
+    assert t.dim <= 16
+    assert bar_hh1_dim(t) == dense_hh1_dim(t)
+
+
+def test_oracle_d1_has_one_column_per_parallel_pair(monkeypatch):
+    """The unknowns are the entries (c, j) with x_c parallel to x_j: the sum
+    over vertex pairs (s, t) of n_st^2, n_st = dim e_s A e_t, not d^2."""
+    t = doubled_path(6)
+    seen = []
+
+    def spy(field, table, cols):
+        rows = _cocycle_rows(field, table, cols)
+        seen.append((cols, rows))
+        return rows
+
+    monkeypatch.setattr(oracle, "_cocycle_rows", spy)
+    assert bar_hh1_dim(t) == 3
+    [(cols, rows)] = seen
+    ends = list(zip(t.basis_source, t.basis_target))
+    ncols = sum(n * n for n in Counter(ends).values())
+    assert ncols < t.dim * t.dim
+    assert sorted(col for c in cols for col in c.values()) == list(range(ncols))
+    assert all(ends[c] == ends[j] for j, c_map in enumerate(cols) for c in c_map)
+    assert all(0 <= col < ncols for row in rows for col in row)
+
+
+def broken_idempotent(t):
+    """Make e_0 * e_0 vanish."""
+    t.products[0][0] = {}
+
+
+def broken_homogeneity(t):
+    """Let the idempotent of vertex 2 fix the arrow a, which starts at 1."""
+    t.products[1][t.arrow_index("a")] = {t.arrow_index("a"): t.field.one}
+
+
+@pytest.mark.parametrize("alter, check", [
+    (broken_idempotent, "orthogonal idempotents"),
+    (broken_homogeneity, "is not homogeneous"),
+])
+def test_oracle_refuses_a_table_with_an_altered_idempotent_product(alter, check,
+                                                                   tmp_path, monkeypatch,
+                                                                   capsys):
+    t = build(["1", "2"], [("a", "1", "2"), ("b", "1", "2")], [])
+    assert bar_hh1_dim(t) == 3
+    alter(t)
+    with pytest.raises(NotAssociative, match=check):
+        bar_hh1_dim(t)
+
+    path = tmp_path / "kronecker.dsl"
+    path.write_text("field Q\nvertex 1 2\narrow a 1 2\narrow b 1 2\n")
+
+    def altered(p):
+        table = build_algebra(p)
+        alter(table)
+        return table
+
+    monkeypatch.setattr(analysis, "build_algebra", altered)
+    assert cli.main(["oracle", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("refused: oracle check failed") and check in err
+    assert err.count("\n") == 1
