@@ -120,26 +120,19 @@ def maximal_chains(table: AlgebraTable):
         return False
 
     maximal = [seq for seq in all_chains if not extendable(seq)]
-    # one representative per rotation orbit of closed chains
-    chains = []
-    seen = set()
+    # each sequence is enumerated once; a closed chain is kept as the least
+    # of its rotations that are themselves maximal chains
+    maximal_set = set(maximal)
+    chains = {}
     for seq in maximal:
-        chain = KroneckerChain(seq, _chain_shape(seq))
-        if chain.shape == "Cyclic":
-            orbit = {tuple(seq[i:] + seq[:i]) for i in range(len(seq))}
-            valid = [rot for rot in orbit if rot in {tuple(s) for s in maximal}]
-            rep = min(valid, key=lambda rot: tuple(p.labels for p in rot))
-            if tuple(p.labels for p in rep) in seen:
-                continue
-            seen.add(tuple(p.labels for p in rep))
-            chains.append(KroneckerChain(rep, "Cyclic"))
-        else:
-            if chain.key() in seen:
-                continue
-            seen.add(chain.key())
-            chains.append(chain)
-    chains.sort(key=lambda c: c.key())
-    return chains
+        shape = _chain_shape(seq)
+        if shape == "Cyclic":
+            seq = min((rot for rot in (seq[i:] + seq[:i] for i in range(len(seq)))
+                       if rot in maximal_set),
+                      key=lambda rot: tuple(p.labels for p in rot))
+        chain = KroneckerChain(seq, shape)
+        chains[chain.key()] = chain
+    return sorted(chains.values(), key=KroneckerChain.key)
 
 
 @dataclass

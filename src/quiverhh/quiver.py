@@ -1,10 +1,10 @@
 """Quiver combinatorics: separated quiver, Dynkin/Euclidean recognition,
 representation type of radical-square-zero algebras, hereditary HH^1 dimension.
 
-Classification of underlying graphs is done through the quadratic form
-C = 2*Id - Adj (positive definite = Dynkin, positive semidefinite with
-nullity one = Euclidean); catalogue names are attached afterwards by
-matching degree patterns.  The quadratic form is the ground truth.
+A connected underlying graph is classified by its Tits form
+C = 2*Id - Adj: positive definite is Dynkin, positive semidefinite with
+nullity one is Euclidean.  Verdict and catalogue name both come from the
+pivots of one elimination of C (see _classify_component).
 """
 
 from __future__ import annotations
@@ -114,104 +114,52 @@ class GraphClass:
         return "Wild"
 
 
-def _principal_minor_sums(mat: list[list[Fraction]]) -> list[Fraction]:
-    """e_1..e_n with e_k = sum of principal k x k minors (Faddeev-LeVerrier).
-
-    For a symmetric matrix: all eigenvalues >= 0 iff all e_k >= 0.
-    """
-    n = len(mat)
-    m = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    cs = []
-    for k in range(1, n + 1):
-        m = _matmul(mat, m)
-        c = sum(m[i][i] for i in range(n)) / k
-        cs.append(c)
-        for i in range(n):
-            m[i][i] -= c
-    # the recursion yields the characteristic polynomial coefficients c_k
-    # with x^n - c_1 x^(n-1) - c_2 x^(n-2) - ...; the k-th elementary
-    # symmetric function of the eigenvalues is (-1)^(k+1) c_k
-    return [c if k % 2 == 0 else -c for k, c in enumerate(cs)]
-
-
-def _matmul(a, b):
-    n = len(a)
-    return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-
-
 def _classify_component(q: Quiver, verts: list[str]) -> ComponentVerdict:
-    vs = sorted(verts)
+    """Verdict and name from one elimination of the Tits form C = 2*Id - Adj.
+
+    Elimination without pivoting stops at the first pivot that is not
+    positive.  All pivots positive: C is positive definite, so Dynkin
+    (Sylvester).  Only the last pivot zero: the leading minors are positive
+    and det C = 0, so C is semidefinite of nullity one, so Euclidean.  A zero
+    pivot any earlier is a singular proper subgraph, which no Euclidean graph
+    has, so Neither.  The product of the pivots is det C: n + 1 on A_n, 4 on
+    D_n and 9 - n on E_n.
+    """
+    vs = tuple(sorted(verts))
     idx = {v: i for i, v in enumerate(vs)}
     n = len(vs)
-    # loops make the Tits form indefinite straight away
+    neither = ComponentVerdict(vs, "Neither", None)
+    cmat = [[Fraction(2 * int(i == j)) for j in range(n)] for i in range(n)]
+    degree = [0] * n
     for a in q.arrows:
-        if a.source in idx and a.source == a.target:
-            return ComponentVerdict(tuple(vs), "Neither", None)
-    adj = [[Fraction(0)] * n for _ in range(n)]
-    for a in q.arrows:
-        if a.source in idx and a.target in idx:
+        if a.source in idx:
+            # a loop is classed Neither; separated quivers never have one
+            if a.source == a.target:
+                return neither
             i, j = idx[a.source], idx[a.target]
-            adj[i][j] += 1
-            adj[j][i] += 1
-    cmat = [[Fraction(2 * int(i == j)) - adj[i][j] for j in range(n)] for i in range(n)]
-    es = _principal_minor_sums(cmat)
-    psd = all(e >= 0 for e in es)
-    if not psd:
-        return ComponentVerdict(tuple(vs), "Neither", None)
-    det = es[-1] if es else Fraction(1)
-    if det > 0:
-        return ComponentVerdict(tuple(vs), "Dynkin", _dynkin_name(adj, n))
-    nullity_one = n >= 2 and es[-2] > 0
-    if nullity_one:
-        return ComponentVerdict(tuple(vs), "Euclidean", _euclidean_name(adj, n))
-    return ComponentVerdict(tuple(vs), "Neither", None)
-
-
-def _degrees(adj, n):
-    return [sum(int(adj[i][j]) for j in range(n)) for i in range(n)]
-
-
-def _arm_lengths(adj, n, center):
-    """Lengths of the simple arms hanging off a branch vertex of a tree."""
-    arms = []
-    for j in range(n):
-        if adj[center][j] != 0:
-            length = 1
-            prev, cur = center, j
-            while True:
-                nxt = [k for k in range(n) if adj[cur][k] != 0 and k != prev]
-                if not nxt:
-                    break
-                prev, cur = cur, nxt[0]
-                length += 1
-            arms.append(length)
-    return sorted(arms)
-
-
-def _dynkin_name(adj, n) -> str:
-    degs = _degrees(adj, n)
-    if n == 1:
-        return "A1"
-    if max(degs) <= 2:
-        return f"A{n}"
-    center = degs.index(3)
-    arms = _arm_lengths(adj, n, center)
-    if arms[:2] == [1, 1]:
-        return f"D{n}"
-    return {(1, 2, 2): "E6", (1, 2, 3): "E7", (1, 2, 4): "E8"}.get(tuple(arms), f"D{n}")
-
-
-def _euclidean_name(adj, n) -> str:
-    degs = _degrees(adj, n)
-    if n == 2 and adj[0][1] == 2:
-        return "~A1"
-    if max(degs) <= 2:
-        return f"~A{n - 1}"
-    if max(degs) == 4 or degs.count(3) == 2:
-        return f"~D{n - 1}"
-    center = degs.index(3)
-    arms = _arm_lengths(adj, n, center)
-    return {(2, 2, 2): "~E6", (1, 3, 3): "~E7", (1, 2, 5): "~E8"}.get(tuple(arms), f"~D{n - 1}")
+            cmat[i][j] -= 1
+            cmat[j][i] -= 1
+            degree[i] += 1
+            degree[j] += 1
+    det = Fraction(1)
+    for k, row in enumerate(cmat):
+        pivot = row[k]
+        if pivot <= 0:
+            if pivot < 0 or k < n - 1:
+                return neither
+            if sum(degree) == 2 * n:  # as many edges as vertices
+                kind = "A"
+            else:
+                kind = "E" if degree.count(3) == 1 and max(degree) == 3 else "D"
+            return ComponentVerdict(vs, "Euclidean", f"~{kind}{n - 1}")
+        det *= pivot
+        for below in cmat[k + 1:]:
+            f = below[k] / pivot
+            if f:
+                for j in range(k + 1, n):
+                    below[j] -= f * row[j]
+    kind = "A" if det == n + 1 else "D" if det == 4 else "E"
+    return ComponentVerdict(vs, "Dynkin", f"{kind}{n}")
 
 
 def classify_components(q: Quiver) -> GraphClass:
