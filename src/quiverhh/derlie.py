@@ -322,10 +322,11 @@ def lie_from_quotient(table: AlgebraTable, layout: DerivationLayout,
     monomials parallel to a, so each representative's action is needed
     only on the monomials parallel to some arrow: those sparse columns
     are computed once per representative, and each term is a combination
-    of them.  All d^2 commutators are then written in (reps | inn)
-    coordinates by one row reduction of [reps | inn | commutators]; the
-    reps part is the bracket.  The commutators lie in Der exactly when the
-    pivots of that reduction are the reps and inn columns and nothing else.
+    of them.  By antisymmetry only the d(d-1)/2 commutators with i < j are
+    computed; they are written in (reps | inn) coordinates by one row
+    reduction of [reps | inn | commutators], and the reps part is the
+    bracket.  The commutators lie in Der exactly when the pivots of that
+    reduction are the reps and inn columns and nothing else.
     """
     field = table.field
     reps = linal.quotient_reps(field, der_basis, inn_basis)
@@ -333,19 +334,19 @@ def lie_from_quotient(table: AlgebraTable, layout: DerivationLayout,
     parallel = sorted({bi for _, bi in layout.slots})
     values = [{label: layout.sparse_value(v, label) for label in layout.blocks} for v in reps]
     cols = [layout.action_columns(v, parallel) for v in reps]
+    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
     comms = []
-    for i in range(d):
-        for j in range(d):
-            images = {}
-            for label in layout.blocks:
-                img: dict = {}
-                for m, c in values[j][label].items():
-                    linal.add_multiple(field, img, c, cols[i][m])
-                for m, c in values[i][label].items():
-                    linal.add_multiple(field, img, field.neg(c), cols[j][m])
-                images[label] = img
-            comms.append({s: images[label][bi] for s, (label, bi) in enumerate(layout.slots)
-                          if bi in images[label]})
+    for i, j in pairs:
+        images = {}
+        for label in layout.blocks:
+            img: dict = {}
+            for m, c in values[j][label].items():
+                linal.add_multiple(field, img, c, cols[i][m])
+            for m, c in values[i][label].items():
+                linal.add_multiple(field, img, field.neg(c), cols[j][m])
+            images[label] = img
+        comms.append({s: images[label][bi] for s, (label, bi) in enumerate(layout.slots)
+                      if bi in images[label]})
     base = len(reps) + len(inn_basis)
     matrix = [{} for _ in range(layout.size)]
     for k, col in enumerate(reps + inn_basis + comms):
@@ -358,8 +359,9 @@ def lie_from_quotient(table: AlgebraTable, layout: DerivationLayout,
     for r in range(d):
         for col, c in ech[r].items():
             if col >= base:
-                i, j = divmod(col - base, d)
+                i, j = pairs[col - base]
                 structure[i][j][r] = c
+                structure[j][i][r] = field.neg(c)
     return LieAlgebra(field, d, structure, layout, reps)
 
 

@@ -1,7 +1,10 @@
 """Exact scalar arithmetic and the linear-algebra kernel.
 
-Scalars are ``fractions.Fraction`` over the rationals and plain residues
-``int`` in ``[0, p)`` over a prime field.  Vectors and matrix rows are
+Over the rationals a scalar is an ``int`` when its value is an integer and
+a ``fractions.Fraction`` otherwise; over a prime field it is a plain
+residue ``int`` in ``[0, p)``.  Most structure constants, constraint rows
+and derivation vectors are 0 or +-1, and ``int`` arithmetic is several
+times cheaper than ``Fraction``'s.  Vectors and matrix rows are
 sparse: a dict index -> nonzero scalar, with no zero stored.  Row
 reduction, kernels, spans, quotient sections and solves take and return
 that form, and so do structure constants: a table entry is such a vector,
@@ -15,7 +18,6 @@ methods that return coordinate lists.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -60,9 +62,9 @@ class Field:
     """
 
     characteristic: int = 0
-    # built once per field; not compared, hashed or shown
-    zero: object = dataclasses.field(init=False, repr=False, compare=False)
-    one: object = dataclasses.field(init=False, repr=False, compare=False)
+    # class attributes, not dataclass fields: the same in every field
+    zero = 0
+    one = 1
 
     def __post_init__(self):
         if self.characteristic > MAX_CHARACTERISTIC:
@@ -70,9 +72,6 @@ class Field:
                              f"primality is certified only up to {MAX_CHARACTERISTIC}")
         if self.characteristic != 0 and not _is_prime(self.characteristic):
             raise ValueError(f"characteristic must be 0 or prime, got {self.characteristic}")
-        rational = self.characteristic == 0
-        object.__setattr__(self, "zero", Fraction(0) if rational else 0)
-        object.__setattr__(self, "one", Fraction(1) if rational else 1)
 
     @classmethod
     def parse(cls, text: str) -> "Field":
@@ -93,7 +92,7 @@ class Field:
     def of(self, value) -> "Scalar":
         """Coerce an int or Fraction into a field scalar."""
         if self.characteristic == 0:
-            return Fraction(value)
+            return _integral(Fraction(value))
         p = self.characteristic
         if isinstance(value, Fraction):
             den = value.denominator % p
@@ -103,26 +102,31 @@ class Field:
         return value % p
 
     def add(self, a, b):
-        return a + b if self.characteristic == 0 else (a + b) % self.characteristic
+        return _integral(a + b) if self.characteristic == 0 else (a + b) % self.characteristic
 
     def sub(self, a, b):
-        return a - b if self.characteristic == 0 else (a - b) % self.characteristic
+        return _integral(a - b) if self.characteristic == 0 else (a - b) % self.characteristic
 
     def mul(self, a, b):
-        return a * b if self.characteristic == 0 else (a * b) % self.characteristic
+        return _integral(a * b) if self.characteristic == 0 else (a * b) % self.characteristic
 
     def neg(self, a):
         return -a if self.characteristic == 0 else (-a) % self.characteristic
 
     def inv(self, a):
         if self.characteristic == 0:
-            return self.one / a
+            return a if a == 1 or a == -1 else _integral(Fraction(1, a))
         if a % self.characteristic == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, self.characteristic - 2, self.characteristic)
 
 
-Scalar = object  # Fraction or int residue; see Field
+Scalar = object  # over Q an int when integral, else a Fraction; over F_p an int residue
+
+
+def _integral(x):
+    """x as an int when it is a Fraction with denominator 1, else x."""
+    return x.numerator if type(x) is Fraction and x.denominator == 1 else x
 
 
 # -- dense coordinate lists, for the public methods that return them --------
@@ -149,14 +153,30 @@ def dense(field: Field, n: int, v: dict) -> list:
 
 
 def add_multiple(field: Field, row: dict, c, v: dict) -> None:
-    """row += c * v on sparse vectors, dropping the entries that vanish."""
-    zero = field.zero
+    """row += c * v on sparse vectors, dropping the entries that vanish.
+
+    The hot loop of every elimination and contraction: the field is read
+    once per call and each entry is computed inline, as Field.add and
+    Field.mul would compute it.
+    """
+    p = field.characteristic
+    get = row.get
+    if p:
+        for col, a in v.items():
+            val = (get(col, 0) + c * a) % p
+            if val:
+                row[col] = val
+            else:
+                row.pop(col, None)
+        return
     for col, a in v.items():
-        val = field.add(row.get(col, zero), field.mul(c, a))
-        if val == 0:
-            row.pop(col, None)
-        else:
+        val = get(col, 0) + c * a
+        if type(val) is Fraction and val.denominator == 1:
+            val = val.numerator
+        if val:
             row[col] = val
+        else:
+            row.pop(col, None)
 
 
 def _echelon(field: Field, rows) -> dict[int, dict]:
@@ -266,12 +286,13 @@ def contract(field: Field, table: list, u: dict, v: dict) -> dict:
     entries of u, of v and of each table entry are visited.
     """
     out: dict = {}
+    mul = field.mul
     for i, a in u.items():
         row = table[i]
         for j, b in v.items():
             entry = row[j]
             if entry:
-                add_multiple(field, out, field.mul(a, b), entry)
+                add_multiple(field, out, mul(a, b), entry)
     return out
 
 

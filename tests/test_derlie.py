@@ -408,3 +408,40 @@ def test_action_columns_take_one_product_rule_step_per_monomial(monkeypatch, n, 
     longer = sum(len(p) >= 2 for p in t.basis_paths)
     assert longer == n - 2
     assert 0 < len(calls) <= 2 * longer
+
+
+# -- binomial relations: closed forms, and Q against a large prime --------
+
+
+def quantum_plane(n, c=1, field=Q):
+    """k[x,y]/(xy - c yx, x^n, y^n); commutative for c = 1."""
+    return presentation(["1"], [("x", "1", "1"), ("y", "1", "1")],
+                        [[(1, ("x", "y")), (-c, ("y", "x"))],
+                         [(1, ("x",) * n)], [(1, ("y",) * n)]], field)
+
+
+@pytest.mark.parametrize("n,p", [(3, 0), (4, 0), (5, 0), (6, 0), (3, 3), (5, 5), (6, 3)])
+def test_commutative_truncated_plane_has_the_closed_form_hh1(n, p):
+    """A is commutative, so Inn = 0, and Der is the pairs (d(x), d(y)) with
+    d(x^n) = n x^(n-1) d(x) = 0.  Where n is invertible that puts d(x) in
+    (x) and d(y) in (y): dim HH1 = dim HH1_rad = 2n(n-1).  Where p | n
+    every pair is a derivation, dim HH1 = 2n^2, and HH1_rad drops the two
+    derivations moving x or y to the unit."""
+    report = run_analyze(quantum_plane(n, field=Field(p)))
+    dims = (report.hh1.lie.dim, report.hh1_rad.lie.dim, report.hh1.inn_dim)
+    assert dims == ((2 * n * (n - 1),) * 2 + (0,) if p == 0 else (2 * n * n, 2 * (n * n - 1), 0))
+
+
+@pytest.mark.parametrize("c", [2, 3, Fraction(2, 3)], ids=str)
+@pytest.mark.parametrize("n", [3, 4])
+def test_quantum_plane_quotients_agree_over_q_and_a_large_prime(n, c):
+    """c^k != 1 for 0 < k < 2n in Q and in F_1000003 alike, so the
+    quotient has the same cohomology over both; it matches the oracle."""
+    sections = []
+    for p in (0, 1000003):
+        report = run_analyze(quantum_plane(n, c, Field(p)))
+        d = report.hh1_sections()
+        sections.append({key: d[key] for key in ("hh1", "hh1_rad")})
+        assert report.oracle_dim == d["hh1"]["dim"]
+    assert sections[0] == sections[1]
+    assert {"der_dim", "inn_dim", "dim", "derived_dims"} <= set(sections[0]["hh1"])
