@@ -2,18 +2,21 @@
 
 A presentation (quiver, relations, field) is completed into a rewriting
 system under the length-then-lex order on paths (arrows ordered by
-declaration, longer paths larger).  Overlap ambiguities are resolved until
-confluence; the finiteness certificate is the exhaustion of normal
-monomials at some length.  The basis of the quotient is the set of normal
-monomials, and multiplication is concatenation followed by full reduction.
-The radical filtration is built once per algebra, as rad^(n+1) =
-span(rad^n * arrows) by exact row reduction (relations need not be
-homogeneous in path length), and its bases are kept on the table.
+declaration, longer paths larger).  A rule is a monic polynomial, a
+sparse row keyed by path, and ``linal.add_multiple`` does all the rewriting
+arithmetic.  Overlap ambiguities are resolved until confluence; the
+finiteness certificate is the exhaustion of normal monomials at some
+length.  The basis of the quotient is the set of normal monomials, and
+multiplication is concatenation followed by full reduction.  The radical
+filtration is built once per algebra, as rad^(n+1) = span(rad^n * arrows)
+by exact row reduction (relations need not be homogeneous in path
+length), and its bases are kept on the table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from . import linal
 from .errors import InvalidArrow, NotAdmissible, NotFiniteDimensional
@@ -72,31 +75,8 @@ def _validate_relation(q: Quiver, rel: Relation) -> None:
             raise NotAdmissible("relation terms are not parallel")
 
 
-# -- polynomial helpers ----------------------------------------------------
-
-
-def _poly_add_term(field: Field, poly: Poly, path: Path, coef) -> None:
-    cur = poly.get(path, field.zero)
-    val = field.add(cur, coef)
-    if val == 0:
-        poly.pop(path, None)
-    else:
-        poly[path] = val
-
-
-def _poly_sub(field: Field, a: Poly, b: Poly) -> Poly:
-    out = dict(a)
-    for p, c in b.items():
-        _poly_add_term(field, out, p, field.neg(c))
-    return out
-
-
-def _leading(order: _Order, poly: Poly) -> Path:
-    return max(poly, key=order.key)
-
-
 class _Rewriter:
-    """Two-sided rewriting system: lead path -> tail polynomial."""
+    """Two-sided rewriting system: lead path -> monic rule, lead first."""
 
     def __init__(self, field: Field, order: _Order):
         self.field = field
@@ -104,7 +84,9 @@ class _Rewriter:
         self.rules: dict[Path, Poly] = {}
 
     def reduce(self, poly: Poly) -> Poly:
-        field = self.field
+        """Normal form of poly, terms in decreasing order.  The largest term
+        is normal, and final, or is pre * lead * post: it then cancels with
+        coef * (pre * rule * post), whose other terms are smaller."""
         work = dict(poly)
         out: Poly = {}
         while work:
@@ -112,13 +94,13 @@ class _Rewriter:
             coef = work.pop(path)
             hit = self._find_factor(path)
             if hit is None:
-                _poly_add_term(field, out, path, coef)
+                out[path] = coef
                 continue
             pos, lead = hit
-            tail = self.rules[lead]
             pre, post = path[:pos], path[pos + len(lead):]
-            for tpath, tcoef in tail.items():
-                _poly_add_term(field, work, pre + tpath + post, field.mul(coef, tcoef))
+            rest = islice(self.rules[lead].items(), 1, None)
+            linal.add_multiple(self.field, work, self.field.neg(coef),
+                               {pre + p + post: c for p, c in rest})
         return out
 
     def _find_factor(self, path: Path):
@@ -136,36 +118,22 @@ class _Rewriter:
         red = self.reduce(poly)
         if not red:
             return None
-        lead = _leading(self.order, red)
-        inv = self.field.inv(red[lead])
-        tail = {p: self.field.neg(self.field.mul(inv, c))
-                for p, c in red.items() if p != lead}
-        self.rules[lead] = tail
+        lead = next(iter(red))
+        rule: Poly = {}
+        linal.add_multiple(self.field, rule, self.field.inv(red[lead]), red)
+        self.rules[lead] = rule
         return lead
 
     def interreduce(self) -> bool:
+        """Reduce each rule by the others until none changes; True if any did."""
         any_change = False
         changed = True
         while changed:
             changed = False
             for lead in list(self.rules):
-                tail = self.rules.pop(lead)
-                poly = {lead: self.field.one}
-                for p, c in tail.items():
-                    _poly_add_term(self.field, poly, p, self.field.neg(c))
-                red = self.reduce(poly)
-                if not red:
+                rule = self.rules.pop(lead)
+                if self.add(rule) != lead or self.rules[lead] != rule:
                     changed = True
-                    continue
-                new_lead = _leading(self.order, red)
-                inv = self.field.inv(red[new_lead])
-                new_tail = {}
-                for p, c in red.items():
-                    if p != new_lead:
-                        new_tail[p] = self.field.neg(self.field.mul(inv, c))
-                if new_lead != lead or new_tail != tail:
-                    changed = True
-                self.rules[new_lead] = new_tail
             any_change = any_change or changed
         return any_change
 
@@ -204,11 +172,11 @@ def _complete(field: Field, order: _Order, gens: list[Poly], cap: int) -> _Rewri
             continue
         if len(u) + len(v) - t > 2 * cap:
             raise NotFiniteDimensional("overlap degree exceeds the length cap")
-        # ambiguity word w = u * v[t:] = u[:-t] * v; resolve the two rewrites
-        tail_u, tail_v = rw.rules[u], rw.rules[v]
-        left = {p + v[t:]: c for p, c in tail_u.items()}
-        right = {u[:len(u) - t] + p: c for p, c in tail_v.items()}
-        spoly = _poly_sub(field, left, right)
+        # ambiguity word w = u * v[t:] = u[:-t] * v; the S-polynomial
+        # rule_u * v[t:] - u[:-t] * rule_v, in which w cancels
+        spoly = {p + v[t:]: c for p, c in rw.rules[u].items()}
+        linal.add_multiple(field, spoly, field.neg(field.one),
+                           {u[:len(u) - t] + p: c for p, c in rw.rules[v].items()})
         lead = rw.add(spoly)
         if lead is not None:
             if rw.interreduce():
@@ -319,7 +287,7 @@ def build_algebra(p: Presentation) -> AlgebraTable:
         _validate_relation(q, rel)
         poly: Poly = {}
         for coef, path in rel.terms:
-            _poly_add_term(field, poly, tuple(path), field.of(coef))
+            linal.add_multiple(field, poly, field.of(coef), {tuple(path): field.one})
         if poly:
             gens.append(poly)
     rw = _complete(field, order, gens, p.max_length_cap)
@@ -352,15 +320,8 @@ def build_algebra(p: Presentation) -> AlgebraTable:
 
     products = [[product(i, j) for j in range(dim)] for i in range(dim)]
     return AlgebraTable(field, q, basis_paths, basis_source, basis_target, products, index,
-                        [_rule_poly(field, lead, tail) for lead, tail in rw.rules.items()],
+                        list(rw.rules.values()),
                         rw, _radical_filtration(field, basis_paths, products))
-
-
-def _rule_poly(field: Field, lead: Path, tail: Poly) -> Poly:
-    poly = {lead: field.one}
-    for p, c in tail.items():
-        _poly_add_term(field, poly, p, field.neg(c))
-    return poly
 
 
 def _normal_monomials(q: Quiver, rw: _Rewriter, cap: int) -> list[Path]:

@@ -331,22 +331,23 @@ def lie_from_quotient(table: AlgebraTable, layout: DerivationLayout,
     field = table.field
     reps = linal.quotient_reps(field, der_basis, inn_basis)
     d = len(reps)
-    parallel = sorted({bi for _, bi in layout.slots})
-    values = [{label: layout.sparse_value(v, label) for label in layout.blocks} for v in reps]
+    slots = layout.slots
+    slot_of = {slot: s for s, slot in enumerate(slots)}
+    parallel = sorted({bi for _, bi in slots})
     cols = [layout.action_columns(v, parallel) for v in reps]
     pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
     comms = []
     for i, j in pairs:
-        images = {}
-        for label in layout.blocks:
-            img: dict = {}
-            for m, c in values[j][label].items():
-                linal.add_multiple(field, img, c, cols[i][m])
-            for m, c in values[i][label].items():
-                linal.add_multiple(field, img, field.neg(c), cols[j][m])
-            images[label] = img
-        comms.append({s: images[label][bi] for s, (label, bi) in enumerate(layout.slots)
-                      if bi in images[label]})
+        # d_i(d_j(a)) - d_j(d_i(a)), over the nonzero slots (a, m) of each
+        images: dict = {}
+        for s, c in reps[j].items():
+            label, m = slots[s]
+            linal.add_multiple(field, images.setdefault(label, {}), c, cols[i][m])
+        for s, c in reps[i].items():
+            label, m = slots[s]
+            linal.add_multiple(field, images.setdefault(label, {}), field.neg(c), cols[j][m])
+        comms.append({slot_of[label, bi]: c for label, img in images.items()
+                      for bi, c in img.items()})
     base = len(reps) + len(inn_basis)
     matrix = [{} for _ in range(layout.size)]
     for k, col in enumerate(reps + inn_basis + comms):

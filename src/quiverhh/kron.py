@@ -178,9 +178,6 @@ def is_surjective_chain(table: AlgebraTable, h: HH1Result,
     Surjective means some pair's projection hits all of sl2; for chains
     where that happens all surjective pairs must cut out the same kernel.
     """
-    if table.field.characteristic == 2:
-        raise UnsupportedCharacteristic(
-            "surjectivity onto sl2 needs 2 to be invertible")
     dims = {}
     surjective = []
     for pair in chain.pairs:

@@ -55,9 +55,6 @@ class Quiver:
     def arrows_to(self, v: str) -> list[Arrow]:
         return [a for a in self.arrows if a.target == v]
 
-    def has_loops(self) -> bool:
-        return any(a.source == a.target for a in self.arrows)
-
 
 def separated_quiver(q: Quiver) -> Quiver:
     """Double the vertex set; each arrow a: i -> j becomes a^s: i -> j'."""

@@ -2,6 +2,7 @@ import pathlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quiverhh import linal
 from quiverhh.algebra import Presentation, Relation, build_algebra
@@ -205,3 +206,54 @@ def test_sparse_products_are_the_dense_table(text):
                 expected = (t.path_vector(p + q) if t.basis_target[i] == t.basis_source[j]
                             else t.zero())
                 assert entry == linal.sparse(expected)
+
+
+WORDS = st.lists(st.sampled_from("xy"), min_size=1, max_size=6).map(tuple)
+
+
+@st.composite
+def binomial_presentations(draw):
+    """Two loops x, y over Q or F_p with x^a, y^b, xy - c*yx and one or two
+    random binomials u + c*v of length 2..4, possibly of unequal lengths;
+    xy - c*yx keeps the algebra finite-dimensional."""
+    field = Field(draw(st.sampled_from([0, 5, 7])))
+    coef = st.sampled_from([1, -1, 2, -3, Fraction(2, 3), Fraction(-1, 2)])
+    long_words = st.lists(st.sampled_from("xy"), min_size=2, max_size=4).map(tuple)
+    rels = [[(1, ("x",) * draw(st.integers(2, 5)))], [(1, ("y",) * draw(st.integers(2, 5)))],
+            [(1, ("x", "y")), (draw(coef), ("y", "x"))]]
+    for _ in range(draw(st.integers(1, 2))):
+        u = draw(long_words)
+        v = draw(long_words.filter(lambda w: w != u))
+        rels.append([(draw(coef), u), (draw(coef), v)])
+    return build(["1"], [("x", "1", "1"), ("y", "1", "1")], rels, field=field)
+
+
+@settings(max_examples=60, deadline=None)
+@given(binomial_presentations(), st.data())
+def test_rewriting_is_a_reduced_complete_system(t, data):
+    """The completed rules of a binomial presentation are interreduced,
+    monic and confluent, and reduction is linear onto normal monomials."""
+    field, rw, key = t.field, t.rewriter, t.rewriter.order.key
+    rules = [(lead, dict(rule)) for lead, rule in rw.rules.items()]
+    assert not rw.interreduce()
+    assert list(rw.rules.items()) == rules
+    for g in t.groebner:
+        assert list(g) == sorted(g, key=key, reverse=True)
+        assert g[next(iter(g))] == 1
+        assert rw.reduce(g) == {}
+
+    def poly():
+        words = data.draw(st.lists(WORDS, min_size=1, max_size=4, unique=True))
+        return {w: field.of(data.draw(st.integers(1, 4))) for w in words}
+
+    p, q = poly(), poly()
+    c = field.of(data.draw(st.sampled_from([1, -1, 3, Fraction(1, 2)])))
+    combo, image = dict(p), rw.reduce(p)
+    linal.add_multiple(field, combo, c, q)
+    linal.add_multiple(field, image, c, rw.reduce(q))
+    assert rw.reduce(combo) == image
+    for red in (rw.reduce(p), rw.reduce(q), rw.reduce(combo)):
+        for path in red:
+            assert not any(path[i:i + len(lead)] == lead
+                           for lead in rw.rules for i in range(len(path))), path
+    assert linal.is_associative(field, t.products)

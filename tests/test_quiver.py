@@ -33,8 +33,6 @@ def test_arrow_lookup():
     assert q.arrow("a").target == "2"
     assert [a.label for a in q.arrows_from("1")] == ["a"]
     assert [a.label for a in q.arrows_to("1")] == ["b"]
-    assert not q.has_loops()
-    assert q_make(["1"], [("x", "1", "1")]).has_loops()
 
 
 def test_separated_quiver_doubles_vertices():
