@@ -6,15 +6,18 @@ declaration, longer paths larger).  A rule is a monic polynomial, a
 sparse row keyed by path, and ``linal.add_multiple`` does all the rewriting
 arithmetic.  Overlap ambiguities are resolved until confluence; the
 finiteness certificate is the exhaustion of normal monomials at some
-length.  The basis of the quotient is the set of normal monomials, and
-multiplication is concatenation followed by full reduction.  The radical
-filtration is built once per algebra, as rad^(n+1) = span(rad^n * arrows)
-by exact row reduction (relations need not be homogeneous in path
-length), and its bases are kept on the table.
+length.  The basis of the quotient is the set of normal monomials.  The
+product of a basis monomial and an arrow is their concatenation, fully
+reduced; every longer product follows from these by arrow prefix, as
+b * (w * a) = (b * w) * a.  The radical filtration is built once per
+algebra, as rad^(n+1) = span(rad^n * arrows) by exact row reduction
+(relations need not be homogeneous in path length), and its bases are
+kept on the table.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from itertools import islice
 
@@ -82,6 +85,7 @@ class _Rewriter:
         self.field = field
         self.order = order
         self.rules: dict[Path, Poly] = {}
+        self.lengths: list[int] = []  # sorted lengths of every lead installed
 
     def reduce(self, poly: Poly) -> Poly:
         """Normal form of poly, terms in decreasing order.  The largest term
@@ -104,13 +108,12 @@ class _Rewriter:
         return out
 
     def _find_factor(self, path: Path):
-        for lead in self.rules:
-            ll = len(lead)
-            if ll > len(path):
-                continue
+        """The leftmost subword of path that is a lead, shortest lead first."""
+        for ll in self.lengths:
             for pos in range(len(path) - ll + 1):
-                if path[pos:pos + ll] == lead:
-                    return pos, lead
+                word = path[pos:pos + ll]
+                if word in self.rules:
+                    return pos, word
         return None
 
     def add(self, poly: Poly) -> Path | None:
@@ -122,6 +125,8 @@ class _Rewriter:
         rule: Poly = {}
         linal.add_multiple(self.field, rule, self.field.inv(red[lead]), red)
         self.rules[lead] = rule
+        if len(lead) not in self.lengths:
+            self.lengths = sorted(self.lengths + [len(lead)])
         return lead
 
     def interreduce(self) -> bool:
@@ -152,6 +157,7 @@ def _complete(field: Field, order: _Order, gens: list[Poly], cap: int) -> _Rewri
     rw.interreduce()
     done: set = set()
     pending: set = set()
+    heap: list = []  # (degree, trip) of every pending trip, smallest first
 
     def enqueue_all():
         leads = list(rw.rules)
@@ -159,12 +165,13 @@ def _complete(field: Field, order: _Order, gens: list[Poly], cap: int) -> _Rewri
             for v in leads:
                 for t in _overlaps(u, v):
                     trip = (u, v, t)
-                    if trip not in done:
+                    if trip not in done and trip not in pending:
                         pending.add(trip)
+                        heapq.heappush(heap, (len(u) + len(v) - t, trip))
 
     enqueue_all()
-    while pending:
-        trip = min(pending, key=lambda p: (len(p[0]) + len(p[1]) - p[2], p))
+    while heap:
+        trip = heapq.heappop(heap)[1]
         pending.discard(trip)
         done.add(trip)
         u, v, t = trip
@@ -195,13 +202,15 @@ class AlgebraTable:
     basis paths: trivial paths first (empty tuple, one per vertex, in
     vertex order), then arrows, then longer normal monomials in
     length-then-lex order.  products[i][j] is the sparse coefficient
-    vector (dict index -> nonzero scalar) of basis_i * basis_j, reduced
-    once; these sparse structure constants are behind every product
-    (``multiply``, the radical filtration, the derivation action, the
-    chain tests and the oracle).  path_index maps each
-    nontrivial basis path to its index; factors of a normal monomial are
-    normal, so every proper factor of a basis path or of a rule word in
-    groebner is found there.
+    vector (dict index -> nonzero scalar) of basis_i * basis_j, empty
+    unless target(i) = source(j); only the products with an arrow are
+    reduced, and basis_i * (w * a) is (basis_i * w) * a, one contraction
+    of entries already built.  These sparse structure constants are
+    behind every product (``multiply``, the radical filtration, the
+    derivation action, the chain tests and the oracle).  path_index maps
+    each nontrivial basis path to its index; factors of a normal monomial
+    are normal, so every proper factor of a basis path or of a rule word
+    in groebner is found there.
     """
 
     field: Field
@@ -307,25 +316,35 @@ def build_algebra(p: Presentation) -> AlgebraTable:
     index = {path: i for i, path in enumerate(basis_paths) if path}
     dim = len(basis_paths)
     nverts = len(q.vertices)
-
-    def product(i: int, j: int) -> dict:
-        if basis_target[i] != basis_source[j]:
-            return {}
-        if i < nverts:
-            return {j: field.one}
-        if j < nverts:
-            return {i: field.one}
-        red = rw.reduce({basis_paths[i] + basis_paths[j]: field.one})
-        return {index[path]: c for path, c in red.items()}
-
-    products = [[product(i, j) for j in range(dim)] for i in range(dim)]
+    one = field.one
+    starting = {v: [] for v in q.vertices}
+    for j, v in enumerate(basis_source):
+        starting[v].append(j)
+    # only composable pairs are filled, a vertex acts as the identity and
+    # only a product with an arrow is reduced; every arrow column comes
+    # first, since basis_i * (w * a) = (basis_i * w) * a reads other rows
+    products = [[{} for _ in range(dim)] for _ in range(dim)]
+    for i, row in enumerate(products):
+        for j in starting[basis_target[i]]:
+            if i < nverts or j < nverts:
+                row[j] = {j if i < nverts else i: one}
+            elif len(basis_paths[j]) == 1:
+                red = rw.reduce({basis_paths[i] + basis_paths[j]: one})
+                row[j] = {index[path]: c for path, c in red.items()}
+    for i in range(nverts, dim):
+        row = products[i]
+        for j in starting[basis_target[i]]:
+            path = basis_paths[j]
+            if len(path) > 1:
+                row[j] = linal.contract(field, products, row[index[path[:-1]]],
+                                        {index[path[-1:]]: one})
     return AlgebraTable(field, q, basis_paths, basis_source, basis_target, products, index,
-                        list(rw.rules.values()),
-                        rw, _radical_filtration(field, basis_paths, products))
+                        list(rw.rules.values()), rw,
+                        _radical_filtration(field, basis_paths, basis_source, basis_target,
+                                            products))
 
 
 def _normal_monomials(q: Quiver, rw: _Rewriter, cap: int) -> list[Path]:
-    leads = set(rw.rules)
     out: list[Path] = [() for _ in q.vertices]
     level: list[Path] = []
     for a in q.arrows:
@@ -342,25 +361,32 @@ def _normal_monomials(q: Quiver, rw: _Rewriter, cap: int) -> list[Path]:
         for path in level:
             for label in arrows_from[target[path[-1]]]:
                 cand = path + (label,)
-                if not any(cand[len(cand) - len(l):] == l for l in leads if len(l) <= len(cand)):
+                if not any(cand[-ll:] in rw.rules for ll in rw.lengths):
                     nxt.append(cand)
         level = nxt
         length += 1
     return out
 
 
-def _radical_filtration(field: Field, basis_paths: list[Path],
-                        products: list[list[dict]]) -> list[list[dict]]:
+def _radical_filtration(field: Field, basis_paths: list[Path], basis_source: list[str],
+                        basis_target: list[str], products: list[list[dict]]) -> list[list[dict]]:
     """Reduced sparse bases of rad^0 = A, rad^1, ... down to the first zero power.
 
     rad^(n+1) = span(rad^n * rad) is spanned by rad^n times the arrows alone,
     since a path of length n + 1 is a path of length n followed by an arrow.
+    Elimination only combines rows that share a pivot column, so each
+    reduced row u lies in one e_s * rad^n * e_t, with t the target of its
+    first basis monomial, and is multiplied only by the arrows leaving t.
     """
     full = [{i: field.one} for i in range(len(basis_paths))]
-    arrows = [{i: field.one} for i, p in enumerate(basis_paths) if len(p) == 1]
+    arrows_from: dict = {}
+    for i, p in enumerate(basis_paths):
+        if len(p) == 1:
+            arrows_from.setdefault(basis_source[i], []).append({i: field.one})
     bases = [full, [u for u, p in zip(full, basis_paths) if p]]
     while bases[-1]:
-        prods = (linal.contract(field, products, u, a) for u in bases[-1] for a in arrows)
+        prods = (linal.contract(field, products, u, a) for u in bases[-1]
+                 for a in arrows_from.get(basis_target[min(u)], ()))
         cur = linal.span_basis(field, [v for v in prods if v])
         if cur and len(cur) >= len(bases[-1]):
             raise NotAdmissible(

@@ -14,6 +14,7 @@ associative or whose idempotents the oracle cannot trust).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -83,7 +84,9 @@ def cmd_oracle(args) -> tuple[dict, str]:
     return {"bar_hh1_dim": dim}, f"oracle HH1 dim: {dim}\n"
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call only: parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="quiverhh",
         description="First Hochschild cohomology of bound quiver algebras: "

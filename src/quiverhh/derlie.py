@@ -298,8 +298,16 @@ class LieAlgebra:
         return self._derived(self._full())
 
     def _derived(self, start: list) -> list:
-        cur = linal.span_basis(self.field, start)
-        return self._series(cur, lambda s: self.product_span(s, s))
+        """[S, S] is spanned by the brackets of the pairs a < b of the
+        echelon basis of S: [u, u] = 0 and [v, u] = -[u, v]."""
+        field, structure = self.field, self.structure
+
+        def step(s: list) -> list:
+            prods = (linal.contract(field, structure, u, v)
+                     for a, u in enumerate(s) for v in s[a + 1:])
+            return linal.span_basis(field, [p for p in prods if p])
+
+        return self._series(linal.span_basis(field, start), step)
 
     def lower_central_series(self) -> list:
         full = self._full()

@@ -130,6 +130,30 @@ def paths_of_length(t, n):
     return paths
 
 
+# ab = cde in the five-arrow square with a longer side: a relation between
+# paths of lengths two and three
+AB_CDE = (["1", "2", "3", "4", "5"],
+          [("a", "1", "2"), ("b", "2", "5"), ("c", "1", "3"), ("d", "3", "4"), ("e", "4", "5")],
+          [[(1, ("a", "b")), (-1, ("c", "d", "e"))]])
+
+
+def ladder(n):
+    """The commutative ladder A_2 x A_n: two rows of n vertices, each square
+    commuting."""
+    vertices = [f"{r}{j}" for r in "uv" for j in range(n)]
+    arrows = ([(f"{r}{j}", f"{r}{j}", f"{r}{j + 1}") for r in "uv" for j in range(n - 1)]
+              + [(f"s{j}", f"u{j}", f"v{j}") for j in range(n)])
+    relations = [[(1, (f"u{j}", f"s{j + 1}")), (-1, (f"s{j}", f"v{j}"))] for j in range(n - 1)]
+    return vertices, arrows, relations
+
+
+def radsq_cycle(n):
+    """The n-cycle of double arrows with every path of length two zero."""
+    arrows = [(f"{s}{i}", str(i), str((i + 1) % n)) for i in range(n) for s in "ab"]
+    relations = [[(1, (x, y))] for x, _, tx in arrows for y, sy, _ in arrows if tx == sy]
+    return [str(i) for i in range(n)], arrows, relations
+
+
 @pytest.mark.parametrize("vertices,arrows,relations", [
     (["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3")], []),
     (["1"], [("x", "1", "1")], [[(1, ("x",) * 5)]]),
@@ -139,10 +163,14 @@ def paths_of_length(t, n):
     (["1", "2", "3"],
      [("a", "1", "2"), ("b", "1", "2"), ("c", "2", "3"), ("d", "2", "3")],
      [[(1, ("a", "c"))], [(1, ("b", "d"))], [(1, ("a", "d")), (1, ("b", "c"))]]),
-], ids=["dag", "truncated_loop", "non_homogeneous", "commutative_square"])
+    AB_CDE,
+    ladder(3),
+], ids=["dag", "truncated_loop", "non_homogeneous", "commutative_square", "ab_cde",
+        "ladder_3"])
 def test_radical_powers_match_products_of_arrows(vertices, arrows, relations):
     """rad^n is spanned by the images of the paths of length >= n; a path
-    as long as the Loewy length is zero in A."""
+    as long as the Loewy length is zero in A.  The last two have arrows
+    leaving vertices other than the sources of the rows of rad^n."""
     t = build(vertices, arrows, relations)
     loewy = len(t.rad_dims) - 1
     assert not any(any(t.path_vector(p)) for p in paths_of_length(t, loewy))
@@ -189,23 +217,38 @@ def test_proper_factors_of_rule_words_and_basis_monomials_are_indexed(text):
                     assert w[i:j] in t.path_index, (w, w[i:j])
 
 
-@pytest.mark.parametrize("text", [p.read_text() for p in CORPUS] + ["x15_fp5"],
-                         ids=[p.stem for p in CORPUS] + ["x15_fp5"])
-def test_sparse_products_are_the_dense_table(text):
-    """products[i][j] stores no zero, and each product of nontrivial paths
-    is the normal form of their word."""
-    if text == "x15_fp5":
-        t = build(["1"], [("x", "1", "1")], [[(1, ("x",) * 15)]], field=Field(5))
-    else:
-        t = build_algebra(load_presentation(text))
+def assert_products_are_reductions(t):
+    """products[i][j] stores no zero and is empty unless basis_i and basis_j
+    compose; a vertex acts as the identity, and each product of nontrivial
+    paths is the normal form of their word, reduced by the rewriter."""
     for i, p in enumerate(t.basis_paths):
         for j, q in enumerate(t.basis_paths):
             entry = t.products[i][j]
             assert all(c != 0 for c in entry.values())
-            if p and q:
-                expected = (t.path_vector(p + q) if t.basis_target[i] == t.basis_source[j]
-                            else t.zero())
-                assert entry == linal.sparse(expected)
+            if t.basis_target[i] != t.basis_source[j]:
+                assert entry == {}
+            elif not p or not q:
+                assert entry == {j if not p else i: 1}
+            else:
+                assert entry == linal.sparse(t.path_vector(p + q))
+
+
+SPARSE_CASES = {
+    "x15_fp5": lambda: build(["1"], [("x", "1", "1")], [[(1, ("x",) * 15)]], field=Field(5)),
+    "ab_cde": lambda: build(*AB_CDE),
+    "radsq_cycle_4": lambda: build(*radsq_cycle(4)),
+    "ladder_4": lambda: build(*ladder(4)),
+}
+
+
+@pytest.mark.parametrize("case", CORPUS + list(SPARSE_CASES),
+                         ids=lambda c: getattr(c, "stem", c))
+def test_sparse_products_are_the_dense_table(case):
+    if case in SPARSE_CASES:
+        t = SPARSE_CASES[case]()
+    else:
+        t = build_algebra(load_presentation(case.read_text()))
+    assert_products_are_reductions(t)
 
 
 WORDS = st.lists(st.sampled_from("xy"), min_size=1, max_size=6).map(tuple)
@@ -226,6 +269,12 @@ def binomial_presentations(draw):
         v = draw(long_words.filter(lambda w: w != u))
         rels.append([(draw(coef), u), (draw(coef), v)])
     return build(["1"], [("x", "1", "1"), ("y", "1", "1")], rels, field=field)
+
+
+@settings(max_examples=40, deadline=None)
+@given(binomial_presentations())
+def test_sparse_products_are_the_dense_table_on_binomial_presentations(t):
+    assert_products_are_reductions(t)
 
 
 @settings(max_examples=60, deadline=None)

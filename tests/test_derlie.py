@@ -296,6 +296,47 @@ def test_derived_series_is_computed_once():
     assert "_derived_dims" in vars(lie)
 
 
+def derived_series_of_all_ordered_pairs(lie, start):
+    """The derived series with [S, S] spanned by [u, v] for every ordered
+    pair of S's echelon basis, the diagonal included."""
+    f = lie.field
+    cur = linal.span_basis(f, start)
+    dims = [len(cur)]
+    while cur:
+        dense = [linal.dense(f, lie.dim, u) for u in cur]
+        prods = [linal.sparse(lie.bracket_of(u, v)) for u in dense for v in dense]
+        nxt = linal.span_basis(f, [p for p in prods if p])
+        dims.append(len(nxt))
+        if len(nxt) == len(cur):
+            break
+        cur = nxt
+    return dims
+
+
+def radsq_cycle(n):
+    """The n-cycle of double arrows with every path of length two zero."""
+    arrows = [(f"{s}{i}", str(i), str((i + 1) % n)) for i in range(n) for s in "ab"]
+    relations = [[(1, (x, y))] for x, _, tx in arrows for y, sy, _ in arrows if tx == sy]
+    return presentation([str(i) for i in range(n)], arrows, relations)
+
+
+@pytest.mark.parametrize("case", CORPUS + [1, 2, 3, 4],
+                         ids=lambda c: getattr(c, "stem", f"radsq_cycle_{c}"))
+def test_derived_series_brackets_each_pair_once(case):
+    """The derived series of HH1 and HH1_rad, from the whole algebra and from
+    two subspaces, equals the one that brackets every ordered pair."""
+    p = radsq_cycle(case) if isinstance(case, int) else load_presentation(case.read_text())
+    report = run_analyze(p)
+    for lie in (report.hh1.lie, report.hh1_rad.lie):
+        f, dim = lie.field, lie.dim
+        full = [{i: f.one} for i in range(dim)]
+        evens = [{i: f.one} for i in range(0, dim, 2)]
+        sums = [{i: f.one, (i + 1) % dim: f.one} for i in range(dim - 1)]
+        assert lie.derived_series() == derived_series_of_all_ordered_pairs(lie, full)
+        for start in (evens, sums):
+            assert lie.derived_series(start) == derived_series_of_all_ordered_pairs(lie, start)
+
+
 @st.composite
 def radical_square_zero(draw):
     """A quiver on up to three vertices with up to four arrows, every path of
