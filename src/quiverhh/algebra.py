@@ -17,7 +17,6 @@ kept on the table.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from itertools import islice
 
@@ -85,7 +84,6 @@ class _Rewriter:
         self.field = field
         self.order = order
         self.rules: dict[Path, Poly] = {}
-        self.lengths: list[int] = []  # sorted lengths of every lead installed
 
     def reduce(self, poly: Poly) -> Poly:
         """Normal form of poly, terms in decreasing order.  The largest term
@@ -108,12 +106,13 @@ class _Rewriter:
         return out
 
     def _find_factor(self, path: Path):
-        """The leftmost subword of path that is a lead, shortest lead first."""
-        for ll in self.lengths:
+        for lead in self.rules:
+            ll = len(lead)
+            if ll > len(path):
+                continue
             for pos in range(len(path) - ll + 1):
-                word = path[pos:pos + ll]
-                if word in self.rules:
-                    return pos, word
+                if path[pos:pos + ll] == lead:
+                    return pos, lead
         return None
 
     def add(self, poly: Poly) -> Path | None:
@@ -125,8 +124,6 @@ class _Rewriter:
         rule: Poly = {}
         linal.add_multiple(self.field, rule, self.field.inv(red[lead]), red)
         self.rules[lead] = rule
-        if len(lead) not in self.lengths:
-            self.lengths = sorted(self.lengths + [len(lead)])
         return lead
 
     def interreduce(self) -> bool:
@@ -157,7 +154,6 @@ def _complete(field: Field, order: _Order, gens: list[Poly], cap: int) -> _Rewri
     rw.interreduce()
     done: set = set()
     pending: set = set()
-    heap: list = []  # (degree, trip) of every pending trip, smallest first
 
     def enqueue_all():
         leads = list(rw.rules)
@@ -165,13 +161,12 @@ def _complete(field: Field, order: _Order, gens: list[Poly], cap: int) -> _Rewri
             for v in leads:
                 for t in _overlaps(u, v):
                     trip = (u, v, t)
-                    if trip not in done and trip not in pending:
+                    if trip not in done:
                         pending.add(trip)
-                        heapq.heappush(heap, (len(u) + len(v) - t, trip))
 
     enqueue_all()
-    while heap:
-        trip = heapq.heappop(heap)[1]
+    while pending:
+        trip = min(pending, key=lambda p: (len(p[0]) + len(p[1]) - p[2], p))
         pending.discard(trip)
         done.add(trip)
         u, v, t = trip
@@ -317,27 +312,23 @@ def build_algebra(p: Presentation) -> AlgebraTable:
     dim = len(basis_paths)
     nverts = len(q.vertices)
     one = field.one
-    starting = {v: [] for v in q.vertices}
-    for j, v in enumerate(basis_source):
-        starting[v].append(j)
-    # only composable pairs are filled, a vertex acts as the identity and
-    # only a product with an arrow is reduced; every arrow column comes
-    # first, since basis_i * (w * a) = (basis_i * w) * a reads other rows
+    ending = {v: [] for v in q.vertices}
+    for i, v in enumerate(basis_target):
+        ending[v].append(i)
+    # only composable pairs are filled: a vertex acts as the identity, only a
+    # product with an arrow is reduced, and basis_i * (w * a) is
+    # (basis_i * w) * a, read from the columns of w and a, which come first
     products = [[{} for _ in range(dim)] for _ in range(dim)]
-    for i, row in enumerate(products):
-        for j in starting[basis_target[i]]:
+    for j, path in enumerate(basis_paths):
+        for i in ending[basis_source[j]]:
             if i < nverts or j < nverts:
-                row[j] = {j if i < nverts else i: one}
-            elif len(basis_paths[j]) == 1:
-                red = rw.reduce({basis_paths[i] + basis_paths[j]: one})
-                row[j] = {index[path]: c for path, c in red.items()}
-    for i in range(nverts, dim):
-        row = products[i]
-        for j in starting[basis_target[i]]:
-            path = basis_paths[j]
-            if len(path) > 1:
-                row[j] = linal.contract(field, products, row[index[path[:-1]]],
-                                        {index[path[-1:]]: one})
+                products[i][j] = {j if i < nverts else i: one}
+            elif len(path) == 1:
+                red = rw.reduce({basis_paths[i] + path: one})
+                products[i][j] = {index[p]: c for p, c in red.items()}
+            else:
+                products[i][j] = linal.contract(field, products, products[i][index[path[:-1]]],
+                                                {index[path[-1:]]: one})
     return AlgebraTable(field, q, basis_paths, basis_source, basis_target, products, index,
                         list(rw.rules.values()), rw,
                         _radical_filtration(field, basis_paths, basis_source, basis_target,
@@ -345,6 +336,7 @@ def build_algebra(p: Presentation) -> AlgebraTable:
 
 
 def _normal_monomials(q: Quiver, rw: _Rewriter, cap: int) -> list[Path]:
+    lengths = sorted({len(lead) for lead in rw.rules})
     out: list[Path] = [() for _ in q.vertices]
     level: list[Path] = []
     for a in q.arrows:
@@ -361,7 +353,7 @@ def _normal_monomials(q: Quiver, rw: _Rewriter, cap: int) -> list[Path]:
         for path in level:
             for label in arrows_from[target[path[-1]]]:
                 cand = path + (label,)
-                if not any(cand[-ll:] in rw.rules for ll in rw.lengths):
+                if not any(cand[-ll:] in rw.rules for ll in lengths):
                     nxt.append(cand)
         level = nxt
         length += 1

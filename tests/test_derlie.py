@@ -15,6 +15,7 @@ from quiverhh.errors import DeltaUndefined, UnsupportedCharacteristic
 from quiverhh.kron import decomposition_report
 from quiverhh.linal import Field
 from quiverhh.quiver import Quiver, reptype_radsq
+from test_algebra import radsq_cycle
 
 Q = Field(0)
 
@@ -313,19 +314,13 @@ def derived_series_of_all_ordered_pairs(lie, start):
     return dims
 
 
-def radsq_cycle(n):
-    """The n-cycle of double arrows with every path of length two zero."""
-    arrows = [(f"{s}{i}", str(i), str((i + 1) % n)) for i in range(n) for s in "ab"]
-    relations = [[(1, (x, y))] for x, _, tx in arrows for y, sy, _ in arrows if tx == sy]
-    return presentation([str(i) for i in range(n)], arrows, relations)
-
-
 @pytest.mark.parametrize("case", CORPUS + [1, 2, 3, 4],
                          ids=lambda c: getattr(c, "stem", f"radsq_cycle_{c}"))
 def test_derived_series_brackets_each_pair_once(case):
     """The derived series of HH1 and HH1_rad, from the whole algebra and from
     two subspaces, equals the one that brackets every ordered pair."""
-    p = radsq_cycle(case) if isinstance(case, int) else load_presentation(case.read_text())
+    p = (presentation(*radsq_cycle(case)) if isinstance(case, int)
+         else load_presentation(case.read_text()))
     report = run_analyze(p)
     for lie in (report.hh1.lie, report.hh1_rad.lie):
         f, dim = lie.field, lie.dim
