@@ -17,31 +17,31 @@ kept on the table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
 
 from . import linal
 from .errors import InvalidArrow, NotAdmissible, NotFiniteDimensional
 from .linal import Field
 from .quiver import Quiver
+from .value import Value
 
 Path = tuple  # tuple of arrow labels; the empty tuple never appears in relations
 Poly = dict   # Path -> scalar
 
 
-@dataclass(frozen=True)
-class Relation:
-    """k-linear combination of parallel paths of length >= 2."""
+class Relation(Value, fields=("terms",)):
+    """k-linear combination of parallel paths of length >= 2: terms is a tuple
+    of (coefficient, Path), the coefficient an int or Fraction before coercion."""
 
-    terms: tuple  # of (coefficient, Path); coefficient is int/Fraction pre-coercion
+    def __init__(self, terms: tuple):
+        self.terms = terms
 
 
-@dataclass(frozen=True)
-class Presentation:
-    quiver: Quiver
-    relations: tuple
-    field: Field
-    max_length_cap: int = 64
+class Presentation(Value, fields=("quiver", "relations", "field", "max_length_cap")):
+    def __init__(self, quiver: Quiver, relations: tuple, field: Field,
+                 max_length_cap: int = 64):
+        self.quiver, self.relations = quiver, relations
+        self.field, self.max_length_cap = field, max_length_cap
 
 
 class _Order:
@@ -190,7 +190,6 @@ def _complete(field: Field, order: _Order, gens: list[Poly], cap: int) -> _Rewri
 # -- the algebra table -----------------------------------------------------
 
 
-@dataclass
 class AlgebraTable:
     """Certified basis and multiplication table of A = kQ/I.
 
@@ -205,19 +204,19 @@ class AlgebraTable:
     derivation action, the chain tests and the oracle).  path_index maps
     each nontrivial basis path to its index; factors of a normal monomial
     are normal, so every proper factor of a basis path or of a rule word
-    in groebner is found there.
+    in groebner is found there.  basis_source and basis_target give each
+    basis path's endpoints, and rad_bases holds the reduced sparse bases
+    of rad^0 = A, rad^1, ..., 0.
     """
 
-    field: Field
-    quiver: Quiver
-    basis_paths: list[Path]
-    basis_source: list[str]
-    basis_target: list[str]
-    products: list[list[dict]]
-    path_index: dict  # nontrivial basis Path -> index
-    groebner: list[Poly]
-    rewriter: _Rewriter
-    rad_bases: list[list[dict]]  # reduced sparse bases of rad^0 = A, rad^1, ..., 0
+    def __init__(self, field: Field, quiver: Quiver, basis_paths: list[Path],
+                 basis_source: list[str], basis_target: list[str],
+                 products: list[list[dict]], path_index: dict, groebner: list[Poly],
+                 rewriter: _Rewriter, rad_bases: list[list[dict]]):
+        self.field, self.quiver, self.basis_paths = field, quiver, basis_paths
+        self.basis_source, self.basis_target = basis_source, basis_target
+        self.products, self.path_index = products, path_index
+        self.groebner, self.rewriter, self.rad_bases = groebner, rewriter, rad_bases
 
     @property
     def rad_dims(self) -> list[int]:
@@ -297,15 +296,11 @@ def build_algebra(p: Presentation) -> AlgebraTable:
     rw = _complete(field, order, gens, p.max_length_cap)
 
     basis_paths = _normal_monomials(q, rw, p.max_length_cap)
-    basis_source, basis_target = [], []
-    for i, path in enumerate(basis_paths):
-        if not path:
-            v = q.vertices[i]
-            basis_source.append(v)
-            basis_target.append(v)
-        else:
-            basis_source.append(q.arrow(path[0]).source)
-            basis_target.append(q.arrow(path[-1]).target)
+    # the trivial paths come first, one per vertex in vertex order
+    basis_source = [q.arrow(path[0]).source if path else q.vertices[i]
+                    for i, path in enumerate(basis_paths)]
+    basis_target = [q.arrow(path[-1]).target if path else q.vertices[i]
+                    for i, path in enumerate(basis_paths)]
 
     # trivial paths share the empty tuple and are told apart by position
     index = {path: i for i, path in enumerate(basis_paths) if path}
@@ -338,9 +333,7 @@ def build_algebra(p: Presentation) -> AlgebraTable:
 def _normal_monomials(q: Quiver, rw: _Rewriter, cap: int) -> list[Path]:
     lengths = sorted({len(lead) for lead in rw.rules})
     out: list[Path] = [() for _ in q.vertices]
-    level: list[Path] = []
-    for a in q.arrows:
-        level.append((a.label,))
+    level: list[Path] = [(a.label,) for a in q.arrows]
     arrows_from = {v: [a.label for a in q.arrows_from(v)] for v in q.vertices}
     target = {a.label: a.target for a in q.arrows}
     length = 1

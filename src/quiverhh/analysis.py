@@ -3,18 +3,16 @@
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 from . import derlie, kron, oracle, quiver as quiver_mod
 from .algebra import Presentation, build_algebra
 from .errors import UnsupportedCharacteristic
 
 
-@dataclass
 class AnalysisOptions:
-    oracle: bool = False
-    decompose: bool = False
-    assert_nonwild: bool = False
+    def __init__(self, oracle: bool = False, decompose: bool = False,
+                 assert_nonwild: bool = False):
+        self.oracle, self.decompose, self.assert_nonwild = oracle, decompose, assert_nonwild
 
 
 class AnalysisReport:

@@ -17,22 +17,22 @@ given the image of its prefix.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 from . import linal
 from .algebra import AlgebraTable
 from .errors import DeltaUndefined, UnsupportedCharacteristic
 from .linal import Field
 from .quiver import Quiver
+from .value import Value
 
 
-@dataclass
 class DerivationLayout:
-    """Coordinate layout for derivations: one slot per (arrow, parallel basis monomial)."""
+    """Coordinate layout for derivations: one slot per (arrow, parallel basis
+    monomial).  slots: list of (arrow label, basis index); blocks: arrow
+    label -> list of slot positions."""
 
-    table: AlgebraTable
-    slots: list  # list of (arrow label, basis index)
-    blocks: dict  # arrow label -> list of slot positions
+    def __init__(self, table: AlgebraTable, slots: list, blocks: dict):
+        self.table, self.slots, self.blocks = table, slots, blocks
 
     @property
     def size(self) -> int:
@@ -209,10 +209,11 @@ def radical_preserving(table: AlgebraTable, layout: DerivationLayout,
     return linal.span_basis(field, vecs)
 
 
-@dataclass
 class LoopReport:
-    orders: dict          # loop label -> minimal n with a^n in rad^(n+1)
-    holds: bool           # characteristic does not divide any of the orders
+    """orders: loop label -> least n with a^n in rad^(n+1); holds: char k divides no order."""
+
+    def __init__(self, orders: dict, holds: bool):
+        self.orders, self.holds = orders, holds
 
 
 def loop_criterion(table: AlgebraTable) -> LoopReport:
@@ -242,7 +243,6 @@ def loop_criterion(table: AlgebraTable) -> LoopReport:
     return LoopReport(orders, holds)
 
 
-@dataclass
 class LieAlgebra:
     """Finite-dimensional Lie algebra with explicit structure constants.
 
@@ -252,11 +252,10 @@ class LieAlgebra:
     kept in `reps` together with their layout.
     """
 
-    field: Field
-    dim: int
-    structure: list
-    layout: DerivationLayout | None = None
-    reps: list | None = None
+    def __init__(self, field: Field, dim: int, structure: list,
+                 layout: DerivationLayout | None = None, reps: list | None = None):
+        self.field, self.dim, self.structure = field, dim, structure
+        self.layout, self.reps = layout, reps
 
     @functools.cached_property
     def bracket(self) -> list:
@@ -374,14 +373,13 @@ def lie_from_quotient(table: AlgebraTable, layout: DerivationLayout,
     return LieAlgebra(field, d, structure, layout, reps)
 
 
-@dataclass
 class HH1Result:
-    lie: LieAlgebra
-    der_dim: int
-    inn_dim: int
-    layout: DerivationLayout
-    der: list             # basis of Der, or of its radical-preserving part
-    inn: list             # basis of Inn
+    """der: basis of Der, or of its radical-preserving part; inn: basis of Inn."""
+
+    def __init__(self, lie: LieAlgebra, der_dim: int, inn_dim: int,
+                 layout: DerivationLayout, der: list, inn: list):
+        self.lie, self.der_dim, self.inn_dim = lie, der_dim, inn_dim
+        self.layout, self.der, self.inn = layout, der, inn
 
 
 def hh1(table: AlgebraTable, rad_only: bool = False,
@@ -411,13 +409,11 @@ def hh1(table: AlgebraTable, rad_only: bool = False,
 # -- the rank-one cut down to sl2 -----------------------------------------
 
 
-@dataclass(frozen=True)
-class Sl2Element:
+class Sl2Element(Value, fields=("x", "y", "z")):
     """x*H + y*E + z*F in the basis with [H,E]=2E, [H,F]=-2F, [E,F]=H."""
 
-    x: object
-    y: object
-    z: object
+    def __init__(self, x, y, z):
+        self.x, self.y, self.z = x, y, z
 
 
 def delta_defined(quiver: Quiver, a_label: str, b_label: str) -> bool:
@@ -433,15 +429,14 @@ def delta_defined(quiver: Quiver, a_label: str, b_label: str) -> bool:
     return outgoing == {a_label, b_label} and incoming == {a_label, b_label}
 
 
-@dataclass
 class DeltaMap:
-    """Projection of a derivation Lie algebra onto sl2 along a parallel pair."""
+    """Projection of a derivation Lie algebra onto sl2 along a parallel pair.
+    rows: sparse H, E and F rows, indexed by source basis vector; dim: the
+    dimension of the source; kernel: sparse coordinate vectors spanning it."""
 
-    field: Field
-    pair: tuple
-    rows: list             # sparse H, E and F rows, indexed by source basis vector
-    dim: int               # dimension of the source
-    kernel: list           # sparse coordinate vectors spanning the kernel
+    def __init__(self, field: Field, pair: tuple, rows: list, dim: int, kernel: list):
+        self.field, self.pair, self.rows = field, pair, rows
+        self.dim, self.kernel = dim, kernel
 
     @property
     def rank(self) -> int:

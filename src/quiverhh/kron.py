@@ -9,32 +9,29 @@ sl2 plus a solvable remainder.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import linal
 from .algebra import AlgebraTable
 from .derlie import DeltaMap, HH1Result, delta_defined, delta_map
 from .errors import UnsupportedCharacteristic
 from .quiver import reptype_radsq  # noqa: F401  bench/spans.py wraps kron.reptype_radsq
+from .value import Value
 
 
-@dataclass(frozen=True)
-class KroneckerPair:
-    a: str
-    b: str
-    source: str
-    target: str
-    delta_defined: bool
+class KroneckerPair(Value, fields=("a", "b", "source", "target", "delta_defined")):
+    def __init__(self, a: str, b: str, source: str, target: str, delta_defined: bool):
+        self.a, self.b, self.source, self.target = a, b, source, target
+        self.delta_defined = delta_defined
 
     @property
     def labels(self):
         return (self.a, self.b)
 
 
-@dataclass(frozen=True)
-class KroneckerChain:
-    pairs: tuple
-    shape: str  # DoubleLoop | Cyclic | Linear
+class KroneckerChain(Value, fields=("pairs", "shape")):
+    """pairs: tuple of KroneckerPair; shape: DoubleLoop, Cyclic or Linear."""
+
+    def __init__(self, pairs: tuple, shape: str):
+        self.pairs, self.shape = pairs, shape
 
     @property
     def arrow_labels(self):
@@ -112,12 +109,8 @@ def maximal_chains(table: AlgebraTable):
                      if q not in seq and can_follow(seq[-1], q))
 
     def extendable(seq) -> bool:
-        for q in pairs:
-            if q in seq:
-                continue
-            if can_follow(seq[-1], q) or can_follow(q, seq[0]):
-                return True
-        return False
+        return any(q not in seq and (can_follow(seq[-1], q) or can_follow(q, seq[0]))
+                   for q in pairs)
 
     maximal = [seq for seq in all_chains if not extendable(seq)]
     # each sequence is enumerated once; a closed chain is kept as the least
@@ -135,10 +128,11 @@ def maximal_chains(table: AlgebraTable):
     return sorted(chains.values(), key=KroneckerChain.key)
 
 
-@dataclass
 class ChainClass:
-    representative: KroneckerChain
-    size: int  # number of rotations realised as chains
+    """size: the number of rotations realised as chains."""
+
+    def __init__(self, representative: KroneckerChain, size: int):
+        self.representative, self.size = representative, size
 
 
 def equivalence_classes(table: AlgebraTable, chains) -> list:
@@ -160,11 +154,14 @@ def equivalence_classes(table: AlgebraTable, chains) -> list:
     return out
 
 
-@dataclass
 class SurjectivityReport:
-    per_pair_image_dims: dict   # pair labels -> rank of its sl2 projection
-    kernels_coincide: bool
-    delta: DeltaMap | None      # projection of the first surjective pair
+    """per_pair_image_dims: pair labels -> rank of its sl2 projection;
+    delta: the projection of the first surjective pair, or None."""
+
+    def __init__(self, per_pair_image_dims: dict, kernels_coincide: bool,
+                 delta: DeltaMap | None):
+        self.per_pair_image_dims = per_pair_image_dims
+        self.kernels_coincide, self.delta = kernels_coincide, delta
 
     @property
     def surjective(self) -> bool:
@@ -192,12 +189,9 @@ def is_surjective_chain(table: AlgebraTable, h: HH1Result,
     return SurjectivityReport(dims, coincide, surjective[0] if surjective else None)
 
 
-@dataclass
 class StandardRelationsReport:
-    s1: bool
-    s2: bool
-    s3: bool
-    witnesses: list
+    def __init__(self, s1: bool, s2: bool, s3: bool, witnesses: list):
+        self.s1, self.s2, self.s3, self.witnesses = s1, s2, s3, witnesses
 
     @property
     def all_hold(self) -> bool:
@@ -256,20 +250,21 @@ def standard_relations_literal(table: AlgebraTable,
     return StandardRelationsReport(s1, s2, s3, witnesses)
 
 
-@dataclass
 class ChainReport:
-    classes: list                 # of ChainClass
-    surjectivity: list            # SurjectivityReport per class
-    standard: list                # StandardRelationsReport per class
-    m: int
-    hh1_rad_dim: int
-    solvable: bool
-    derived_dims: list
-    r_dim: int
-    joint_kernel: list            # sparse basis of the kernel onto the m sl2 summands
-    joint_kernel_derived_dims: list
-    flags: dict
-    consistency_ok: bool
+    """classes: list of ChainClass, with one SurjectivityReport and one
+    StandardRelationsReport per class in surjectivity and standard;
+    joint_kernel: sparse basis of the kernel onto the m sl2 summands."""
+
+    def __init__(self, classes: list, surjectivity: list, standard: list, m: int,
+                 hh1_rad_dim: int, solvable: bool, derived_dims: list, r_dim: int,
+                 joint_kernel: list, joint_kernel_derived_dims: list, flags: dict,
+                 consistency_ok: bool):
+        self.classes, self.surjectivity, self.standard = classes, surjectivity, standard
+        self.m, self.hh1_rad_dim, self.r_dim = m, hh1_rad_dim, r_dim
+        self.solvable, self.derived_dims = solvable, derived_dims
+        self.joint_kernel = joint_kernel
+        self.joint_kernel_derived_dims = joint_kernel_derived_dims
+        self.flags, self.consistency_ok = flags, consistency_ok
 
     @property
     def joint_kernel_dim(self) -> int:

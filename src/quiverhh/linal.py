@@ -18,10 +18,10 @@ methods that return coordinate lists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import QuotientUndefined
+from .value import Value
 
 
 # Miller-Rabin with the first 13 primes as bases is exact below this bound
@@ -53,25 +53,24 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Field:
+class Field(Value, fields=("characteristic",)):
     """Descriptor of the ground field: the rationals or a prime field F_p.
 
     characteristic 0 means the rationals; otherwise it must be a prime.
     Characteristic 2 is constructible, but the Delta-map layer refuses it.
     """
 
-    characteristic: int = 0
-    # class attributes, not dataclass fields: the same in every field
+    # class attributes, not fields: the same in every field
     zero = 0
     one = 1
 
-    def __post_init__(self):
-        if self.characteristic > MAX_CHARACTERISTIC:
-            raise ValueError(f"characteristic {self.characteristic} is too large: "
+    def __init__(self, characteristic: int = 0):
+        if characteristic > MAX_CHARACTERISTIC:
+            raise ValueError(f"characteristic {characteristic} is too large: "
                              f"primality is certified only up to {MAX_CHARACTERISTIC}")
-        if self.characteristic != 0 and not _is_prime(self.characteristic):
-            raise ValueError(f"characteristic must be 0 or prime, got {self.characteristic}")
+        if characteristic != 0 and not _is_prime(characteristic):
+            raise ValueError(f"characteristic must be 0 or prime, got {characteristic}")
+        self.characteristic = characteristic
 
     @classmethod
     def parse(cls, text: str) -> "Field":

@@ -9,37 +9,30 @@ pivots of one elimination of C (see _classify_component).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dfield
 from fractions import Fraction
 
 from .errors import NotAcyclic
+from .value import Value
 
 
-@dataclass(frozen=True)
-class Arrow:
-    label: str
-    source: str
-    target: str
+class Arrow(Value, fields=("label", "source", "target")):
+    def __init__(self, label: str, source: str, target: str):
+        self.label, self.source, self.target = label, source, target
 
 
-@dataclass(frozen=True)
-class Quiver:
-    vertices: tuple[str, ...]
-    arrows: tuple[Arrow, ...]
-    _by_label: dict = dfield(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if len(set(self.vertices)) != len(self.vertices):
+class Quiver(Value, fields=("vertices", "arrows")):
+    def __init__(self, vertices: tuple[str, ...], arrows: tuple[Arrow, ...]):
+        if len(set(vertices)) != len(vertices):
             raise ValueError("duplicate vertex labels")
         by_label = {}
-        vset = set(self.vertices)
-        for a in self.arrows:
+        vset = set(vertices)
+        for a in arrows:
             if a.label in by_label:
                 raise ValueError(f"duplicate arrow label {a.label!r}")
             by_label[a.label] = a
             if a.source not in vset or a.target not in vset:
                 raise ValueError(f"arrow {a.label!r} references undeclared vertex")
-        object.__setattr__(self, "_by_label", by_label)
+        self.vertices, self.arrows, self._by_label = vertices, arrows, by_label
 
     @staticmethod
     def make(vertices, arrows) -> "Quiver":
@@ -86,16 +79,16 @@ def _components(q: Quiver) -> list[list[str]]:
     return list(comps.values())
 
 
-@dataclass(frozen=True)
-class ComponentVerdict:
-    vertices: tuple[str, ...]
-    verdict: str          # "Dynkin", "Euclidean" or "Neither"
-    name: str | None      # e.g. "A3", "~A1"; None for Neither
+class ComponentVerdict(Value, fields=("vertices", "verdict", "name")):
+    """verdict: Dynkin, Euclidean or Neither; name: e.g. A3 or ~A1, None for Neither."""
+
+    def __init__(self, vertices: tuple[str, ...], verdict: str, name: str | None):
+        self.vertices, self.verdict, self.name = vertices, verdict, name
 
 
-@dataclass(frozen=True)
-class GraphClass:
-    components: tuple[ComponentVerdict, ...]
+class GraphClass(Value, fields=("components",)):
+    def __init__(self, components: tuple[ComponentVerdict, ...]):
+        self.components = components
 
     @property
     def reptype(self) -> str:
