@@ -65,8 +65,7 @@ def _validate_relation(q: Quiver, rel: Relation) -> None:
         if len(path) < 2:
             raise NotAdmissible(f"relation monomial {'*'.join(path) or '(trivial)'} has length < 2")
         for label in path:
-            if label not in {a.label for a in q.arrows}:
-                raise InvalidArrow(f"unknown arrow {label!r}")
+            q.arrow(label)  # InvalidArrow for an undeclared label
         for x, y in zip(path, path[1:]):
             if q.arrow(x).target != q.arrow(y).source:
                 raise NotAdmissible(f"path {'*'.join(path)} is not composable")
@@ -233,52 +232,41 @@ class AlgebraTable:
     def arrow_index(self, label: str) -> int:
         return self.path_index[(label,)]
 
-    def zero(self) -> list:
-        return linal.zero_vector(self.field, self.dim)
+    def unit(self) -> dict:
+        return {i: self.field.one for i in range(len(self.quiver.vertices))}
 
-    def unit(self) -> list:
-        v = self.zero()
-        for i in range(len(self.quiver.vertices)):
-            v[i] = self.field.one
-        return v
+    def multiply(self, u: dict, v: dict) -> dict:
+        return linal.contract(self.field, self.products, u, v)
 
-    def multiply(self, u: list, v: list) -> list:
-        prod = linal.contract(self.field, self.products, linal.sparse(u), linal.sparse(v))
-        return linal.dense(self.field, self.dim, prod)
-
-    def normal_form(self, terms) -> list:
+    def normal_form(self, terms) -> dict:
         """Image in A of a linear combination of (coef, nonempty path) terms.
 
         Terms with mismatched endpoints are reduced independently; unknown
-        arrow labels raise InvalidArrow; non-composable terms vanish.
+        arrow labels and the trivial path raise InvalidArrow; non-composable
+        terms vanish.  Each term is reduced by the rewriter, not read from
+        the table: the direct reference for the products.
         """
         field = self.field
-        labels = {a.label for a in self.quiver.arrows}
-        vec = self.zero()
+        vec: dict = {}
         for coef, path in terms:
-            coef = field.of(coef)
             path = tuple(path)
-            for l in path:
-                if l not in labels:
-                    raise InvalidArrow(f"unknown arrow {l!r}")
-            if any(self.quiver.arrow(x).target != self.quiver.arrow(y).source
-                   for x, y in zip(path, path[1:])):
+            if not path:
+                raise InvalidArrow("a trivial path is not a word in the arrows")
+            arrows = [self.quiver.arrow(l) for l in path]
+            if any(x.target != y.source for x, y in zip(arrows, arrows[1:])):
                 continue
-            red = self.rewriter.reduce({path: coef})
-            for p, c in red.items():
-                k = self.path_index[p]
-                vec[k] = field.add(vec[k], c)
+            red = self.rewriter.reduce({path: field.of(coef)})
+            linal.add_multiple(field, vec, field.one,
+                               {self.path_index[p]: c for p, c in red.items()})
         return vec
 
-    def path_vector(self, path) -> list:
+    def path_vector(self, path) -> dict:
         return self.normal_form([(1, tuple(path))])
 
-    def radical_power_basis(self, n: int) -> list[list]:
-        """Echelonized basis of rad(A)^n, as coefficient vectors; rad^0 = A."""
+    def radical_power_basis(self, n: int) -> list[dict]:
+        """Reduced echelon basis of rad(A)^n, as sparse vectors; rad^0 = A."""
         bases = self.rad_bases
-        if n >= len(bases):
-            return []
-        return [linal.dense(self.field, self.dim, v) for v in bases[n]]
+        return [dict(v) for v in bases[n]] if n < len(bases) else []
 
 
 def build_algebra(p: Presentation) -> AlgebraTable:

@@ -171,13 +171,12 @@ def render_text(d: dict) -> str:
 
 def _lie_dict(h: derlie.HH1Result) -> dict:
     lie = h.lie
-    derived = lie.derived_series()
     return {
         "dim": lie.dim,
         "der_dim": h.der_dim,
         "inn_dim": h.inn_dim,
-        "solvable": derived[-1] == 0,
-        "derived_dims": derived,
+        "solvable": lie.is_solvable(),
+        "derived_dims": lie.derived_series(),
     }
 
 

@@ -43,11 +43,6 @@ class DerivationLayout:
         return {self.slots[pos][1]: vec[pos] for pos in self.blocks[arrow_label]
                 if pos in vec}
 
-    def value(self, vec: dict, arrow_label: str) -> list:
-        """The element delta(arrow) of A as a coefficient vector."""
-        t = self.table
-        return linal.dense(t.field, t.dim, self.sparse_value(vec, arrow_label))
-
     def action_columns(self, vec: dict, indices) -> dict:
         """Images of the basis monomials in indices under the derivation
         extended to all of A by the product rule: index -> sparse vector.
@@ -60,15 +55,6 @@ class DerivationLayout:
         paths = [t.basis_paths[j] for j in indices]
         images = _extend(t, values, paths)
         return {j: images[p] if p else {} for j, p in zip(indices, paths)}
-
-    def action_matrix(self, vec: dict) -> list:
-        """dim x dim matrix of the derivation extended to all of A by the product rule.
-
-        Column j is the image of basis monomial j (see action_columns).
-        """
-        t = self.table
-        cols = self.action_columns(vec, range(t.dim))
-        return [[cols[j].get(i, t.field.zero) for j in range(t.dim)] for i in range(t.dim)]
 
 
 def _extend(t: AlgebraTable, values: dict, words) -> dict:
@@ -247,8 +233,8 @@ class LieAlgebra:
     """Finite-dimensional Lie algebra with explicit structure constants.
 
     structure[i][j] is the sparse coordinate vector of [x_i, x_j] in the
-    chosen basis, and bracket[i][j] the same vector as a list.  For
-    cohomology quotients the basis vectors are derivation slot vectors
+    chosen basis; ``linal.contract`` on it brackets any two sparse vectors.
+    For cohomology quotients the basis vectors are derivation slot vectors
     kept in `reps` together with their layout.
     """
 
@@ -256,34 +242,6 @@ class LieAlgebra:
                  layout: DerivationLayout | None = None, reps: list | None = None):
         self.field, self.dim, self.structure = field, dim, structure
         self.layout, self.reps = layout, reps
-
-    @functools.cached_property
-    def bracket(self) -> list:
-        """The bracket table as coordinate lists."""
-        return [[linal.dense(self.field, self.dim, e) for e in row] for row in self.structure]
-
-    def bracket_of(self, u: list, v: list) -> list:
-        prod = linal.contract(self.field, self.structure, linal.sparse(u), linal.sparse(v))
-        return linal.dense(self.field, self.dim, prod)
-
-    def product_span(self, span_a: list, span_b: list) -> list:
-        prods = (linal.contract(self.field, self.structure, u, v)
-                 for u in span_a for v in span_b)
-        return linal.span_basis(self.field, [p for p in prods if p])
-
-    def _full(self) -> list:
-        return [{i: self.field.one} for i in range(self.dim)]
-
-    def _series(self, cur: list, step) -> list:
-        """Dimensions of cur, step(cur), ... until the dimension stops falling."""
-        dims = [len(cur)]
-        while cur:
-            nxt = step(cur)
-            dims.append(len(nxt))
-            if len(nxt) == len(cur):
-                break
-            cur = nxt
-        return dims
 
     def derived_series(self, start: list | None = None) -> list:
         """Dimensions of the iterated bracket-of-itself chain from span(start),
@@ -294,29 +252,29 @@ class LieAlgebra:
 
     @functools.cached_property
     def _derived_dims(self) -> list:
-        return self._derived(self._full())
+        return self._derived([{i: self.field.one} for i in range(self.dim)])
 
     def _derived(self, start: list) -> list:
-        """[S, S] is spanned by the brackets of the pairs a < b of the
+        """Dimensions of S = span(start), [S, S], ... until the dimension stops
+        falling.  [S, S] is spanned by the brackets of the pairs a < b of the
         echelon basis of S: [u, u] = 0 and [v, u] = -[u, v]."""
         field, structure = self.field, self.structure
-
-        def step(s: list) -> list:
+        cur = linal.span_basis(field, start)
+        dims = [len(cur)]
+        while cur:
             prods = (linal.contract(field, structure, u, v)
-                     for a, u in enumerate(s) for v in s[a + 1:])
-            return linal.span_basis(field, [p for p in prods if p])
-
-        return self._series(linal.span_basis(field, start), step)
-
-    def lower_central_series(self) -> list:
-        full = self._full()
-        return self._series(full, lambda s: self.product_span(full, s))
+                     for a, u in enumerate(cur) for v in cur[a + 1:])
+            nxt = linal.span_basis(field, [p for p in prods if p])
+            dims.append(len(nxt))
+            if len(nxt) == len(cur):
+                break
+            cur = nxt
+        return dims
 
     def is_solvable(self, start: list | None = None) -> bool:
-        return self.derived_series(start)[-1] == 0
-
-    def is_nilpotent(self) -> bool:
-        return self.lower_central_series()[-1] == 0
+        """The derived series from span(start), by default from the whole
+        algebra, ends at 0."""
+        return (self._derived_dims if start is None else self._derived(start))[-1] == 0
 
 
 def lie_from_quotient(table: AlgebraTable, layout: DerivationLayout,
@@ -452,11 +410,6 @@ class DeltaMap:
         zero = self.field.zero
         return [Sl2Element(*(row.get(k, zero) for row in self.rows))
                 for k in range(self.dim)]
-
-    def image_of(self, coords: list) -> Sl2Element:
-        """Sl2Element of the source vector with coordinate list coords."""
-        return Sl2Element(*(self.field.of(sum(a * coords[k] for k, a in row.items()))
-                            for row in self.rows))
 
 
 def delta_map(lie: LieAlgebra, a_label: str, b_label: str) -> DeltaMap:

@@ -9,7 +9,8 @@
 
 Paths compose left to right: "a*b" is a followed by b.  Relation
 expressions allow +, -, integer or fraction coefficients, '*' products
-and parentheses; products of sums are expanded.
+and parentheses; products of sums are expanded.  Names are letters, digits
+and '_'; an arrow label must not start with a digit.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ from .quiver import Quiver
 
 _TOKEN = re.compile(r"\s*(?:(\d+/\d+|\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()+*-]))")
 _NAME = re.compile(r"[A-Za-z_0-9]+\Z")
+# an arrow label is an identifier token: a relation reads 2*2 as the number 4
+_LABEL = re.compile(r"[A-Za-z_][A-Za-z_0-9]*\Z")
 
 
 def _tokenize(text: str, line_no: int):
@@ -171,6 +174,8 @@ def parse_presentation(text: str, field_override: str | None = None,
         head, _, rest = line.partition(" ")
         rest = rest.strip()
         if head == "field":
+            if field is not None:
+                raise ParseError("duplicate field declaration", line_no)
             field = _parse_field(rest, line_no)
         elif head == "vertex":
             for name in rest.split():
@@ -184,7 +189,7 @@ def parse_presentation(text: str, field_override: str | None = None,
             if len(parts) != 3:
                 raise ParseError("arrow needs: label source target", line_no)
             label, src, dst = parts
-            if not _NAME.match(label):
+            if not _LABEL.match(label):
                 raise ParseError(f"bad arrow label {label!r}", line_no)
             if any(a[0] == label for a in arrows):
                 raise ParseError(f"duplicate arrow label {label!r}", line_no)
@@ -259,8 +264,8 @@ def presentation_from_json(data, field_override: str | None = None,
         field = Field.parse(data["field"] if field_override is None else field_override)
         vertices = _array(data["vertices"], "vertices")
         arrows = [(a["label"], a["src"], a["dst"]) for a in data["arrows"]]
-        for name in vertices + [a[0] for a in arrows]:
-            if not isinstance(name, str) or not _NAME.match(name):
+        for name, rule in [(v, _NAME) for v in vertices] + [(a[0], _LABEL) for a in arrows]:
+            if not isinstance(name, str) or not rule.match(name):
                 raise ValueError(f"bad name {name!r}")
         if not vertices:
             raise ValueError("no vertices declared")

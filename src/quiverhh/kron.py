@@ -294,7 +294,7 @@ def decomposition_report(table: AlgebraTable, h: HH1Result, septype: str,
     m = sum(1 for s in surj if s.surjective)
     lie = h.lie
     derived = lie.derived_series()
-    solvable = derived[-1] == 0
+    solvable = lie.is_solvable()
     r_dim = lie.dim - 3 * m
 
     # kernel of the combined projection onto the m sl2 summands: the

@@ -12,8 +12,8 @@ and ``contract`` multiplies sparse vectors through the table, visiting
 only nonzero entries.  Everything downstream (quotient algebras,
 derivation solves, structure constants) runs through the one row
 reduction in this module, so all arithmetic here is exact by
-construction.  Dense lists are made only by ``dense``, for the public
-methods that return coordinate lists.
+construction.  Every vector the package takes or returns is sparse;
+``dense`` and ``sparse`` convert to and from coordinate lists.
 """
 
 from __future__ import annotations
@@ -128,11 +128,7 @@ def _integral(x):
     return x.numerator if type(x) is Fraction and x.denominator == 1 else x
 
 
-# -- dense coordinate lists, for the public methods that return them --------
-
-
-def zero_vector(field: Field, n: int) -> list:
-    return [field.zero] * n
+# -- coordinate lists -------------------------------------------------------
 
 
 def sparse(v: list) -> dict:
@@ -142,7 +138,7 @@ def sparse(v: list) -> dict:
 
 def dense(field: Field, n: int, v: dict) -> list:
     """The dense vector of length n with the entries of a sparse one."""
-    out = zero_vector(field, n)
+    out = [field.zero] * n
     for i, a in v.items():
         out[i] = a
     return out

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import NotAcyclic
+from .errors import InvalidArrow, NotAcyclic
 from .value import Value
 
 
@@ -40,7 +40,10 @@ class Quiver(Value, fields=("vertices", "arrows")):
         return Quiver(tuple(vertices), tuple(Arrow(*a) for a in arrows))
 
     def arrow(self, label: str) -> Arrow:
-        return self._by_label[label]
+        try:
+            return self._by_label[label]
+        except KeyError:
+            raise InvalidArrow(f"unknown arrow {label!r}") from None
 
     def arrows_from(self, v: str) -> list[Arrow]:
         return [a for a in self.arrows if a.source == v]

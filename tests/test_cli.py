@@ -147,6 +147,9 @@ CANCELLING = json.dumps({
     (CANCELLING.replace(b'"-1"', b'"-1/0"'), [], "bad presentation JSON"),
     (CANCELLING.replace(b'"-1"', b'0.1'), [], "must be an integer or a string, got 0.1"),
     (CANCELLING.replace(b'"-1"', b'true'), [], "must be an integer or a string, got True"),
+    (b"field Q\nvertex 1\narrow 2 1 1\nrelation 2*2\n", [], "bad arrow label '2'"),
+    (json_input(["1"], [("2a", "1", "1")]), [], "bad name '2a'"),
+    (b"field Q\nvertex 1\nfield fp:3\n", ["--field", "fp:5"], "duplicate field"),
 ], ids=["non_utf8", "directory", "fp4", "bogus_field", "denominator_mod_p",
         "fp_too_large", "json_duplicate_vertex", "json_duplicate_arrow",
         "json_undeclared_vertex", "json_non_string_label", "json_primed_vertex",
@@ -155,7 +158,8 @@ CANCELLING = json.dumps({
         "json_int_field", "json_null_field", "json_list_field",
         "dsl_deep_parentheses", "dsl_deep_minus", "json_deep_arrays",
         "json_cancelling_relation", "dsl_zero_denominator", "json_zero_denominator",
-        "json_float_coefficient", "json_bool_coefficient"])
+        "json_float_coefficient", "json_bool_coefficient", "dsl_digit_label",
+        "json_digit_label", "dsl_second_field"])
 def test_bad_input_is_one_error_line(tmp_path, capsys, content, extra, fragment):
     path = tmp_path / "input.dsl"
     if content is None:

@@ -1,12 +1,17 @@
 import json
+import string
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from quiverhh.algebra import Presentation, Relation
 from quiverhh.dsl import (load_presentation, parse_presentation,
                           presentation_from_json, presentation_to_json,
                           render_presentation)
 from quiverhh.errors import ParseError
+from quiverhh.linal import Field
+from quiverhh.quiver import Quiver
 
 SAMPLE = """
 # comment line
@@ -120,3 +125,63 @@ def test_json_relations_follow_the_dsl_rules():
     assert presentation_from_json(json.dumps(data)) == p
     assert render_presentation(p).splitlines()[-2:] == [
         "relation 3/2 * (x*y)", "relation 2 * (y*x)"]
+
+
+def test_a_second_field_line_is_refused():
+    text = "field Q\nvertex 1\nfield fp:3\n"
+    for override in (None, "fp:5"):
+        with pytest.raises(ParseError, match="duplicate field declaration") as err:
+            parse_presentation(text, field_override=override)
+        assert err.value.line == 3
+
+
+NAMES = st.text(string.ascii_letters + string.digits + "_", min_size=1, max_size=3)
+
+
+@st.composite
+def presentations(draw):
+    """A quiver on up to three vertices with up to four arrows, names and
+    labels drawn from letters, digits and '_' (so some labels start with a
+    digit), and up to three relations of up to three terms, each a
+    composable path of one to three arrows with a nonzero Fraction
+    coefficient, over Q or F_p; terms are in the front ends' order."""
+    vertices = draw(st.lists(NAMES, min_size=1, max_size=3, unique=True))
+    labels = draw(st.lists(NAMES, min_size=1, max_size=4, unique=True))
+    quiver = Quiver.make(vertices, [(label, draw(st.sampled_from(vertices)),
+                                     draw(st.sampled_from(vertices))) for label in labels])
+    coef = st.fractions(-5, 5, max_denominator=6).filter(bool)
+
+    def path():
+        arrows = [draw(st.sampled_from(quiver.arrows))]
+        for _ in range(draw(st.integers(0, 2))):
+            following = quiver.arrows_from(arrows[-1].target)
+            if following:
+                arrows.append(draw(st.sampled_from(following)))
+        return tuple(a.label for a in arrows)
+
+    relations = []
+    for _ in range(draw(st.integers(0, 3))):
+        terms = {path(): draw(coef) for _ in range(draw(st.integers(1, 3)))}
+        relations.append(Relation(tuple((terms[w], w) for w in sorted(terms))))
+    return Presentation(quiver, tuple(relations), Field(draw(st.sampled_from((0, 2, 3, 5, 7)))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(presentations())
+def test_each_front_end_round_trips_or_refuses(p):
+    """Both front ends refuse exactly the presentations with an arrow label
+    starting with a digit or a coefficient whose denominator vanishes in
+    the field, and read every other one back as written."""
+    char = p.field.characteristic
+    refusable = (any(a.label[0].isdigit() for a in p.quiver.arrows)
+                 or any(char and c.denominator % char == 0
+                        for rel in p.relations for c, _ in rel.terms))
+    for write, read in ((render_presentation, parse_presentation),
+                        (lambda q: json.dumps(presentation_to_json(q)), presentation_from_json)):
+        try:
+            again = read(write(p))
+        except ParseError:
+            assert refusable
+        else:
+            assert not refusable
+            assert again == p

@@ -225,7 +225,7 @@ def sparse_products(draw):
 def test_contract_is_the_bilinear_product_of_the_table(case):
     field, n, table, u, v = case
     du, dv = linal.dense(field, n, u), linal.dense(field, n, v)
-    expected = linal.zero_vector(field, n)
+    expected = [field.zero] * n
     for i in range(n):
         for j in range(n):
             for k in range(n):

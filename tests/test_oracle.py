@@ -108,12 +108,12 @@ def test_restriction_to_corner_is_a_derivation():
     subders = derivations_from_table(field, corner, corner_idems)
     span = linal.span_basis(field, subders)
     for v in der:
-        mat = layout.action_matrix(v)
+        cols = layout.action_columns(v, keep)
         flat = {}
         for col, bj in enumerate(keep):
             for row, bi in enumerate(keep):
-                if mat[bi][bj] != 0:
-                    flat[row * d + col] = mat[bi][bj]
+                if bi in cols[bj]:
+                    flat[row * d + col] = cols[bj][bi]
         # the restricted map must lie in the span of the corner derivations
         assert not linal.reduce_against(field, flat, span)
 
