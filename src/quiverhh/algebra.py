@@ -197,8 +197,9 @@ class AlgebraTable:
     length-then-lex order.  products[i][j] is the sparse coefficient
     vector (dict index -> nonzero scalar) of basis_i * basis_j, empty
     unless target(i) = source(j); only the products with an arrow are
-    reduced, and basis_i * (w * a) is (basis_i * w) * a, one contraction
-    of entries already built.  These sparse structure constants are
+    reduced, and basis_i * (w * a) is (basis_i * w) * a, read from the
+    column of a; columns maps each arrow index a to the list of
+    products[i][a] for every i.  These sparse structure constants are
     behind every product (``multiply``, the radical filtration, the
     derivation action, the chain tests and the oracle).  path_index maps
     each nontrivial basis path to its index; factors of a normal monomial
@@ -210,11 +211,11 @@ class AlgebraTable:
 
     def __init__(self, field: Field, quiver: Quiver, basis_paths: list[Path],
                  basis_source: list[str], basis_target: list[str],
-                 products: list[list[dict]], path_index: dict, groebner: list[Poly],
-                 rewriter: _Rewriter, rad_bases: list[list[dict]]):
+                 products: list[list[dict]], columns: dict, path_index: dict,
+                 groebner: list[Poly], rewriter: _Rewriter, rad_bases: list[list[dict]]):
         self.field, self.quiver, self.basis_paths = field, quiver, basis_paths
         self.basis_source, self.basis_target = basis_source, basis_target
-        self.products, self.path_index = products, path_index
+        self.products, self.columns, self.path_index = products, columns, path_index
         self.groebner, self.rewriter, self.rad_bases = groebner, rewriter, rad_bases
 
     @property
@@ -300,8 +301,9 @@ def build_algebra(p: Presentation) -> AlgebraTable:
         ending[v].append(i)
     # only composable pairs are filled: a vertex acts as the identity, only a
     # product with an arrow is reduced, and basis_i * (w * a) is
-    # (basis_i * w) * a, read from the columns of w and a, which come first
+    # (basis_i * w) * a, read from that entry and the column of a, built first
     products = [[{} for _ in range(dim)] for _ in range(dim)]
+    columns = {}
     for j, path in enumerate(basis_paths):
         for i in ending[basis_source[j]]:
             if i < nverts or j < nverts:
@@ -310,12 +312,14 @@ def build_algebra(p: Presentation) -> AlgebraTable:
                 red = rw.reduce({basis_paths[i] + path: one})
                 products[i][j] = {index[p]: c for p, c in red.items()}
             else:
-                products[i][j] = linal.contract(field, products, products[i][index[path[:-1]]],
-                                                {index[path[-1:]]: one})
-    return AlgebraTable(field, q, basis_paths, basis_source, basis_target, products, index,
-                        list(rw.rules.values()), rw,
+                products[i][j] = linal.combine(
+                    field, (products[i][index[path[:-1]]], columns[index[path[-1:]]]))
+        if len(path) == 1:
+            columns[j] = [row[j] for row in products]
+    return AlgebraTable(field, q, basis_paths, basis_source, basis_target, products, columns,
+                        index, list(rw.rules.values()), rw,
                         _radical_filtration(field, basis_paths, basis_source, basis_target,
-                                            products))
+                                            columns))
 
 
 def _normal_monomials(q: Quiver, rw: _Rewriter, cap: int) -> list[Path]:
@@ -342,7 +346,7 @@ def _normal_monomials(q: Quiver, rw: _Rewriter, cap: int) -> list[Path]:
 
 
 def _radical_filtration(field: Field, basis_paths: list[Path], basis_source: list[str],
-                        basis_target: list[str], products: list[list[dict]]) -> list[list[dict]]:
+                        basis_target: list[str], columns: dict) -> list[list[dict]]:
     """Reduced sparse bases of rad^0 = A, rad^1, ... down to the first zero power.
 
     rad^(n+1) = span(rad^n * rad) is spanned by rad^n times the arrows alone,
@@ -353,12 +357,11 @@ def _radical_filtration(field: Field, basis_paths: list[Path], basis_source: lis
     """
     full = [{i: field.one} for i in range(len(basis_paths))]
     arrows_from: dict = {}
-    for i, p in enumerate(basis_paths):
-        if len(p) == 1:
-            arrows_from.setdefault(basis_source[i], []).append({i: field.one})
+    for a in columns:
+        arrows_from.setdefault(basis_source[a], []).append(a)
     bases = [full, [u for u, p in zip(full, basis_paths) if p]]
     while bases[-1]:
-        prods = (linal.contract(field, products, u, a) for u in bases[-1]
+        prods = (linal.combine(field, (u, columns[a])) for u in bases[-1]
                  for a in arrows_from.get(basis_target[min(u)], ()))
         cur = linal.span_basis(field, [v for v in prods if v])
         if cur and len(cur) >= len(bases[-1]):

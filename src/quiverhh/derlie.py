@@ -10,8 +10,8 @@ nonzero coefficient), the form ``linal`` eliminates on.
 A derivation extends from the arrows to paths one arrow at a time by the
 product rule d(p a) = d(p) a + p d(a) (``_extend``).  A proper prefix of
 a normal monomial or of a rule word is normal, so p is a basis monomial
-and both products are read from the table: two contractions per path,
-given the image of its prefix.
+and d(p) a + p d(a) is read from the column of a and the row of p: one
+``linal.combine`` per path, given the image of its prefix.
 """
 
 from __future__ import annotations
@@ -23,16 +23,19 @@ from .algebra import AlgebraTable
 from .errors import DeltaUndefined, UnsupportedCharacteristic
 from .linal import Field
 from .quiver import Quiver
-from .value import Value
 
 
 class DerivationLayout:
     """Coordinate layout for derivations: one slot per (arrow, parallel basis
     monomial).  slots: list of (arrow label, basis index); blocks: arrow
-    label -> list of slot positions."""
+    label -> list of slot positions; parallel: the sorted basis indices of
+    the slots; actions: frozenset(vec.items()) -> action_columns(vec,
+    parallel), filled by ``lie_from_quotient``."""
 
     def __init__(self, table: AlgebraTable, slots: list, blocks: dict):
         self.table, self.slots, self.blocks = table, slots, blocks
+        self.parallel = sorted({bi for _, bi in slots})
+        self.actions: dict = {}
 
     @property
     def size(self) -> int:
@@ -62,9 +65,6 @@ def _extend(t: AlgebraTable, values: dict, words) -> dict:
     rule words), each by the product rule from the image of its own prefix,
     where d(a) = values.get(a, 0): prefix -> sparse vector.  Each word is
     walked on from its longest prefix already imaged."""
-    field = t.field
-    one = field.one
-    products = t.products
     images: dict = {}
     for w in words:
         n = len(w) if images else 0
@@ -72,18 +72,12 @@ def _extend(t: AlgebraTable, values: dict, words) -> dict:
             n -= 1
         head = w[:n]
         for a in w[n:]:
-            da = values.get(a)
+            da = values.get(a, {})
             if head:
-                dp = images[head]
-                img = linal.contract(field, products, dp, {t.arrow_index(a): one}) if dp else {}
-                if da:
-                    pda = linal.contract(field, products, {t.path_index[head]: one}, da)
-                    if img:
-                        linal.add_multiple(field, img, one, pda)
-                    else:
-                        img = pda
+                img = linal.combine(t.field, (images[head], t.columns[t.path_index[(a,)]]),
+                                    (da, t.products[t.path_index[head]]))
             else:
-                img = dict(da) if da else {}
+                img = dict(da)
             head += (a,)
             images[head] = img
     return images
@@ -116,15 +110,12 @@ def _constraint_rows(layout: DerivationLayout) -> list:
     for g in t.groebner:
         by_coord: dict = {}  # coordinate of delta(g) -> its row
         for label, block in layout.blocks.items():
-            words = [w for w in g if label in w]
-            if not words:
+            terms = {w: c for w, c in g.items() if label in w}
+            if not terms:
                 continue
             for s in block:
-                images = _extend(t, {label: {layout.slots[s][1]: one}}, words)
-                total: dict = {}
-                for w in words:
-                    linal.add_multiple(field, total, g[w], images[w])
-                for coord, a in total.items():
+                images = _extend(t, {label: {layout.slots[s][1]: one}}, terms)
+                for coord, a in linal.combine(field, (terms, images)).items():
                     by_coord.setdefault(coord, {})[s] = a
         rows.extend(by_coord[coord] for coord in sorted(by_coord))
     return rows
@@ -186,12 +177,8 @@ def radical_preserving(table: AlgebraTable, layout: DerivationLayout,
     if not conditions or not der_basis:
         return list(der_basis)
     rows = [{k: b[pos] for k, b in enumerate(der_basis) if pos in b} for pos in conditions]
-    vecs = []
-    for combo in linal.kernel_basis(field, rows, len(der_basis)):
-        vec: dict = {}
-        for k, c in combo.items():
-            linal.add_multiple(field, vec, c, der_basis[k])
-        vecs.append(vec)
+    vecs = [linal.combine(field, (combo, der_basis))
+            for combo in linal.kernel_basis(field, rows, len(der_basis))]
     return linal.span_basis(field, vecs)
 
 
@@ -218,11 +205,11 @@ def loop_criterion(table: AlgebraTable) -> LoopReport:
     for arrow in t.quiver.arrows:
         if arrow.source != arrow.target:
             continue
-        a = {t.arrow_index(arrow.label): field.one}
-        power = a
+        a = t.arrow_index(arrow.label)
+        power = {a: field.one}
         n = 1
         while linal.reduce_against(field, power, rad[n + 1]):
-            power = linal.contract(field, t.products, power, a)
+            power = linal.combine(field, (power, t.columns[a]))
             n += 1
         orders[arrow.label] = n
     holds = p == 0 or all(n % p != 0 for n in orders.values())
@@ -257,13 +244,17 @@ class LieAlgebra:
     def _derived(self, start: list) -> list:
         """Dimensions of S = span(start), [S, S], ... until the dimension stops
         falling.  [S, S] is spanned by the brackets of the pairs a < b of the
-        echelon basis of S: [u, u] = 0 and [v, u] = -[u, v]."""
+        echelon basis of S: [u, u] = 0 and [v, u] = -[u, v].  When S = L, as
+        first in ``_derived_dims``, they are the structure constants, i < j."""
         field, structure = self.field, self.structure
         cur = linal.span_basis(field, start)
         dims = [len(cur)]
         while cur:
-            prods = (linal.contract(field, structure, u, v)
-                     for a, u in enumerate(cur) for v in cur[a + 1:])
+            if len(cur) == self.dim:
+                prods = (e for i, row in enumerate(structure) for e in row[i + 1:])
+            else:
+                prods = (linal.contract(field, structure, u, v)
+                         for a, u in enumerate(cur) for v in cur[a + 1:])
             nxt = linal.span_basis(field, [p for p in prods if p])
             dims.append(len(nxt))
             if len(nxt) == len(cur):
@@ -286,20 +277,25 @@ def lie_from_quotient(table: AlgebraTable, layout: DerivationLayout,
     (a, bi).  The value of a representative on an arrow a lives on the
     monomials parallel to a, so each representative's action is needed
     only on the monomials parallel to some arrow: those sparse columns
-    are computed once per representative, and each term is a combination
-    of them.  By antisymmetry only the d(d-1)/2 commutators with i < j are
-    computed; they are written in (reps | inn) coordinates by one row
-    reduction of [reps | inn | commutators], and the reps part is the
-    bracket.  The commutators lie in Der exactly when the pivots of that
-    reduction are the reps and inn columns and nothing else.
+    are kept on the layout, once per representative for HH1 and HH1_rad
+    alike, and each term is a combination of them.  By antisymmetry only
+    the d(d-1)/2 commutators with i < j are computed; they are written in
+    (reps | inn) coordinates by one row reduction of
+    [reps | inn | commutators], and the reps part is the bracket.  The
+    commutators lie in Der exactly when the pivots of that reduction are
+    the reps and inn columns and nothing else.
     """
     field = table.field
     reps = linal.quotient_reps(field, der_basis, inn_basis)
     d = len(reps)
     slots = layout.slots
     slot_of = {slot: s for s, slot in enumerate(slots)}
-    parallel = sorted({bi for _, bi in slots})
-    cols = [layout.action_columns(v, parallel) for v in reps]
+    cols = []
+    for v in reps:
+        key = frozenset(v.items())
+        if key not in layout.actions:
+            layout.actions[key] = layout.action_columns(v, layout.parallel)
+        cols.append(layout.actions[key])
     pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
     comms = []
     for i, j in pairs:
@@ -367,13 +363,6 @@ def hh1(table: AlgebraTable, rad_only: bool = False,
 # -- the rank-one cut down to sl2 -----------------------------------------
 
 
-class Sl2Element(Value, fields=("x", "y", "z")):
-    """x*H + y*E + z*F in the basis with [H,E]=2E, [H,F]=-2F, [E,F]=H."""
-
-    def __init__(self, x, y, z):
-        self.x, self.y, self.z = x, y, z
-
-
 def delta_defined(quiver: Quiver, a_label: str, b_label: str) -> bool:
     """The arrows form a parallel pair isolated at both endpoints."""
     a = quiver.arrow(a_label)
@@ -389,8 +378,8 @@ def delta_defined(quiver: Quiver, a_label: str, b_label: str) -> bool:
 
 class DeltaMap:
     """Projection of a derivation Lie algebra onto sl2 along a parallel pair.
-    rows: sparse H, E and F rows, indexed by source basis vector; dim: the
-    dimension of the source; kernel: sparse coordinate vectors spanning it."""
+    rows: sparse H, E and F rows ([H,E]=2E, [H,F]=-2F, [E,F]=H), indexed by
+    source basis vector; dim: the source's; kernel: a sparse basis of it."""
 
     def __init__(self, field: Field, pair: tuple, rows: list, dim: int, kernel: list):
         self.field, self.pair, self.rows = field, pair, rows
@@ -403,13 +392,6 @@ class DeltaMap:
     @property
     def surjective(self) -> bool:
         return self.rank == 3
-
-    @property
-    def images(self) -> list:
-        """Sl2Element per basis vector of the source."""
-        zero = self.field.zero
-        return [Sl2Element(*(row.get(k, zero) for row in self.rows))
-                for k in range(self.dim)]
 
 
 def delta_map(lie: LieAlgebra, a_label: str, b_label: str) -> DeltaMap:

@@ -193,10 +193,6 @@ class StandardRelationsReport:
     def __init__(self, s1: bool, s2: bool, s3: bool, witnesses: list):
         self.s1, self.s2, self.s3, self.witnesses = s1, s2, s3, witnesses
 
-    @property
-    def all_hold(self) -> bool:
-        return self.s1 and self.s2 and self.s3
-
 
 def standard_relations_literal(table: AlgebraTable,
                                chain: KroneckerChain) -> StandardRelationsReport:

@@ -8,12 +8,12 @@ times cheaper than ``Fraction``'s.  Vectors and matrix rows are
 sparse: a dict index -> nonzero scalar, with no zero stored.  Row
 reduction, kernels, spans, quotient sections and solves take and return
 that form, and so do structure constants: a table entry is such a vector,
-and ``contract`` multiplies sparse vectors through the table, visiting
-only nonzero entries.  Everything downstream (quotient algebras,
-derivation solves, structure constants) runs through the one row
-reduction in this module, so all arithmetic here is exact by
-construction.  Every vector the package takes or returns is sparse;
-``dense`` and ``sparse`` convert to and from coordinate lists.
+``contract`` multiplies sparse vectors through the table, visiting only
+nonzero entries, and ``combine`` sums rows or columns of it.  Everything
+downstream (quotient algebras, derivation solves, structure constants)
+runs through the one row reduction in this module, so all arithmetic here
+is exact by construction.  Every vector the package takes or returns is
+sparse; ``dense`` and ``sparse`` convert to and from coordinate lists.
 """
 
 from __future__ import annotations
@@ -288,6 +288,20 @@ def contract(field: Field, table: list, u: dict, v: dict) -> dict:
             entry = row[j]
             if entry:
                 add_multiple(field, out, mul(a, b), entry)
+    return out
+
+
+def combine(field: Field, *parts) -> dict:
+    """Sum of c * vectors[i] over each (coeffs, vectors) in parts and each
+    entry (i, c) of the sparse vector coeffs.  A product with one basis
+    vector x_k is such a sum of table entries: x_k * v from the row
+    (v, table[k]), u * x_k from the column (u, [table[i][k] for each i]),
+    with no unit vector and no product of scalars."""
+    out: dict = {}
+    for coeffs, vectors in parts:
+        for i, c in coeffs.items():
+            if v := vectors[i]:
+                add_multiple(field, out, c, v)
     return out
 
 

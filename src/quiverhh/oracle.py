@@ -35,35 +35,34 @@ def _full_columns(d: int) -> list[dict]:
     return [{c: _flat(c, j, d) for c in range(d)} for j in range(d)]
 
 
-def _cocycle_rows(field: Field, table, cols: list[dict]):
-    """Sparse rows of d1 on the cochains with the unknowns of ``cols``.
+def _cocycle_rows(field: Field, table, cols: list[dict], pairs):
+    """Sparse rows of d1 at the pairs (x, y) on the unknowns of ``cols``.
 
     cols[j] maps each coordinate c that f(x_j) may have to the column of
     the unknown f(x_j)_c.  The row of (x, y, c) is the coefficient of c in
     x*f(y) + f(x)*y - f(x*y), and only the nonzero structure constants
     next to an unknown are visited.  For maps commuting with the vertex
-    idempotents (cols[j] the basis vectors parallel to x_j) the pairs that
-    are not composable and the coordinates not parallel to x*y give no row.
+    idempotents (cols[j] the basis vectors parallel to x_j) the coordinates
+    not parallel to x*y give no row, and neither do the pairs that are not
+    composable, so a caller may leave those out.
     """
-    d = len(table)
     rows = []
-    for x in range(d):
-        for y in range(d):
-            # (coordinate c, column, value) of x*f(y), f(x)*y and - f(x*y)
-            entries = [(c, col, val) for i, col in cols[y].items()
-                       for c, val in table[x][i].items()]
-            entries += [(c, col, val) for i, col in cols[x].items()
-                        for c, val in table[i][y].items()]
-            entries += [(c, col, field.neg(val)) for k, val in table[x][y].items()
-                        for c, col in cols[k].items()]
-            by_coord: dict = {}
-            for c, col, val in entries:
-                row = by_coord.setdefault(c, {})
-                row[col] = field.add(row[col], val) if col in row else val
-            for row in by_coord.values():
-                row = {col: val for col, val in row.items() if val != 0}
-                if row:
-                    rows.append(row)
+    for x, y in pairs:
+        # (coordinate c, column, value) of x*f(y), f(x)*y and - f(x*y)
+        entries = [(c, col, val) for i, col in cols[y].items()
+                   for c, val in table[x][i].items()]
+        entries += [(c, col, val) for i, col in cols[x].items()
+                    for c, val in table[i][y].items()]
+        entries += [(c, col, field.neg(val)) for k, val in table[x][y].items()
+                    for c, col in cols[k].items()]
+        by_coord: dict = {}
+        for c, col, val in entries:
+            row = by_coord.setdefault(c, {})
+            row[col] = field.add(row[col], val) if col in row else val
+        for row in by_coord.values():
+            row = {col: val for col, val in row.items() if val != 0}
+            if row:
+                rows.append(row)
     return rows
 
 
@@ -94,14 +93,14 @@ def _vertex_pairs(table, nverts: int, one) -> list[tuple[int, int]]:
     return pairs
 
 
-def _center_dim(field: Field, table, units: list[int]) -> int:
+def _center_dim(field: Field, table, units: list[int], pairs: list) -> int:
     """Dimension of the centre within the span of the basis vectors ``units``:
     their number minus the rank of u -> (u*y - y*u)_c over all (y, c), one
-    sparse row per (y, c), visiting only nonzero structure constants."""
+    sparse row per (y, c), y starting or ending at u's vertex (in pairs)."""
     minus_one = field.neg(field.one)
     rows: dict = {}
     for u in units:
-        for y in range(len(table)):
+        for y in [y for y, ends in enumerate(pairs) if pairs[u][0] in ends]:
             comm = dict(table[u][y])
             linal.add_multiple(field, comm, minus_one, table[y][u])
             for c, val in comm.items():
@@ -128,9 +127,13 @@ def bar_hh1_dim(a: AlgebraTable) -> int:
         parallel.setdefault(pair, []).append(j)
     column = itertools.count()
     cols = [{c: next(column) for c in parallel[pair]} for pair in pairs]
-    ker_d1 = sum(map(len, cols)) - linal.sparse_rank(field, _cocycle_rows(field, table, cols))
+    composable = [(x, y) for x, (_, t) in enumerate(pairs) for y, (s, _) in enumerate(pairs)
+                  if s == t]
+    # the rank does not depend on the order; short rows first keep the fill-in small
+    rows = sorted(_cocycle_rows(field, table, cols, composable), key=len)
+    ker_d1 = sum(map(len, cols)) - linal.sparse_rank(field, rows)
     diagonal = [u for u, (s, t) in enumerate(pairs) if s == t]
-    return ker_d1 - (len(diagonal) - _center_dim(field, table, diagonal))
+    return ker_d1 - (len(diagonal) - _center_dim(field, table, diagonal, pairs))
 
 
 def derivations_from_table(field: Field, table, idempotents=None) -> list:
@@ -146,7 +149,7 @@ def derivations_from_table(field: Field, table, idempotents=None) -> list:
         raise TooLarge(f"oracle limited to dimension {MAX_ORACLE_DIM}, got {d}")
     if not linal.is_associative(field, table):
         raise NotAssociative("multiplication table is not associative")
-    rows = _cocycle_rows(field, table, _full_columns(d))
+    rows = _cocycle_rows(field, table, _full_columns(d), itertools.product(range(d), repeat=2))
     for e in idempotents or ():
         rows += [{_flat(c, j, d): a for j, a in e.items()} for c in range(d)]
     return linal.kernel_basis(field, rows, d * d)

@@ -43,10 +43,17 @@ def _report(number, text):
     print(f"criterion {number:02d} ({text}): PASS", flush=True)
 
 
+def _sl2_images(dm):
+    """(x, y, z) of x*H + y*E + z*F, the sl2 image of each source basis
+    vector, read from the H, E and F rows of the projection."""
+    return [tuple(row.get(k, dm.field.zero) for row in dm.rows) for k in range(dm.dim)]
+
+
 def _sl2_bracket(field, a, b):
-    x = field.sub(field.mul(a.y, b.z), field.mul(a.z, b.y))
-    y = field.mul(field.of(2), field.sub(field.mul(a.x, b.y), field.mul(a.y, b.x)))
-    z = field.mul(field.of(2), field.sub(field.mul(b.x, a.z), field.mul(a.x, b.z)))
+    (ax, ay, az), (bx, by, bz) = a, b
+    x = field.sub(field.mul(ay, bz), field.mul(az, by))
+    y = field.mul(field.of(2), field.sub(field.mul(ax, by), field.mul(ay, bx)))
+    z = field.mul(field.of(2), field.sub(field.mul(bx, az), field.mul(ax, bz)))
     return (x, y, z)
 
 
@@ -63,11 +70,8 @@ def test_criterion_01_kronecker_sl2():
     dm = delta_map(lie, "a", "b")
     assert dm.surjective and dm.kernel == []
     field = lie.field
-    rows = [linal.sparse([im.x for im in dm.images]),
-            linal.sparse([im.y for im in dm.images]),
-            linal.sparse([im.z for im in dm.images])]
     units = [{k: field.one} for k in range(3)]
-    h, e, f = (linal.solve(field, rows, u) for u in units)
+    h, e, f = (linal.solve(field, dm.rows, u) for u in units)
     two = field.of(2)
     assert _bracket(lie, h, e) == {k: field.mul(two, c) for k, c in e.items()}
     assert _bracket(lie, h, f) == {k: field.neg(field.mul(two, c)) for k, c in f.items()}
@@ -268,18 +272,20 @@ def test_criterion_13_property_suite():
                     (t.field.zero, t.field.zero, t.field.zero)
             # the extraction respects brackets
             dm = delta_map(lie, pair.a, pair.b)
+            images = _sl2_images(dm)
             for i in range(lie.dim):
                 for j in range(lie.dim):
                     im = tuple(lie.field.of(sum(row.get(k, 0) * c
                                                 for k, c in lie.structure[i][j].items()))
                                for row in dm.rows)
-                    assert im == _sl2_bracket(lie.field, dm.images[i], dm.images[j])
+                    assert im == _sl2_bracket(lie.field, images[i], images[j])
         # radical criterion transfers to the cohomology dimensions
         if rep.loops.holds:
             assert rep.hh1.lie.dim == rep.hh1_rad.lie.dim
         # literal chain relations force surjectivity
         for chain in maximal_chains(t):
-            if standard_relations_literal(t, chain).all_hold:
+            rel = standard_relations_literal(t, chain)
+            if rel.s1 and rel.s2 and rel.s3:
                 assert is_surjective_chain(t, rep.hh1_rad, chain).surjective, stem
     _report(13, "Leibniz, Jacobi, kernel and transfer properties on the corpus")
 

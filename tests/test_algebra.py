@@ -260,6 +260,25 @@ def test_sparse_products_are_the_dense_table(case):
     assert_products_are_reductions(t)
 
 
+@pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.stem)
+def test_products_by_a_basis_vector_read_the_table(path):
+    """linal.combine over the column k or the row k of the table is the
+    product u * x_k or x_k * u that linal.contract forms with a unit
+    vector, for every x_k and every u among the basis vectors, the rows of
+    the radical filtration and one vector with every coefficient set; the
+    table keeps the column of each arrow as read there."""
+    t = build_algebra(load_presentation(path.read_text()))
+    f, table = t.field, t.products
+    assert t.columns == {a: [row[a] for row in table]
+                         for a, p in enumerate(t.basis_paths) if len(p) == 1}
+    weights = {i: c for i in range(t.dim) if (c := f.of(i + 2))}
+    for k in range(t.dim):
+        unit, column = {k: f.one}, [row[k] for row in table]
+        for u in [v for basis in t.rad_bases for v in basis] + [weights]:
+            assert linal.combine(f, (u, column)) == linal.contract(f, table, u, unit)
+            assert linal.combine(f, (u, table[k])) == linal.contract(f, table, unit, u)
+
+
 WORDS = st.lists(st.sampled_from("xy"), min_size=1, max_size=6).map(tuple)
 
 

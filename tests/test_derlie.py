@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 from quiverhh import linal
 from quiverhh.algebra import Presentation, Relation, build_algebra
 from quiverhh.analysis import run_analyze
-from quiverhh.derlie import (delta_defined, delta_map, derivation_layout,
-                             derivation_space, hh1, inner_space, lie_from_quotient,
-                             loop_criterion, radical_preserving)
+from quiverhh.derlie import (DerivationLayout, delta_defined, delta_map,
+                             derivation_layout, derivation_space, hh1, inner_space,
+                             lie_from_quotient, loop_criterion, radical_preserving)
 from quiverhh.dsl import load_presentation
 from quiverhh.errors import DeltaUndefined, InvalidArrow, UnsupportedCharacteristic
 from quiverhh.kron import decomposition_report
@@ -52,15 +52,25 @@ def test_truncated_loop_derivations():
 
 
 def test_truncated_loop_bracket_table():
-    n = 4
-    res = hh1(truncated_loop(n))
-    lie = res.lie
-    assert lie.dim == n - 1
-    for p in range(n - 1):
-        for q in range(n - 1):
-            k = p + q  # index of delta_{p+q+1}
-            expected = {k: q - p} if k < n - 1 and p != q else {}
-            assert lie.structure[p][q] == expected
+    """Every structure constant of HH1 and HH1_rad of k[x]/(x^n) against
+    the Witt closed form [x^i d, x^j d] = (j - i) x^(i+j-1) d, zero once
+    i + j - 1 >= n.  Der is spanned by the x^m d with m >= 1, and also by
+    d = x^0 d when p | n (d(x^n) = n x^(n-1) d(x)); Inn = 0."""
+    for n, field in [(4, Q), (10, Field(5)), (15, Field(5)), (10, Field(7)), (15, Field(7))]:
+        t = truncated_loop(n, field)
+        assert t.basis_paths == [("x",) * m for m in range(n)]
+        divides = field.characteristic and n % field.characteristic == 0
+        for rad_only in (False, True):
+            lie = hh1(t, rad_only=rad_only).lie
+            exps = list(range(0 if divides and not rad_only else 1, n))
+            assert [lie.layout.sparse_value(v, "x") for v in lie.reps] == \
+                [{m: field.one} for m in exps]
+            at = {m: r for r, m in enumerate(exps)}
+            for r, i in enumerate(exps):
+                for s, j in enumerate(exps):
+                    c = field.of(j - i)
+                    expected = {at[i + j - 1]: c} if c and i + j - 1 < n else {}
+                    assert lie.structure[r][s] == expected, (n, field, rad_only, i, j)
 
 
 def test_truncated_loop_solvable_chain():
@@ -145,13 +155,13 @@ def test_delta_map_on_kronecker():
     assert dm.surjective
     assert dm.kernel == []
     # images must satisfy the sl2 bracket through the quotient bracket
+    f = res.lie.field
     for i in range(res.lie.dim):
         for j in range(res.lie.dim):
-            a, b = dm.images[i], dm.images[j]
-            f = res.lie.field
-            x = f.sub(f.mul(a.y, b.z), f.mul(a.z, b.y))
-            y = f.mul(f.of(2), f.sub(f.mul(a.x, b.y), f.mul(a.y, b.x)))
-            z = f.mul(f.of(2), f.sub(f.mul(b.x, a.z), f.mul(a.x, b.z)))
+            (ax, ay, az), (bx, by, bz) = sl2_image(dm, {i: f.one}), sl2_image(dm, {j: f.one})
+            x = f.sub(f.mul(ay, bz), f.mul(az, by))
+            y = f.mul(f.of(2), f.sub(f.mul(ax, by), f.mul(ay, bx)))
+            z = f.mul(f.of(2), f.sub(f.mul(bx, az), f.mul(ax, bz)))
             assert sl2_image(dm, res.lie.structure[i][j]) == (x, y, z)
 
 
@@ -410,20 +420,20 @@ def test_action_columns_are_the_product_rule(path):
 @pytest.mark.parametrize("n,field", [(15, Field(5)), (32, Q)], ids=["x15_fp5", "x32_Q"])
 def test_action_columns_take_one_product_rule_step_per_monomial(monkeypatch, n, field):
     """Each image is d(p a) = d(p) a + p d(a) from the image of its prefix:
-    at most two contractions per basis monomial of length >= 2, where
-    expanding the product rule at every position takes about 2L for
-    length L."""
+    at most two table reads (``linal.combine``) per basis monomial of
+    length >= 2, where expanding the product rule at every position takes
+    about 2L for length L."""
     t = truncated_loop(n, field)
     layout = derivation_layout(t)
     vec = dict.fromkeys(range(layout.size), field.one)
-    contract = linal.contract
+    combine = linal.combine
     calls = []
 
     def counted(*args):
         calls.append(args)
-        return contract(*args)
+        return combine(*args)
 
-    monkeypatch.setattr(linal, "contract", counted)
+    monkeypatch.setattr(linal, "combine", counted)
     layout.action_columns(vec, range(t.dim))
     longer = sum(len(p) >= 2 for p in t.basis_paths)
     assert longer == n - 2
@@ -438,6 +448,31 @@ def quantum_plane(n, c=1, field=Q):
     return presentation(["1"], [("x", "1", "1"), ("y", "1", "1")],
                         [[(1, ("x", "y")), (-c, ("y", "x"))],
                          [(1, ("x",) * n)], [(1, ("y",) * n)]], field)
+
+
+@pytest.mark.parametrize("t", [truncated_loop(10, Field(5)), truncated_loop(15, Field(5)),
+                               build_algebra(quantum_plane(3, field=Field(3)))],
+                         ids=["x10_fp5", "x15_fp5", "plane3_fp3"])
+def test_the_radical_bracket_reuses_the_action_columns_of_hh1(monkeypatch, t):
+    """Where p | n the cut drops only the derivations moving a loop to the
+    unit, so each representative of HH1_rad is one of HH1's: its action
+    columns, kept on the shared layout, are not computed again, and the
+    bracket equals the one computed on a fresh layout."""
+    full = hh1(t)
+    real = DerivationLayout.action_columns
+    calls = []
+
+    def counted(self, vec, indices):
+        calls.append(vec)
+        return real(self, vec, indices)
+
+    monkeypatch.setattr(DerivationLayout, "action_columns", counted)
+    rad = hh1(t, rad_only=True, full=full)
+    assert rad is not full and rad.layout is full.layout
+    assert rad.lie.dim < full.lie.dim and calls == []
+    fresh = lie_from_quotient(t, derivation_layout(t), rad.der, rad.inn)
+    assert len(calls) == rad.lie.dim
+    assert fresh.structure == rad.lie.structure
 
 
 @pytest.mark.parametrize("n,p", [(3, 0), (4, 0), (5, 0), (6, 0), (3, 3), (5, 5), (6, 3)])

@@ -111,7 +111,7 @@ def test_standard_relations_literal():
     t = chain_two()
     chain = maximal_chains(t)[0]
     rep = standard_relations_literal(t, chain)
-    assert rep.all_hold and rep.witnesses == []
+    assert rep.s1 and rep.s2 and rep.s3 and rep.witnesses == []
 
     t2 = build(["1", "2", "3"],
                [("a", "1", "2"), ("b", "1", "2"), ("c", "2", "3"), ("d", "2", "3")],
@@ -200,7 +200,8 @@ def test_standard_implies_surjective_here():
     for t in (kronecker(), chain_two(), triangle()):
         h = hh1(t, rad_only=True)
         for chain in maximal_chains(t):
-            if standard_relations_literal(t, chain).all_hold:
+            rel = standard_relations_literal(t, chain)
+            if rel.s1 and rel.s2 and rel.s3:
                 assert is_surjective_chain(t, h, chain).surjective
 
 

@@ -28,6 +28,11 @@ def idempotents(t):
     return [{i: t.field.one} for i in range(len(t.quiver.vertices))]
 
 
+def all_pairs(d):
+    """Every pair (x, y) of basis indices: the full complex's row loop."""
+    return itertools.product(range(d), repeat=2)
+
+
 def test_tree_path_algebra_has_trivial_hh1():
     t = build(["1", "2", "3"], [("a", "1", "2"), ("b", "1", "3")], [])
     assert bar_hh1_dim(t) == 0
@@ -62,7 +67,7 @@ def test_cochain_complex_identity():
     # d1 applied to every commutator map [basis_u, -] is zero
     t = build(["1", "2"], [("a", "1", "2"), ("b", "1", "2")], [])
     d, field = t.dim, t.field
-    d1_rows = _cocycle_rows(field, t.products, _full_columns(d))
+    d1_rows = _cocycle_rows(field, t.products, _full_columns(d), all_pairs(d))
     for u in range(d):
         d0_image = {i * d + j: field.sub(t.products[u][j].get(i, field.zero),
                                          t.products[j][u].get(i, field.zero))
@@ -178,7 +183,7 @@ def dense_hh1_dim(t):
 def test_cocycle_rows_have_the_rank_of_the_dense_d1(path):
     t = build_algebra(load_presentation(path.read_text()))
     f, d = t.field, t.dim
-    assert (linal.sparse_rank(f, _cocycle_rows(f, t.products, _full_columns(d)))
+    assert (linal.sparse_rank(f, _cocycle_rows(f, t.products, _full_columns(d), all_pairs(d)))
             == linal.sparse_rank(f, dense_d1(t)))
 
 
@@ -241,8 +246,8 @@ def test_oracle_d1_has_one_column_per_parallel_pair(monkeypatch):
     t = doubled_path(6)
     seen = []
 
-    def spy(field, table, cols):
-        rows = _cocycle_rows(field, table, cols)
+    def spy(field, table, cols, pairs):
+        rows = _cocycle_rows(field, table, cols, pairs)
         seen.append((cols, rows))
         return rows
 
