@@ -4,9 +4,11 @@ A presentation (quiver, relations, field) is completed into a rewriting
 system under the length-then-lex order on paths (arrows ordered by
 declaration, longer paths larger).  A rule is a monic polynomial, a
 sparse row keyed by path, and ``linal.add_multiple`` does all the rewriting
-arithmetic.  Overlap ambiguities are resolved until confluence; the
-finiteness certificate is the exhaustion of normal monomials at some
-length.  The basis of the quotient is the set of normal monomials.  The
+arithmetic; a lead factor of a path is looked up in the rule dict, one
+slice per lead length.  Overlap ambiguities are resolved until confluence,
+skipping those of two monomial rules (a zero S-polynomial) unless a lead
+passes the length cap; the finiteness certificate is the exhaustion of
+normal monomials at some length, whose set is the basis of the quotient.  The
 product of a basis monomial and an arrow is their concatenation, fully
 reduced; every longer product follows from these by arrow prefix, as
 b * (w * a) = (b * w) * a.  The radical filtration is built once per
@@ -83,6 +85,7 @@ class _Rewriter:
         self.field = field
         self.order = order
         self.rules: dict[Path, Poly] = {}
+        self.lengths: list[int] = []  # every lead length installed, ascending
 
     def reduce(self, poly: Poly) -> Poly:
         """Normal form of poly, terms in decreasing order.  The largest term
@@ -105,12 +108,10 @@ class _Rewriter:
         return out
 
     def _find_factor(self, path: Path):
-        for lead in self.rules:
-            ll = len(lead)
-            if ll > len(path):
-                continue
-            for pos in range(len(path) - ll + 1):
-                if path[pos:pos + ll] == lead:
+        """The leftmost lead factor of path, shortest first, by hash lookup."""
+        for pos in range(len(path)):
+            for ll in self.lengths:
+                if (lead := path[pos:pos + ll]) in self.rules:
                     return pos, lead
         return None
 
@@ -123,6 +124,7 @@ class _Rewriter:
         rule: Poly = {}
         linal.add_multiple(self.field, rule, self.field.inv(red[lead]), red)
         self.rules[lead] = rule
+        self.lengths = sorted({*self.lengths, len(lead)})
         return lead
 
     def interreduce(self) -> bool:
@@ -139,13 +141,6 @@ class _Rewriter:
         return any_change
 
 
-def _overlaps(u: Path, v: Path):
-    """Proper overlap ambiguities: a suffix of u equals a prefix of v."""
-    for t in range(1, min(len(u), len(v))):
-        if u[len(u) - t:] == v[:t]:
-            yield t
-
-
 def _complete(field: Field, order: _Order, gens: list[Poly], cap: int) -> _Rewriter:
     rw = _Rewriter(field, order)
     for g in gens:
@@ -155,13 +150,18 @@ def _complete(field: Field, order: _Order, gens: list[Poly], cap: int) -> _Rewri
     pending: set = set()
 
     def enqueue_all():
+        # the proper overlaps (u, v, t): the suffix of length t of u is a prefix
+        # of v; two monomial rules have a zero S-polynomial, so their overlaps
+        # are queued only when a lead is longer than the cap, to be refused
         leads = list(rw.rules)
+        short = {u for u in leads if len(rw.rules[u]) == 1 and len(u) <= cap}
         for u in leads:
             for v in leads:
-                for t in _overlaps(u, v):
-                    trip = (u, v, t)
-                    if trip not in done:
-                        pending.add(trip)
+                if u in short and v in short:
+                    continue
+                for t in range(1, min(len(u), len(v))):
+                    if u[len(u) - t:] == v[:t] and (u, v, t) not in done:
+                        pending.add((u, v, t))
 
     enqueue_all()
     while pending:
@@ -323,7 +323,6 @@ def build_algebra(p: Presentation) -> AlgebraTable:
 
 
 def _normal_monomials(q: Quiver, rw: _Rewriter, cap: int) -> list[Path]:
-    lengths = sorted({len(lead) for lead in rw.rules})
     out: list[Path] = [() for _ in q.vertices]
     level: list[Path] = [(a.label,) for a in q.arrows]
     arrows_from = {v: [a.label for a in q.arrows_from(v)] for v in q.vertices}
@@ -338,7 +337,7 @@ def _normal_monomials(q: Quiver, rw: _Rewriter, cap: int) -> list[Path]:
         for path in level:
             for label in arrows_from[target[path[-1]]]:
                 cand = path + (label,)
-                if not any(cand[-ll:] in rw.rules for ll in lengths):
+                if not any(cand[-ll:] in rw.rules for ll in rw.lengths):
                     nxt.append(cand)
         level = nxt
         length += 1

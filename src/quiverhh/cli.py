@@ -48,7 +48,7 @@ def cmd_analyze(args) -> tuple[dict, str]:
     options = AnalysisOptions(oracle=args.oracle, decompose=args.decompose,
                               assert_nonwild=args.assert_nonwild)
     d = run_analyze(_load(args), options).to_dict()
-    return d, render_text(d)
+    return d, "" if args.json else render_text(d)
 
 
 def cmd_hh1(args) -> tuple[dict, str]:
@@ -133,8 +133,7 @@ def main(argv=None) -> int:
         return 3
     try:
         if args.json:
-            json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-            sys.stdout.write("\n")
+            sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         else:
             sys.stdout.write(text)
         sys.stdout.flush()

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .algebra import Presentation, Relation
 from .errors import ParseError
-from .linal import Field
+from .linal import Field, _integral
 from .quiver import Quiver
 
 _TOKEN = re.compile(r"\s*(?:(\d+/\d+|\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()+*-]))")
@@ -44,7 +44,7 @@ def _tokenize(text: str, line_no: int):
         if num is not None:
             if "/" in num and not int(num.partition("/")[2]):
                 raise ParseError(f"zero denominator in {num!r}", line_no, m.start(1) + 1)
-            tokens.append(("num", Fraction(num), m.start(1) + 1))
+            tokens.append(("num", Fraction(num) if "/" in num else int(num), m.start(1) + 1))
         elif ident is not None:
             tokens.append(("ident", ident, m.start(2) + 1))
         elif op is not None:
@@ -109,7 +109,7 @@ class _ExprParser:
         if kind == "num":
             return [(val, ())]
         if kind == "ident":
-            return [(Fraction(1), (val,))]
+            return [(1, (val,))]
         if kind == "op" and val == "(":
             inner = self.expr()
             tok = self.peek()
@@ -124,10 +124,11 @@ class _ExprParser:
 
 
 def _combine(terms):
+    """Like terms summed, zero sums dropped; an integral coefficient is an int."""
     acc = {}
     for c, p in terms:
-        acc[p] = acc.get(p, Fraction(0)) + c
-    return [(c, p) for p, c in acc.items() if c != 0]
+        acc[p] = acc.get(p, 0) + c
+    return [(_integral(c), p) for p, c in acc.items() if c != 0]
 
 
 def _relation(terms, labels, line_no: int | None = None) -> Relation:
@@ -163,8 +164,8 @@ def _check_coefficients(field: Field, relations, lines) -> None:
 def parse_presentation(text: str, field_override: str | None = None,
                        max_length_cap: int = 64) -> Presentation:
     field = None
-    vertices: list = []
-    arrows: list = []
+    vertices: dict = {}  # name -> None, in the order declared
+    arrows: dict = {}    # label -> (label, source, target), in the order declared
     relations: list = []
     relation_lines: list = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -183,7 +184,7 @@ def parse_presentation(text: str, field_override: str | None = None,
                     raise ParseError(f"bad vertex name {name!r}", line_no)
                 if name in vertices:
                     raise ParseError(f"duplicate vertex {name!r}", line_no)
-                vertices.append(name)
+                vertices[name] = None
         elif head == "arrow":
             parts = rest.split()
             if len(parts) != 3:
@@ -191,17 +192,17 @@ def parse_presentation(text: str, field_override: str | None = None,
             label, src, dst = parts
             if not _LABEL.match(label):
                 raise ParseError(f"bad arrow label {label!r}", line_no)
-            if any(a[0] == label for a in arrows):
+            if label in arrows:
                 raise ParseError(f"duplicate arrow label {label!r}", line_no)
             if src not in vertices or dst not in vertices:
                 raise ParseError(f"arrow {label!r} uses an undeclared vertex", line_no)
-            arrows.append((label, src, dst))
+            arrows[label] = (label, src, dst)
         elif head == "relation":
             tokens = _tokenize(rest, line_no)
             if not tokens:
                 raise ParseError("empty relation", line_no)
             terms = _ExprParser(tokens, line_no).parse()
-            relations.append(_relation(terms, {a[0] for a in arrows}, line_no))
+            relations.append(_relation(terms, arrows, line_no))
             relation_lines.append(line_no)
         else:
             raise ParseError(f"unknown directive {head!r}", line_no)
@@ -212,7 +213,7 @@ def parse_presentation(text: str, field_override: str | None = None,
     _check_coefficients(field, relations, relation_lines)
     if not vertices:
         raise ParseError("no vertices declared")
-    quiver = Quiver.make(vertices, arrows)
+    quiver = Quiver.make(vertices, arrows.values())
     return Presentation(quiver, tuple(relations), field, max_length_cap)
 
 
@@ -282,12 +283,12 @@ def presentation_from_json(data, field_override: str | None = None,
     return Presentation(quiver, tuple(relations), field, max_length_cap)
 
 
-def _coefficient(value) -> Fraction:
-    """A JSON coefficient: an integer or a string; a float would carry its
-    binary rounding into the field, and a bool is not a number."""
+def _coefficient(value):
+    """A JSON coefficient: an integer or a string, an int when integral; a float
+    would carry its binary rounding into the field, and a bool is not a number."""
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise ValueError(f"coefficient must be an integer or a string, got {value!r}")
-    return Fraction(value)
+    return _integral(Fraction(value))
 
 
 def _array(value, key: str) -> list:

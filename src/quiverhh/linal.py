@@ -91,7 +91,7 @@ class Field(Value, fields=("characteristic",)):
     def of(self, value) -> "Scalar":
         """Coerce an int or Fraction into a field scalar."""
         if self.characteristic == 0:
-            return _integral(Fraction(value))
+            return value if type(value) is int else _integral(Fraction(value))
         p = self.characteristic
         if isinstance(value, Fraction):
             den = value.denominator % p

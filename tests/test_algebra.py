@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quiverhh import linal
+from quiverhh import algebra, linal
 from quiverhh.algebra import Presentation, Relation, build_algebra
 from quiverhh.dsl import load_presentation
 from quiverhh.errors import (InvalidArrow, NotAdmissible, NotFiniteDimensional)
@@ -162,6 +162,23 @@ def radsq_cycle(n):
     arrows = [(f"{s}{i}", str(i), str((i + 1) % n)) for i in range(n) for s in "ab"]
     relations = [[(1, (x, y))] for x, _, tx in arrows for y, sy, _ in arrows if tx == sy]
     return [str(i) for i in range(n)], arrows, relations
+
+
+def test_completion_queues_no_overlap_of_two_monomial_rules(monkeypatch):
+    """Two monomial rules have a zero S-polynomial: on the radical-square-zero
+    16-cycle (64 monomial relations) completion installs each relation and
+    reduces it once against the others, and reduces none of the 128 overlaps."""
+    added = []
+    add = algebra._Rewriter.add
+
+    def counted(self, poly):
+        added.append(poly)
+        return add(self, poly)
+
+    monkeypatch.setattr(algebra._Rewriter, "add", counted)
+    t = build(*radsq_cycle(16))
+    assert len(t.groebner) == 64 and t.rad_dims == [48, 32, 0]
+    assert len(added) == 2 * 64
 
 
 @pytest.mark.parametrize("vertices,arrows,relations", [

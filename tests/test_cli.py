@@ -81,6 +81,26 @@ def test_infinite_dimensional_exit_code(tmp_path):
     assert main(["analyze", str(f), "--max-length", "10"]) == 2
 
 
+def test_long_monomial_overlaps_are_refused_at_the_cap(tmp_path, capsys):
+    """x^25 and y^25 are monomial rules longer than the cap 10: their overlaps
+    are still queued, and completion refuses them before any basis is walked."""
+    f = tmp_path / "xy25.dsl"
+    f.write_text("field Q\nvertex 1\narrow x 1 1\narrow y 1 1\n"
+                 + "".join(f"relation {'*'.join(a * 25)}\n" for a in "xy"))
+    assert main(["analyze", str(f), "--max-length", "10"]) == 2
+    assert capsys.readouterr().err == "error: overlap degree exceeds the length cap\n"
+
+
+@pytest.mark.parametrize("extra, renders", [([], 1), (["--json"], 0)], ids=["text", "json"])
+def test_analyze_renders_the_text_only_when_it_prints_it(kronecker_file, monkeypatch,
+                                                         extra, renders):
+    rendered = []
+    monkeypatch.setattr(cli, "render_text",
+                        lambda d: rendered.append(d) or analysis.render_text(d))
+    assert main(["analyze", kronecker_file] + extra) == 0
+    assert len(rendered) == renders
+
+
 def test_char2_decompose_refused(tmp_path, capsys):
     f = tmp_path / "k.dsl"
     f.write_text(KRONECKER)

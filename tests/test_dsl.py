@@ -49,6 +49,20 @@ def test_roundtrip_json():
     assert again == p
 
 
+def test_integral_coefficients_are_ints_in_both_front_ends():
+    """A coefficient is an int when it is integral, 4/2 included, and a
+    Fraction otherwise; the JSON front end gives the same types."""
+    p = parse_presentation("field Q\nvertex 1\narrow x 1 1\n"
+                           "relation 2*x*x - 1/2*(x*x*x)\nrelation 4/2 * (x*x*x*x)\n")
+    types = [[type(c) for c, _ in rel.terms] for rel in p.relations]
+    assert types == [[int, Fraction], [int]]
+    assert [c for rel in p.relations for c, _ in rel.terms] == [2, Fraction(-1, 2), 2]
+    assert repr(p.relations[1]) == "Relation(terms=((2, ('x', 'x', 'x', 'x')),))"
+    again = presentation_from_json(json.dumps(presentation_to_json(p)))
+    assert again == p
+    assert [[type(c) for c, _ in rel.terms] for rel in again.relations] == types
+
+
 def test_load_sniffs_format():
     p = parse_presentation(SAMPLE)
     as_json = json.dumps(presentation_to_json(p))
