@@ -27,13 +27,15 @@ from .quiver import Quiver
 
 class DerivationLayout:
     """Coordinate layout for derivations: one slot per (arrow, parallel basis
-    monomial).  slots: list of (arrow label, basis index); blocks: arrow
-    label -> list of slot positions; parallel: the sorted basis indices of
-    the slots; actions: frozenset(vec.items()) -> action_columns(vec,
-    parallel), filled by ``lie_from_quotient``."""
+    monomial).  slots: list of (arrow label, basis index); position: slot
+    -> its position in slots; blocks: arrow label -> list of slot
+    positions; parallel: the sorted basis indices of the slots; actions:
+    frozenset(vec.items()) -> action_columns(vec, parallel), filled by
+    ``lie_from_quotient``."""
 
     def __init__(self, table: AlgebraTable, slots: list, blocks: dict):
         self.table, self.slots, self.blocks = table, slots, blocks
+        self.position = {slot: s for s, slot in enumerate(slots)}
         self.parallel = sorted({bi for _, bi in slots})
         self.actions: dict = {}
 
@@ -166,14 +168,8 @@ def radical_preserving(table: AlgebraTable, layout: DerivationLayout,
     """
     t = table
     field = t.field
-    conditions = []
-    for arrow in t.quiver.arrows:
-        if arrow.source != arrow.target:
-            continue
-        ev = t.idempotent_index(arrow.source)
-        for pos in layout.blocks[arrow.label]:
-            if layout.slots[pos][1] == ev:
-                conditions.append(pos)
+    conditions = [layout.position[arrow.label, t.idempotent_index(arrow.source)]
+                  for arrow in t.quiver.arrows if arrow.source == arrow.target]
     if not conditions or not der_basis:
         return list(der_basis)
     rows = [{k: b[pos] for k, b in enumerate(der_basis) if pos in b} for pos in conditions]
@@ -288,8 +284,7 @@ def lie_from_quotient(table: AlgebraTable, layout: DerivationLayout,
     field = table.field
     reps = linal.quotient_reps(field, der_basis, inn_basis)
     d = len(reps)
-    slots = layout.slots
-    slot_of = {slot: s for s, slot in enumerate(slots)}
+    slots, position = layout.slots, layout.position
     cols = []
     for v in reps:
         key = frozenset(v.items())
@@ -307,7 +302,7 @@ def lie_from_quotient(table: AlgebraTable, layout: DerivationLayout,
         for s, c in reps[i].items():
             label, m = slots[s]
             linal.add_multiple(field, images.setdefault(label, {}), field.neg(c), cols[j][m])
-        comms.append({slot_of[label, bi]: c for label, img in images.items()
+        comms.append({position[label, bi]: c for label, img in images.items()
                       for bi, c in img.items()})
     base = len(reps) + len(inn_basis)
     matrix = [{} for _ in range(layout.size)]
@@ -379,15 +374,18 @@ def delta_defined(quiver: Quiver, a_label: str, b_label: str) -> bool:
 class DeltaMap:
     """Projection of a derivation Lie algebra onto sl2 along a parallel pair.
     rows: sparse H, E and F rows ([H,E]=2E, [H,F]=-2F, [E,F]=H), indexed by
-    source basis vector; dim: the source's; kernel: a sparse basis of it."""
+    source basis vector; dim: the source's; echelon: the reduced echelon
+    basis of the span of rows.  The kernel is the annihilator of that span,
+    so two projections of one source have the same kernel exactly when
+    their echelons are equal."""
 
-    def __init__(self, field: Field, pair: tuple, rows: list, dim: int, kernel: list):
+    def __init__(self, field: Field, pair: tuple, rows: list, dim: int, echelon: list):
         self.field, self.pair, self.rows = field, pair, rows
-        self.dim, self.kernel = dim, kernel
+        self.dim, self.echelon = dim, echelon
 
     @property
     def rank(self) -> int:
-        return self.dim - len(self.kernel)
+        return len(self.echelon)
 
     @property
     def surjective(self) -> bool:
@@ -412,15 +410,16 @@ def delta_map(lie: LieAlgebra, a_label: str, b_label: str) -> DeltaMap:
             f"the pair ({a_label}, {b_label}) is not isolated at its endpoints")
     ia = table.arrow_index(a_label)
     ib = table.arrow_index(b_label)
+    pos = layout.position
+    aa, bb = pos[a_label, ia], pos[b_label, ib]
+    ba, ab = pos[b_label, ia], pos[a_label, ib]
     half = field.inv(field.of(2))
     zero = field.zero
     rows = [{}, {}, {}]
     for k, rep in enumerate(lie.reps):
-        va = layout.sparse_value(rep, a_label)
-        vb = layout.sparse_value(rep, b_label)
-        x = field.mul(half, field.sub(va.get(ia, zero), vb.get(ib, zero)))
-        for row, c in zip(rows, (x, vb.get(ia, zero), va.get(ib, zero))):
+        x = field.sub(rep.get(aa, zero), rep.get(bb, zero))
+        for row, c in zip(rows, (x and field.mul(half, x), rep.get(ba, zero),
+                                 rep.get(ab, zero))):
             if c != 0:
                 row[k] = c
-    kernel = linal.kernel_basis(field, rows, lie.dim)
-    return DeltaMap(field, (a_label, b_label), rows, lie.dim, kernel)
+    return DeltaMap(field, (a_label, b_label), rows, lie.dim, linal.span_basis(field, rows))

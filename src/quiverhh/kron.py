@@ -92,10 +92,14 @@ def _chain_shape(pairs) -> str:
 def maximal_chains(table: AlgebraTable):
     """Maximal Kronecker chains, cyclic ones as their smallest rotation."""
     pairs, _ = kronecker_pairs(table)
-
-    def can_follow(p: KroneckerPair, q: KroneckerPair) -> bool:
-        return (q is not p and p.target == q.source
-                and _cross_product_survives(table, p, q))
+    # the links p -> q, each tested once: q starts where p ends and some
+    # cross product survives; preceding holds the same links reversed
+    following = {p: [q for q in pairs if q is not p and p.target == q.source
+                     and _cross_product_survives(table, p, q)] for p in pairs}
+    preceding: dict = {p: [] for p in pairs}
+    for p, qs in following.items():
+        for q in qs:
+            preceding[q].append(p)
 
     # every chain, depth first from each pair in order; an explicit stack,
     # because a recursive closure is a reference cycle that keeps the table
@@ -105,12 +109,10 @@ def maximal_chains(table: AlgebraTable):
     while stack:
         seq = stack.pop()
         all_chains.append(seq)
-        stack.extend(seq + (q,) for q in reversed(pairs)
-                     if q not in seq and can_follow(seq[-1], q))
+        stack.extend(seq + (q,) for q in reversed(following[seq[-1]]) if q not in seq)
 
     def extendable(seq) -> bool:
-        return any(q not in seq and (can_follow(seq[-1], q) or can_follow(q, seq[0]))
-                   for q in pairs)
+        return any(q not in seq for q in following[seq[-1]] + preceding[seq[0]])
 
     maximal = [seq for seq in all_chains if not extendable(seq)]
     # each sequence is enumerated once; a closed chain is kept as the least
@@ -142,14 +144,11 @@ def equivalence_classes(table: AlgebraTable, chains) -> list:
         if chain.shape != "Cyclic":
             out.append(ChainClass(chain, 1))
             continue
-        seq = list(chain.pairs)
-        size = 0
-        for i in range(len(seq)):
-            rot = seq[i:] + seq[:i]
-            ok = all(_cross_product_survives(table, rot[k], rot[k + 1])
-                     for k in range(len(rot) - 1))
-            if ok:
-                size += 1
+        # a rotation keeps every link of the chain but one and adds the
+        # wrap-around link, so every rotation is a chain exactly when that
+        # link survives, and otherwise only the chain itself is
+        seq = chain.pairs
+        size = len(seq) if _cross_product_survives(table, seq[-1], seq[0]) else 1
         out.append(ChainClass(chain, size))
     return out
 
@@ -173,7 +172,8 @@ def is_surjective_chain(table: AlgebraTable, h: HH1Result,
     """Test the sl2 projection along each isolated pair of the chain.
 
     Surjective means some pair's projection hits all of sl2; for chains
-    where that happens all surjective pairs must cut out the same kernel.
+    where that happens all surjective pairs must cut out the same kernel,
+    that is, their projections must have rows of the same span.
     """
     dims = {}
     surjective = []
@@ -184,8 +184,7 @@ def is_surjective_chain(table: AlgebraTable, h: HH1Result,
         dims[pair.labels] = dm.rank
         if dm.surjective:
             surjective.append(dm)
-    kernels = [linal.span_basis(table.field, dm.kernel) for dm in surjective]
-    coincide = all(k == kernels[0] for k in kernels)
+    coincide = all(dm.echelon == surjective[0].echelon for dm in surjective)
     return SurjectivityReport(dims, coincide, surjective[0] if surjective else None)
 
 
@@ -252,13 +251,10 @@ class ChainReport:
     joint_kernel: sparse basis of the kernel onto the m sl2 summands."""
 
     def __init__(self, classes: list, surjectivity: list, standard: list, m: int,
-                 hh1_rad_dim: int, solvable: bool, derived_dims: list, r_dim: int,
-                 joint_kernel: list, joint_kernel_derived_dims: list, flags: dict,
-                 consistency_ok: bool):
+                 r_dim: int, joint_kernel: list, joint_kernel_derived_dims: list,
+                 flags: dict, consistency_ok: bool):
         self.classes, self.surjectivity, self.standard = classes, surjectivity, standard
-        self.m, self.hh1_rad_dim, self.r_dim = m, hh1_rad_dim, r_dim
-        self.solvable, self.derived_dims = solvable, derived_dims
-        self.joint_kernel = joint_kernel
+        self.m, self.r_dim, self.joint_kernel = m, r_dim, joint_kernel
         self.joint_kernel_derived_dims = joint_kernel_derived_dims
         self.flags, self.consistency_ok = flags, consistency_ok
 
@@ -311,6 +307,6 @@ def decomposition_report(table: AlgebraTable, h: HH1Result, septype: str,
     }
     conditional = flags["qs_nonwild_compatible"] or flags["user_asserted_nonwild"]
     consistency_ok = (not conditional) or (solvable == (m == 0))
-    return ChainReport(classes, surj, std, m, lie.dim, solvable, derived,
-                       r_dim, kernel, joint_derived, flags, consistency_ok)
+    return ChainReport(classes, surj, std, m, r_dim, kernel, joint_derived, flags,
+                       consistency_ok)
 

@@ -4,7 +4,7 @@ import weakref
 
 import pytest
 
-from quiverhh import linal
+from quiverhh import kron, linal
 from quiverhh.algebra import Presentation, Relation, build_algebra
 from quiverhh.analysis import run_analyze
 from quiverhh.derlie import LieAlgebra, delta_map, hh1
@@ -88,6 +88,19 @@ def test_cyclic_chain_canonical_rotation():
     assert classes[0].size == 3
 
 
+def test_a_cyclic_chain_without_its_wrap_around_link_is_its_only_rotation():
+    # the chain closes up at vertex 1, but every product of e or f with a
+    # or b vanishes, so no other rotation of it is a chain
+    t = build(["1", "2", "3"],
+              [("a", "1", "2"), ("b", "1", "2"), ("c", "2", "3"),
+               ("d", "2", "3"), ("e", "3", "1"), ("f", "3", "1")],
+              [[(1, (x, y))] for x in "ef" for y in "ab"])
+    (chain,) = maximal_chains(t)
+    assert chain.shape == "Cyclic"
+    assert [p.labels for p in chain.pairs] == [("a", "b"), ("c", "d"), ("e", "f")]
+    assert [cl.size for cl in equivalence_classes(t, [chain])] == [1]
+
+
 def test_chain_blocked_by_vanishing_products():
     # all length-two paths zero: no chain can link the two pairs
     t = build(["1", "2", "3"],
@@ -145,9 +158,9 @@ def test_decomposition_report_counts():
     h = hh1(t, rad_only=True)
     rep = decomposition_report(t, h, reptype_radsq(t.quiver))
     assert rep.m == 1
-    assert rep.hh1_rad_dim == 4
+    assert h.lie.dim == 4
     assert rep.r_dim == 1
-    assert not rep.solvable
+    assert not h.lie.is_solvable()
     assert rep.joint_kernel_dim == 1
     assert rep.joint_kernel_derived_dims[-1] == 0
     assert rep.consistency_ok
@@ -185,7 +198,7 @@ def test_a_report_without_sl2_summands_computes_the_derived_series_once(monkeypa
     rep = decomposition_report(t, h, reptype_radsq(t.quiver))
     assert rep.m == 0
     assert rep.joint_kernel_dim == h.lie.dim
-    assert rep.joint_kernel_derived_dims == rep.derived_dims
+    assert rep.joint_kernel_derived_dims == h.lie.derived_series()
     assert calls == [h.lie.dim]
 
 
@@ -235,14 +248,38 @@ def intersect(field, span_a, span_b):
 
 CORPUS = sorted((pathlib.Path(__file__).resolve().parent.parent / "corpus").glob("*.dsl"))
 
+# 1 => 2 => 3 with no relations: both pairs project onto sl2, along
+# different kernels
+DOUBLE_PAIR_CHAIN = """\
+field Q
+vertex 1 2 3
+arrow a 1 2
+arrow b 1 2
+arrow c 2 3
+arrow d 2 3
+"""
 
-@pytest.mark.parametrize("case", CORPUS + [3, 4, 5, 6],
-                         ids=lambda c: getattr(c, "stem", f"radsq_cycle{c}"))
+# corpus files, radical-square-zero n-cycles by n, and DSL text
+CASES = CORPUS + [3, 4, 5, 6, DOUBLE_PAIR_CHAIN]
+
+
+def case_id(case):
+    if isinstance(case, int):
+        return f"radsq_cycle{case}"
+    return getattr(case, "stem", "double_pair_chain")
+
+
+def case_table(case):
+    if isinstance(case, int):
+        return radsq_cycle(case)
+    return build_algebra(load_presentation(case if isinstance(case, str) else case.read_text()))
+
+
+@pytest.mark.parametrize("case", CASES, ids=case_id)
 def test_joint_kernel_is_the_intersection_of_the_class_kernels(case):
     """The report stacks the sl2 rows of each surjective class; intersecting
     the kernels of those projections one class at a time gives the same space."""
-    t = radsq_cycle(case) if isinstance(case, int) else build_algebra(
-        load_presentation(case.read_text()))
+    t = case_table(case)
     h = hh1(t, rad_only=True)
     rep = decomposition_report(t, h, reptype_radsq(t.quiver))
     f, lie = t.field, h.lie
@@ -253,11 +290,71 @@ def test_joint_kernel_is_the_intersection_of_the_class_kernels(case):
         first = next(dm for dm in (delta_map(lie, p.a, p.b)
                                    for p in cl.representative.pairs if p.delta_defined)
                      if dm.surjective)
-        expected = intersect(f, expected, first.kernel)
+        expected = intersect(f, expected, linal.kernel_basis(f, first.rows, first.dim))
     assert linal.span_basis(f, rep.joint_kernel) == expected
     assert rep.joint_kernel_dim == len(expected)
     if isinstance(case, int):
         assert rep.m == case and rep.joint_kernel_dim == lie.dim - 3 * case
+
+
+@pytest.mark.parametrize("case", CASES, ids=case_id)
+def test_projections_compared_by_their_rows_agree_with_their_kernels(case):
+    """A subspace fixes its annihilator, so two projections have the same
+    kernel exactly when their rows span the same space: the report's
+    comparison of echelons equals the comparison of the kernels."""
+    t = case_table(case)
+    h = hh1(t, rad_only=True)
+    rep = decomposition_report(t, h, reptype_radsq(t.quiver))
+    f = t.field
+    for cl, s in zip(rep.classes, rep.surjectivity):
+        kernels = []
+        for p in cl.representative.pairs:
+            if not p.delta_defined:
+                continue
+            dm = delta_map(h.lie, p.a, p.b)
+            kernel = linal.kernel_basis(f, dm.rows, dm.dim)
+            assert dm.rank == dm.dim - len(kernel) == s.per_pair_image_dims[p.labels]
+            if dm.surjective:
+                kernels.append(linal.span_basis(f, kernel))
+        assert s.kernels_coincide == all(k == kernels[0] for k in kernels)
+
+
+def test_surjective_pairs_with_different_kernels():
+    """On 1 => 2 => 3 both pairs project onto sl2 but along different
+    kernels; the joint kernel is then a 3-dimensional abelian ideal."""
+    d = run_analyze(load_presentation(DOUBLE_PAIR_CHAIN)).to_dict()
+    assert d["m"] == 1
+    (cl,) = d["chains"]["classes"]
+    assert cl["per_pair_image_dims"] == {"a*b": 3, "c*d": 3}
+    assert cl["kernels_coincide"] is False
+    assert d["chains"]["joint_kernel_dim"] == 3
+    assert d["chains"]["joint_kernel_derived_dims"] == [3, 3]
+    assert d["chains"]["consistency_ok"] is True
+
+
+def test_the_chain_report_computes_one_kernel_and_tests_each_link_once(monkeypatch):
+    """On the radical-square-zero 16-cycle each pair's projection is
+    compared by its rows, so the joint kernel is the only kernel computed,
+    and each of the 16 links p -> q has its cross products tested once."""
+    t = radsq_cycle(16)
+    h = hh1(t, rad_only=True)
+    kernels, links = [], []
+    kernel_basis, survives = linal.kernel_basis, kron._cross_product_survives
+
+    def counted_kernel(*args):
+        kernels.append(args)
+        return kernel_basis(*args)
+
+    def counted_link(*args):
+        links.append(args)
+        return survives(*args)
+
+    monkeypatch.setattr(linal, "kernel_basis", counted_kernel)
+    rep = decomposition_report(t, h, reptype_radsq(t.quiver))
+    assert rep.m == 16 and len(kernels) == 1
+    monkeypatch.setattr(kron, "_cross_product_survives", counted_link)
+    assert len(maximal_chains(t)) == 16  # no link survives: one chain per pair
+    assert len(links) == 16
 
 
 def test_an_analysis_frees_its_table_without_the_garbage_collector():
