@@ -327,9 +327,19 @@ def _normal_monomials(q: Quiver, rw: _Rewriter, cap: int) -> list[Path]:
     level: list[Path] = [(a.label,) for a in q.arrows]
     arrows_from = {v: [a.label for a in q.arrows_from(v)] for v in q.vertices}
     target = {a.label: a.target for a in q.arrows}
+    # a factor of a normal word is normal, and whether a word extends to a
+    # normal one depends only on its last span letters; a word with more such
+    # factors than there are normal words of length span repeats one, and the
+    # stretch between the two can be pumped: the basis is infinite
+    span = max(rw.lengths, default=2) - 1
     length = 1
     while level:
         out.extend(level)
+        if length == span:
+            windows = len(level)
+        if length >= span and length - span + 1 > windows:
+            raise NotFiniteDimensional(f"a normal monomial of length {length} repeats a "
+                                       f"factor of length {span}, so dim A is infinite")
         if length >= cap:
             raise NotFiniteDimensional(
                 f"normal monomials persist past the length cap {cap}")

@@ -29,11 +29,11 @@ class AnalysisReport:
 
     @functools.cached_property
     def hh1(self) -> derlie.HH1Result:
-        return derlie.hh1(self.table, rad_only=False)
+        return derlie.hh1(self.table)
 
     @functools.cached_property
     def hh1_rad(self) -> derlie.HH1Result:
-        return derlie.hh1(self.table, rad_only=True, full=self.hh1)
+        return derlie.radical_part(self.hh1)
 
     @functools.cached_property
     def loops(self) -> derlie.LoopReport:
@@ -56,7 +56,7 @@ class AnalysisReport:
                 raise UnsupportedCharacteristic(
                     "the sl2 decomposition needs 2 to be invertible")
             return None
-        return kron.decomposition_report(self.table, self.hh1_rad, self.septype,
+        return kron.decomposition_report(self.hh1_rad, self.septype,
                                          self.options.assert_nonwild)
 
     @functools.cached_property

@@ -26,17 +26,24 @@ from .quiver import Quiver
 
 
 class DerivationLayout:
-    """Coordinate layout for derivations: one slot per (arrow, parallel basis
-    monomial).  slots: list of (arrow label, basis index); position: slot
-    -> its position in slots; blocks: arrow label -> list of slot
-    positions; parallel: the sorted basis indices of the slots; actions:
-    frozenset(vec.items()) -> action_columns(vec, parallel), filled by
-    ``lie_from_quotient``."""
+    """Coordinate layout for the derivations of table: one slot per (arrow,
+    parallel basis monomial).  slots: list of (arrow label, basis index);
+    position: slot -> its position in slots; blocks: arrow label -> list of
+    slot positions; parallel: the sorted basis indices of the slots;
+    actions: frozenset(vec.items()) -> action_columns(vec, parallel), filled
+    by ``lie_from_quotient``."""
 
-    def __init__(self, table: AlgebraTable, slots: list, blocks: dict):
-        self.table, self.slots, self.blocks = table, slots, blocks
-        self.position = {slot: s for s, slot in enumerate(slots)}
-        self.parallel = sorted({bi for _, bi in slots})
+    def __init__(self, table: AlgebraTable):
+        self.table, self.slots, self.blocks = table, [], {}
+        for arrow in table.quiver.arrows:
+            block = self.blocks[arrow.label] = []
+            for i in range(table.dim):
+                if (table.basis_source[i] == arrow.source
+                        and table.basis_target[i] == arrow.target):
+                    block.append(len(self.slots))
+                    self.slots.append((arrow.label, i))
+        self.position = {slot: s for s, slot in enumerate(self.slots)}
+        self.parallel = sorted({bi for _, bi in self.slots})
         self.actions: dict = {}
 
     @property
@@ -85,20 +92,6 @@ def _extend(t: AlgebraTable, values: dict, words) -> dict:
     return images
 
 
-def derivation_layout(table: AlgebraTable) -> DerivationLayout:
-    slots = []
-    blocks: dict = {}
-    for arrow in table.quiver.arrows:
-        block = []
-        for i in range(table.dim):
-            if (table.basis_source[i] == arrow.source
-                    and table.basis_target[i] == arrow.target):
-                block.append(len(slots))
-                slots.append((arrow.label, i))
-        blocks[arrow.label] = block
-    return DerivationLayout(table, slots, blocks)
-
-
 def _constraint_rows(layout: DerivationLayout) -> list:
     """Sparse linear conditions on the slot vector forcing delta(g) = 0 for
     all reduced rewriting generators g: one row per generator and nonzero
@@ -125,13 +118,13 @@ def _constraint_rows(layout: DerivationLayout) -> list:
 
 def derivation_space(table: AlgebraTable):
     """Basis (slot vectors) of the idempotent-killing derivations of A."""
-    layout = derivation_layout(table)
+    layout = DerivationLayout(table)
     rows = _constraint_rows(layout)
     basis = linal.kernel_basis(table.field, rows, layout.size)
     return layout, basis
 
 
-def inner_space(table: AlgebraTable, layout: DerivationLayout) -> list:
+def inner_space(layout: DerivationLayout) -> list:
     """Span of the inner derivations [u, -] for u a diagonal basis monomial.
 
     Every inner derivation class contains such a combination: subtracting
@@ -139,7 +132,7 @@ def inner_space(table: AlgebraTable, layout: DerivationLayout) -> list:
     on every arrow once values are matched by endpoints, and the trivial
     paths give zero.
     """
-    t = table
+    t = layout.table
     field = t.field
     zero = field.zero
     products = t.products
@@ -158,15 +151,14 @@ def inner_space(table: AlgebraTable, layout: DerivationLayout) -> list:
     return linal.span_basis(field, vecs)
 
 
-def radical_preserving(table: AlgebraTable, layout: DerivationLayout,
-                       der_basis: list) -> list:
+def radical_preserving(layout: DerivationLayout, der_basis: list) -> list:
     """Subspace of derivations mapping the radical into itself.
 
     The only way a derivation value can leave the radical is through the
     trivial-path coefficient of a loop, so the cut is one linear condition
     per loop arrow.
     """
-    t = table
+    t = layout.table
     field = t.field
     conditions = [layout.position[arrow.label, t.idempotent_index(arrow.source)]
                   for arrow in t.quiver.arrows if arrow.source == arrow.target]
@@ -217,12 +209,12 @@ class LieAlgebra:
 
     structure[i][j] is the sparse coordinate vector of [x_i, x_j] in the
     chosen basis; ``linal.contract`` on it brackets any two sparse vectors.
-    For cohomology quotients the basis vectors are derivation slot vectors
-    kept in `reps` together with their layout.
+    The basis vectors are classes of the derivation slot vectors in reps,
+    written on layout.
     """
 
     def __init__(self, field: Field, dim: int, structure: list,
-                 layout: DerivationLayout | None = None, reps: list | None = None):
+                 layout: DerivationLayout, reps: list):
         self.field, self.dim, self.structure = field, dim, structure
         self.layout, self.reps = layout, reps
 
@@ -258,14 +250,13 @@ class LieAlgebra:
             cur = nxt
         return dims
 
-    def is_solvable(self, start: list | None = None) -> bool:
-        """The derived series from span(start), by default from the whole
-        algebra, ends at 0."""
-        return (self._derived_dims if start is None else self._derived(start))[-1] == 0
+    def is_solvable(self) -> bool:
+        """The derived series of the whole algebra ends at 0."""
+        return self._derived_dims[-1] == 0
 
 
-def lie_from_quotient(table: AlgebraTable, layout: DerivationLayout,
-                      der_basis: list, inn_basis: list) -> LieAlgebra:
+def lie_from_quotient(layout: DerivationLayout, der_basis: list,
+                      inn_basis: list) -> LieAlgebra:
     """Lie algebra on Der/Inn with bracket computed on representatives.
 
     The commutator [d_i, d_j] is a derivation, so it is fixed by its slot
@@ -281,7 +272,7 @@ def lie_from_quotient(table: AlgebraTable, layout: DerivationLayout,
     commutators lie in Der exactly when the pivots of that reduction are
     the reps and inn columns and nothing else.
     """
-    field = table.field
+    field = layout.table.field
     reps = linal.quotient_reps(field, der_basis, inn_basis)
     d = len(reps)
     slots, position = layout.slots, layout.position
@@ -323,36 +314,30 @@ def lie_from_quotient(table: AlgebraTable, layout: DerivationLayout,
 
 
 class HH1Result:
-    """der: basis of Der, or of its radical-preserving part; inn: basis of Inn."""
+    """The Lie algebra lie on Der/Inn; der: basis of Der, or of its
+    radical-preserving part; inn: basis of Inn."""
 
-    def __init__(self, lie: LieAlgebra, der_dim: int, inn_dim: int,
-                 layout: DerivationLayout, der: list, inn: list):
-        self.lie, self.der_dim, self.inn_dim = lie, der_dim, inn_dim
-        self.layout, self.der, self.inn = layout, der, inn
+    def __init__(self, lie: LieAlgebra, der: list, inn: list):
+        self.lie, self.der, self.inn = lie, der, inn
+        self.layout, self.der_dim, self.inn_dim = lie.layout, len(der), len(inn)
 
 
-def hh1(table: AlgebraTable, rad_only: bool = False,
-        full: HH1Result | None = None) -> HH1Result:
-    """HH1(A), or its radical-preserving part, as an explicit Lie algebra.
+def hh1(table: AlgebraTable) -> HH1Result:
+    """HH1(A) as an explicit Lie algebra."""
+    layout, der = derivation_space(table)
+    inn = inner_space(layout)
+    return HH1Result(lie_from_quotient(layout, der, inn), der, inn)
 
-    ``full`` is an earlier ``hh1(table)`` of the same table whose Der and
-    Inn are reused instead of solving the constraints again.  With
-    ``rad_only``, when the cut keeps all of Der, ``full`` itself is
-    returned: equal spans have the same quotient section, so the bracket
-    would come out the same.
-    """
-    if full is None:
-        layout, der = derivation_space(table)
-        inn = inner_space(table, layout)
-    else:
-        layout, der, inn = full.layout, full.der, full.inn
-    if rad_only:
-        cut = radical_preserving(table, layout, der)
-        if full is not None and len(cut) == len(der):
-            return full
-        der = cut
-    lie = lie_from_quotient(table, layout, der, inn)
-    return HH1Result(lie, len(der), len(inn), layout, der, inn)
+
+def radical_part(full: HH1Result) -> HH1Result:
+    """HH1_rad: the radical-preserving cut of the Der of full = hh1(table),
+    bracketed modulo its Inn on its layout.  When the cut keeps all of Der
+    this is full itself: equal spans have the same quotient section, so the
+    bracket would come out the same."""
+    der = radical_preserving(full.layout, full.der)
+    if len(der) == len(full.der):
+        return full
+    return HH1Result(lie_from_quotient(full.layout, der, full.inn), der, full.inn)
 
 
 # -- the rank-one cut down to sl2 -----------------------------------------

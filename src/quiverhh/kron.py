@@ -48,27 +48,15 @@ class KroneckerChain(Value, fields=("pairs", "shape")):
         return tuple(p.labels for p in self.pairs)
 
 
-def kronecker_pairs(table: AlgebraTable):
-    """All parallel double-arrow pairs, ordered by declaration.
-
-    Returns (pairs, oversized) where oversized lists parallel classes of
-    three or more arrows; those classes admit no pair and already force
-    wild type through the separated quiver.
-    """
+def kronecker_pairs(table: AlgebraTable) -> list:
+    """All parallel double-arrow pairs, ordered by declaration.  A parallel
+    class of three or more arrows admits no pair."""
     q = table.quiver
     classes: dict = {}
     for arrow in q.arrows:
         classes.setdefault((arrow.source, arrow.target), []).append(arrow.label)
-    pairs = []
-    oversized = []
-    for (src, tgt), labels in classes.items():
-        if len(labels) == 2:
-            a, b = labels
-            pairs.append(KroneckerPair(a, b, src, tgt,
-                                       delta_defined(q, a, b)))
-        elif len(labels) > 2:
-            oversized.append(labels)
-    return pairs, oversized
+    return [KroneckerPair(*labels, src, tgt, delta_defined(q, *labels))
+            for (src, tgt), labels in classes.items() if len(labels) == 2]
 
 
 def _arrow_product(table: AlgebraTable, x: str, y: str) -> dict:
@@ -91,7 +79,7 @@ def _chain_shape(pairs) -> str:
 
 def maximal_chains(table: AlgebraTable):
     """Maximal Kronecker chains, cyclic ones as their smallest rotation."""
-    pairs, _ = kronecker_pairs(table)
+    pairs = kronecker_pairs(table)
     # the links p -> q, each tested once: q starts where p ends and some
     # cross product survives; preceding holds the same links reversed
     following = {p: [q for q in pairs if q is not p and p.target == q.source
@@ -167,8 +155,7 @@ class SurjectivityReport:
         return self.delta is not None
 
 
-def is_surjective_chain(table: AlgebraTable, h: HH1Result,
-                        chain: KroneckerChain) -> SurjectivityReport:
+def is_surjective_chain(h: HH1Result, chain: KroneckerChain) -> SurjectivityReport:
     """Test the sl2 projection along each isolated pair of the chain.
 
     Surjective means some pair's projection hits all of sl2; for chains
@@ -263,7 +250,7 @@ class ChainReport:
         return len(self.joint_kernel)
 
 
-def decomposition_report(table: AlgebraTable, h: HH1Result, septype: str,
+def decomposition_report(h: HH1Result, septype: str,
                          assert_nonwild: bool = False) -> ChainReport:
     """Assemble m, the solvable remainder and the hypothesis flags.
 
@@ -275,13 +262,14 @@ def decomposition_report(table: AlgebraTable, h: HH1Result, septype: str,
     non-wild type) the radical-preserving part of HH1 splits as m copies
     of sl2 plus a solvable ideal of dimension dim - 3m.
     """
+    table = h.layout.table
     field = table.field
     if field.characteristic == 2:
         raise UnsupportedCharacteristic(
             "the decomposition count needs 2 to be invertible")
     chains = maximal_chains(table)
     classes = equivalence_classes(table, chains)
-    surj = [is_surjective_chain(table, h, cl.representative) for cl in classes]
+    surj = [is_surjective_chain(h, cl.representative) for cl in classes]
     std = [standard_relations_literal(table, cl.representative) for cl in classes]
     m = sum(1 for s in surj if s.surjective)
     lie = h.lie

@@ -13,7 +13,7 @@ nonzero entries, and ``combine`` sums rows or columns of it.  Everything
 downstream (quotient algebras, derivation solves, structure constants)
 runs through the one row reduction in this module, so all arithmetic here
 is exact by construction.  Every vector the package takes or returns is
-sparse; ``dense`` and ``sparse`` convert to and from coordinate lists.
+sparse.
 """
 
 from __future__ import annotations
@@ -126,22 +126,6 @@ Scalar = object  # over Q an int when integral, else a Fraction; over F_p an int
 def _integral(x):
     """x as an int when it is a Fraction with denominator 1, else x."""
     return x.numerator if type(x) is Fraction and x.denominator == 1 else x
-
-
-# -- coordinate lists -------------------------------------------------------
-
-
-def sparse(v: list) -> dict:
-    """The nonzero entries of a dense vector, as a dict index -> scalar."""
-    return {i: a for i, a in enumerate(v) if a != 0}
-
-
-def dense(field: Field, n: int, v: dict) -> list:
-    """The dense vector of length n with the entries of a sparse one."""
-    out = [field.zero] * n
-    for i, a in v.items():
-        out[i] = a
-    return out
 
 
 # -- sparse rows -----------------------------------------------------------
@@ -303,12 +287,3 @@ def combine(field: Field, *parts) -> dict:
             if v := vectors[i]:
                 add_multiple(field, out, c, v)
     return out
-
-
-def is_associative(field: Field, table: list) -> bool:
-    """(x_i x_j) x_k == x_i (x_j x_k) for all basis triples of a sparse table."""
-    d = len(table)
-    one = field.one
-    return all(contract(field, table, table[i][j], {k: one})
-               == contract(field, table, {i: one}, table[j][k])
-               for i in range(d) for j in range(d) for k in range(d))

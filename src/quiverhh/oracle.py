@@ -24,17 +24,6 @@ from .linal import Field
 MAX_ORACLE_DIM = 64
 
 
-def _flat(i: int, j: int, d: int) -> int:
-    """Index of the (i, j) entry of a linear map: coefficient of basis i
-    in the image of basis j."""
-    return i * d + j
-
-
-def _full_columns(d: int) -> list[dict]:
-    """The column map of the full complex: every entry of a map A -> A."""
-    return [{c: _flat(c, j, d) for c in range(d)} for j in range(d)]
-
-
 def _cocycle_rows(field: Field, table, cols: list[dict], pairs):
     """Sparse rows of d1 at the pairs (x, y) on the unknowns of ``cols``.
 
@@ -134,22 +123,3 @@ def bar_hh1_dim(a: AlgebraTable) -> int:
     ker_d1 = sum(map(len, cols)) - linal.sparse_rank(field, rows)
     diagonal = [u for u, (s, t) in enumerate(pairs) if s == t]
     return ker_d1 - (len(diagonal) - _center_dim(field, table, diagonal, pairs))
-
-
-def derivations_from_table(field: Field, table, idempotents=None) -> list:
-    """Basis of the Leibniz maps of a bare sparse table, as sparse flattened
-    matrices (see ``_flat``), from the full complex with all d^2 unknowns.
-
-    With a complete orthogonal set of idempotents given (sparse vectors),
-    the maps are also required to kill them, matching the arrow-level
-    convention.
-    """
-    d = len(table)
-    if d > MAX_ORACLE_DIM:
-        raise TooLarge(f"oracle limited to dimension {MAX_ORACLE_DIM}, got {d}")
-    if not linal.is_associative(field, table):
-        raise NotAssociative("multiplication table is not associative")
-    rows = _cocycle_rows(field, table, _full_columns(d), itertools.product(range(d), repeat=2))
-    for e in idempotents or ():
-        rows += [{_flat(c, j, d): a for j, a in e.items()} for c in range(d)]
-    return linal.kernel_basis(field, rows, d * d)

@@ -108,8 +108,7 @@ def test_criterion_04_loops_only():
     rep = analysis("loops_solvable")
     assert rep.hh1.lie.dim == 4
     assert rep.hh1.lie.is_solvable()
-    pairs, oversized = kronecker_pairs(table("loops_solvable"))
-    assert pairs == [] and oversized == []
+    assert kronecker_pairs(table("loops_solvable")) == []
     _report(4, "loop-decorated line: solvable, no pairs")
 
 
@@ -259,9 +258,9 @@ def test_criterion_13_property_suite():
         _check_jacobi(rep.hh1.lie)
         if t.field.characteristic == 2:
             continue
-        pairs, _ = kronecker_pairs(t)
+        pairs = kronecker_pairs(t)
         layout = rep.hh1_rad.layout
-        inn = inner_space(t, layout)
+        inn = inner_space(layout)
         lie = rep.hh1_rad.lie
         for pair in pairs:
             if not pair.delta_defined:
@@ -286,7 +285,7 @@ def test_criterion_13_property_suite():
         for chain in maximal_chains(t):
             rel = standard_relations_literal(t, chain)
             if rel.s1 and rel.s2 and rel.s3:
-                assert is_surjective_chain(t, rep.hh1_rad, chain).surjective, stem
+                assert is_surjective_chain(rep.hh1_rad, chain).surjective, stem
     _report(13, "Leibniz, Jacobi, kernel and transfer properties on the corpus")
 
 

@@ -4,7 +4,8 @@ from collections import Counter
 
 import pytest
 
-from quiverhh import analysis, cli, derlie, errors, kron, oracle
+from quiverhh import analysis, cli, derlie, dsl, errors, kron, oracle
+from quiverhh.algebra import build_algebra
 from quiverhh.cli import main
 
 KRONECKER = """\
@@ -248,20 +249,19 @@ def test_subcommand_prints_its_sections_of_the_frozen_report(path, command, caps
 
 
 STAGES = ((analysis, "build_algebra"), (cli, "build_algebra"), (derlie, "hh1"),
-          (derlie, "derivation_space"), (derlie, "loop_criterion"),
-          (kron, "decomposition_report"), (oracle, "bar_hh1_dim"))
+          (derlie, "radical_part"), (derlie, "derivation_space"),
+          (derlie, "loop_criterion"), (kron, "decomposition_report"),
+          (oracle, "bar_hh1_dim"))
+HH1 = {"hh1": 1, "radical_part": 1, "derivation_space": 1}
 
 
 @pytest.mark.parametrize("argv,expected", [
-    (["hh1"], {"build_algebra": 1, "hh1": 2, "derivation_space": 1,
-               "loop_criterion": 1}),
-    (["chains"], {"build_algebra": 1, "hh1": 2, "derivation_space": 1,
-                  "decomposition_report": 1}),
+    (["hh1"], {"build_algebra": 1, **HH1, "loop_criterion": 1}),
+    (["chains"], {"build_algebra": 1, **HH1, "decomposition_report": 1}),
     (["septype"], {}),
     (["oracle"], {"build_algebra": 1, "bar_hh1_dim": 1}),
-    (["analyze", "--oracle"], {"build_algebra": 1, "hh1": 2, "derivation_space": 1,
-                               "loop_criterion": 1, "decomposition_report": 1,
-                               "bar_hh1_dim": 1}),
+    (["analyze", "--oracle"], {"build_algebra": 1, **HH1, "loop_criterion": 1,
+                               "decomposition_report": 1, "bar_hh1_dim": 1}),
 ], ids=["hh1", "chains", "septype", "oracle", "analyze_oracle"])
 def test_each_subcommand_computes_only_what_it_prints(argv, expected, monkeypatch,
                                                       capsys):
@@ -274,6 +274,30 @@ def test_each_subcommand_computes_only_what_it_prints(argv, expected, monkeypatc
     path = CORPUS[0].parent / "loops_solvable.dsl"
     assert main([argv[0], str(path)] + argv[1:]) == 0
     assert calls == Counter(expected)
+
+
+INFINITE = {
+    "free_on_two_loops": "field Q\nvertex 1\narrow x 1 1\narrow y 1 1\n",
+    "binomial_fp5": "field fp:5\nvertex 1\narrow x 1 1\narrow y 1 1\nrelation x*x*x*x\n"
+                    "relation y*y*y*y\nrelation y*y*x - 2*x*x*x*y\n"
+                    "relation y*y*y - y*y*y*x*y\n",
+}
+
+
+@pytest.mark.parametrize("text", INFINITE.values(), ids=list(INFINITE))
+def test_an_infinite_quotient_is_refused_by_a_repeated_factor(text, tmp_path, capsys):
+    """Both quotients have infinitely many normal words.  Counted up to the
+    default length cap they exhaust memory, so the refusal must come from
+    a repeated factor well below the cap: checked first at cap 16, where
+    counting alone would reach the cap, then through the CLI."""
+    p = dsl.load_presentation(text, max_length_cap=16)
+    with pytest.raises(errors.NotFiniteDimensional, match="repeats a factor"):
+        build_algebra(p)
+    f = tmp_path / "infinite.dsl"
+    f.write_text(text)
+    assert main(["analyze", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "repeats a factor" in err and err.count("\n") == 1
 
 
 EXIT_CODES = {

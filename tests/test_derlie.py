@@ -4,12 +4,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quiverhh import linal
+from quiverhh import derlie, linal
 from quiverhh.algebra import Presentation, Relation, build_algebra
 from quiverhh.analysis import run_analyze
 from quiverhh.derlie import (DerivationLayout, delta_defined, delta_map,
-                             derivation_layout, derivation_space, hh1, inner_space,
-                             lie_from_quotient, loop_criterion, radical_preserving)
+                             derivation_space, hh1, inner_space, lie_from_quotient,
+                             loop_criterion, radical_part, radical_preserving)
 from quiverhh.dsl import load_presentation
 from quiverhh.errors import DeltaUndefined, InvalidArrow, UnsupportedCharacteristic
 from quiverhh.kron import decomposition_report
@@ -60,8 +60,8 @@ def test_truncated_loop_bracket_table():
         t = truncated_loop(n, field)
         assert t.basis_paths == [("x",) * m for m in range(n)]
         divides = field.characteristic and n % field.characteristic == 0
-        for rad_only in (False, True):
-            lie = hh1(t, rad_only=rad_only).lie
+        full = hh1(t)
+        for rad_only, lie in ((False, full.lie), (True, radical_part(full).lie)):
             exps = list(range(0 if divides and not rad_only else 1, n))
             assert [lie.layout.sparse_value(v, "x") for v in lie.reps] == \
                 [{m: field.one} for m in exps]
@@ -82,11 +82,11 @@ def test_witt_algebra_mod_3():
     t = truncated_loop(3, field=Field(3))
     layout, der = derivation_space(t)
     assert len(der) == 3  # x -> 1 is also a derivation since 3x^2 = 0
-    rad = radical_preserving(t, layout, der)
+    rad = radical_preserving(layout, der)
     assert len(rad) == 2
-    full = hh1(t, rad_only=False)
+    full = hh1(t)
     assert not full.lie.is_solvable()
-    radl = hh1(t, rad_only=True)
+    radl = radical_part(full)
     assert radl.lie.is_solvable()
 
 
@@ -121,7 +121,7 @@ def test_kronecker_spaces():
     t = kronecker_table()
     layout, der = derivation_space(t)
     assert len(der) == 4  # gl2 acting on the arrow span
-    inn = inner_space(t, layout)
+    inn = inner_space(layout)
     assert len(inn) == 1
     res = hh1(t)
     assert res.lie.dim == 3
@@ -133,7 +133,7 @@ def test_inner_derivations_are_derivations():
               [("a", "1", "2"), ("b", "1", "2"), ("c", "2", "3")],
               [[(1, ("a", "c"))]])
     layout, der = derivation_space(t)
-    inn = inner_space(t, layout)
+    inn = inner_space(layout)
     der_ech = linal.span_basis(t.field, der)
     for v in inn:
         assert not linal.reduce_against(t.field, v, der_ech)
@@ -150,7 +150,7 @@ def test_delta_defined():
 
 
 def test_delta_map_on_kronecker():
-    res = hh1(kronecker_table(), rad_only=True)
+    res = radical_part(hh1(kronecker_table()))
     dm = delta_map(res.lie, "a", "b")
     assert dm.surjective
     assert linal.kernel_basis(dm.field, dm.rows, dm.dim) == []
@@ -166,7 +166,7 @@ def test_delta_map_on_kronecker():
 
 
 def test_delta_map_refuses_characteristic_two():
-    res = hh1(kronecker_table(field=Field(2)), rad_only=True)
+    res = radical_part(hh1(kronecker_table(field=Field(2))))
     with pytest.raises(UnsupportedCharacteristic):
         delta_map(res.lie, "a", "b")
 
@@ -174,13 +174,13 @@ def test_delta_map_refuses_characteristic_two():
 def test_delta_map_refuses_non_isolated_pair():
     t = build(["1", "2"],
               [("a", "1", "2"), ("b", "1", "2"), ("c", "1", "2")], [])
-    res = hh1(t, rad_only=True)
+    res = radical_part(hh1(t))
     with pytest.raises(DeltaUndefined):
         delta_map(res.lie, "a", "b")
 
 
 def test_delta_map_refuses_an_undeclared_arrow():
-    res = hh1(kronecker_table(), rad_only=True)
+    res = radical_part(hh1(kronecker_table()))
     with pytest.raises(InvalidArrow, match="'zz'"):
         delta_map(res.lie, "a", "zz")
     with pytest.raises(InvalidArrow, match="'zz'"):
@@ -221,7 +221,7 @@ def bracket_by_commutators(res):
     t = layout.table
     f = t.field
     acts = [layout.action_columns(v, range(t.dim)) for v in lie.reps]
-    inn = inner_space(t, layout)
+    inn = inner_space(layout)
     cols = lie.reps + inn
     matrix = [{k: col[r] for k, col in enumerate(cols) if r in col} for r in range(layout.size)]
 
@@ -257,7 +257,7 @@ def test_batched_bracket_matches_commutators(path):
     else:
         t = build_algebra(load_presentation(path.read_text()))
     full = hh1(t)
-    for res in (full, hh1(t, rad_only=True)):
+    for res in (full, radical_part(full)):
         assert res.lie.structure == bracket_by_commutators(res)
         assert_bracket_axioms(res.lie)
 
@@ -267,14 +267,26 @@ def test_bracket_leaving_the_space_is_refused():
     # [E, F] = H = (a -> a) - (b -> b) lies outside it.
     t = kronecker_table()
     layout, _ = derivation_space(t)
-    inn = inner_space(t, layout)
+    inn = inner_space(layout)
 
     def arrow_to(a, b):
         return {layout.slots.index((a, t.arrow_index(b))): t.field.one}
 
     span = inn + [arrow_to("a", "b"), arrow_to("b", "a")]
     with pytest.raises(AssertionError, match="left the derivation space"):
-        lie_from_quotient(t, layout, span, inn)
+        lie_from_quotient(layout, span, inn)
+
+
+@pytest.mark.parametrize("t", [kronecker_table(), truncated_loop(10, Field(3))],
+                         ids=["kronecker_Q", "x10_fp3"])
+def test_radical_part_is_the_full_hh1_when_the_cut_keeps_der(monkeypatch, t):
+    """With no loop, or with a loop of order 10 prime to 3, every derivation
+    preserves the radical: the full HH1 is returned and nothing is bracketed."""
+    full = hh1(t)
+    calls = []
+    monkeypatch.setattr(derlie, "lie_from_quotient", lambda *args: calls.append(args))
+    assert radical_part(full) is full
+    assert calls == []
 
 
 def test_hh1_rad_shares_the_lie_algebra_when_the_cut_is_a_no_op():
@@ -284,7 +296,7 @@ def test_hh1_rad_shares_the_lie_algebra_when_the_cut_is_a_no_op():
                                       field=Field(5)))
     assert report.hh1_rad.lie is not report.hh1.lie
     assert (report.hh1.lie.dim, report.hh1_rad.lie.dim) == (15, 14)
-    assert report.hh1_rad.lie.structure == hh1(report.table, rad_only=True).lie.structure
+    assert report.hh1_rad.lie.structure == radical_part(hh1(report.table)).lie.structure
 
 
 def test_derived_series_is_computed_once():
@@ -346,7 +358,7 @@ def radical_square_zero(draw):
 def test_bracket_is_a_lie_bracket_on_radical_square_zero_algebras(table):
     full = hh1(table)
     assert_bracket_axioms(full.lie)
-    assert_bracket_axioms(hh1(table, rad_only=True, full=full).lie)
+    assert_bracket_axioms(radical_part(full).lie)
 
 
 @pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.stem)
@@ -357,10 +369,9 @@ def test_analysis_reads_products_from_the_table(path, monkeypatch):
         raise AssertionError(f"rewriter called on {poly} after build_algebra")
 
     monkeypatch.setattr(t.rewriter, "reduce", no_rewriting)
-    hh1(t)
-    rad = hh1(t, rad_only=True)
+    rad = radical_part(hh1(t))
     loop_criterion(t)
-    decomposition_report(t, rad, reptype_radsq(t.quiver))
+    decomposition_report(rad, reptype_radsq(t.quiver))
 
 
 # algebras where the product d(p)*a of the product rule reduces through a
@@ -424,7 +435,7 @@ def test_action_columns_take_one_product_rule_step_per_monomial(monkeypatch, n, 
     length >= 2, where expanding the product rule at every position takes
     about 2L for length L."""
     t = truncated_loop(n, field)
-    layout = derivation_layout(t)
+    layout = DerivationLayout(t)
     vec = dict.fromkeys(range(layout.size), field.one)
     combine = linal.combine
     calls = []
@@ -467,10 +478,10 @@ def test_the_radical_bracket_reuses_the_action_columns_of_hh1(monkeypatch, t):
         return real(self, vec, indices)
 
     monkeypatch.setattr(DerivationLayout, "action_columns", counted)
-    rad = hh1(t, rad_only=True, full=full)
+    rad = radical_part(full)
     assert rad is not full and rad.layout is full.layout
     assert rad.lie.dim < full.lie.dim and calls == []
-    fresh = lie_from_quotient(t, derivation_layout(t), rad.der, rad.inn)
+    fresh = lie_from_quotient(DerivationLayout(t), rad.der, rad.inn)
     assert len(calls) == rad.lie.dim
     assert fresh.structure == rad.lie.structure
 

@@ -7,7 +7,7 @@ import pytest
 from quiverhh import kron, linal
 from quiverhh.algebra import Presentation, Relation, build_algebra
 from quiverhh.analysis import run_analyze
-from quiverhh.derlie import LieAlgebra, delta_map, hh1
+from quiverhh.derlie import LieAlgebra, delta_map, hh1, radical_part
 from quiverhh.dsl import load_presentation
 from quiverhh.errors import UnsupportedCharacteristic
 from quiverhh.kron import (decomposition_report, equivalence_classes,
@@ -48,8 +48,8 @@ def triangle():
 
 
 def test_pairs_detection():
-    pairs, oversized = kronecker_pairs(kronecker())
-    assert len(pairs) == 1 and not oversized
+    pairs = kronecker_pairs(kronecker())
+    assert len(pairs) == 1
     assert pairs[0].labels == ("a", "b")
     assert pairs[0].delta_defined
 
@@ -57,9 +57,7 @@ def test_pairs_detection():
                    [("a", "1", "2"), ("b", "1", "2"), ("c", "1", "2"),
                     ("d", "2", "3")],
                    [[(1, (x, "d"))] for x in "abc"])
-    pairs, oversized = kronecker_pairs(triple)
-    assert pairs == []
-    assert oversized == [["a", "b", "c"]]
+    assert kronecker_pairs(triple) == []
 
 
 def test_single_pair_chain():
@@ -145,9 +143,9 @@ def test_witnesses_follow_the_chain_order():
 
 def test_surjectivity():
     t = chain_two()
-    h = hh1(t, rad_only=True)
+    h = radical_part(hh1(t))
     chain = maximal_chains(t)[0]
-    rep = is_surjective_chain(t, h, chain)
+    rep = is_surjective_chain(h, chain)
     assert rep.surjective
     assert rep.kernels_coincide
     assert set(rep.per_pair_image_dims.values()) == {3}
@@ -155,8 +153,8 @@ def test_surjectivity():
 
 def test_decomposition_report_counts():
     t = triangle()
-    h = hh1(t, rad_only=True)
-    rep = decomposition_report(t, h, reptype_radsq(t.quiver))
+    h = radical_part(hh1(t))
+    rep = decomposition_report(h, reptype_radsq(t.quiver))
     assert rep.m == 1
     assert h.lie.dim == 4
     assert rep.r_dim == 1
@@ -175,7 +173,7 @@ def test_joint_kernel_follows_the_surjective_pair(relations):
     t = build(["1", "2", "3"],
               [("a", "1", "2"), ("b", "1", "2"), ("c", "2", "3"), ("d", "2", "3")],
               relations)
-    rep = decomposition_report(t, hh1(t, rad_only=True), reptype_radsq(t.quiver))
+    rep = decomposition_report(radical_part(hh1(t)), reptype_radsq(t.quiver))
     assert rep.m == 1
     assert sorted(rep.surjectivity[0].per_pair_image_dims.values()) == [2, 3]
     assert rep.joint_kernel_dim == rep.r_dim == 2
@@ -186,7 +184,7 @@ def test_a_report_without_sl2_summands_computes_the_derived_series_once(monkeypa
     """With m = 0 the joint kernel is all of HH1_rad, so its derived series
     is the one already computed for the whole algebra."""
     t = build(["1"], [("x", "1", "1")], [[(1, ("x",) * 15)]], field=Field(5))
-    h = hh1(t, rad_only=True)
+    h = radical_part(hh1(t))
     calls = []
     real = LieAlgebra._derived
 
@@ -195,7 +193,7 @@ def test_a_report_without_sl2_summands_computes_the_derived_series_once(monkeypa
         return real(self, start)
 
     monkeypatch.setattr(LieAlgebra, "_derived", counted)
-    rep = decomposition_report(t, h, reptype_radsq(t.quiver))
+    rep = decomposition_report(h, reptype_radsq(t.quiver))
     assert rep.m == 0
     assert rep.joint_kernel_dim == h.lie.dim
     assert rep.joint_kernel_derived_dims == h.lie.derived_series()
@@ -204,18 +202,18 @@ def test_a_report_without_sl2_summands_computes_the_derived_series_once(monkeypa
 
 def test_decomposition_refuses_characteristic_two():
     t = build(["1", "2"], [("a", "1", "2"), ("b", "1", "2")], [], field=Field(2))
-    h = hh1(t, rad_only=True)
+    h = radical_part(hh1(t))
     with pytest.raises(UnsupportedCharacteristic):
-        decomposition_report(t, h, reptype_radsq(t.quiver))
+        decomposition_report(h, reptype_radsq(t.quiver))
 
 
 def test_standard_implies_surjective_here():
     for t in (kronecker(), chain_two(), triangle()):
-        h = hh1(t, rad_only=True)
+        h = radical_part(hh1(t))
         for chain in maximal_chains(t):
             rel = standard_relations_literal(t, chain)
             if rel.s1 and rel.s2 and rel.s3:
-                assert is_surjective_chain(t, h, chain).surjective
+                assert is_surjective_chain(h, chain).surjective
 
 
 def radsq_cycle(n):
@@ -280,8 +278,8 @@ def test_joint_kernel_is_the_intersection_of_the_class_kernels(case):
     """The report stacks the sl2 rows of each surjective class; intersecting
     the kernels of those projections one class at a time gives the same space."""
     t = case_table(case)
-    h = hh1(t, rad_only=True)
-    rep = decomposition_report(t, h, reptype_radsq(t.quiver))
+    h = radical_part(hh1(t))
+    rep = decomposition_report(h, reptype_radsq(t.quiver))
     f, lie = t.field, h.lie
     expected = [{i: f.one} for i in range(lie.dim)]
     for cl, s in zip(rep.classes, rep.surjectivity):
@@ -303,8 +301,8 @@ def test_projections_compared_by_their_rows_agree_with_their_kernels(case):
     kernel exactly when their rows span the same space: the report's
     comparison of echelons equals the comparison of the kernels."""
     t = case_table(case)
-    h = hh1(t, rad_only=True)
-    rep = decomposition_report(t, h, reptype_radsq(t.quiver))
+    h = radical_part(hh1(t))
+    rep = decomposition_report(h, reptype_radsq(t.quiver))
     f = t.field
     for cl, s in zip(rep.classes, rep.surjectivity):
         kernels = []
@@ -337,7 +335,7 @@ def test_the_chain_report_computes_one_kernel_and_tests_each_link_once(monkeypat
     compared by its rows, so the joint kernel is the only kernel computed,
     and each of the 16 links p -> q has its cross products tested once."""
     t = radsq_cycle(16)
-    h = hh1(t, rad_only=True)
+    h = radical_part(hh1(t))
     kernels, links = [], []
     kernel_basis, survives = linal.kernel_basis, kron._cross_product_survives
 
@@ -350,7 +348,7 @@ def test_the_chain_report_computes_one_kernel_and_tests_each_link_once(monkeypat
         return survives(*args)
 
     monkeypatch.setattr(linal, "kernel_basis", counted_kernel)
-    rep = decomposition_report(t, h, reptype_radsq(t.quiver))
+    rep = decomposition_report(h, reptype_radsq(t.quiver))
     assert rep.m == 16 and len(kernels) == 1
     monkeypatch.setattr(kron, "_cross_product_survives", counted_link)
     assert len(maximal_chains(t)) == 16  # no link survives: one chain per pair

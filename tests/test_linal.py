@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from quiverhh import linal
 from quiverhh.errors import QuotientUndefined
 from quiverhh.linal import Field
+import reference
 
 
 def test_field_parse_and_describe():
@@ -72,7 +73,7 @@ def test_kernel_basis_matches_rank():
     for _ in range(20):
         nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
         m = [[q.of(rng.randint(-3, 3)) for _ in range(ncols)] for _ in range(nrows)]
-        rows = [linal.sparse(r) for r in m]
+        rows = [reference.sparse(r) for r in m]
         ker = linal.kernel_basis(q, rows, ncols=ncols)
         assert len(ker) == ncols - linal.sparse_rank(q, rows)
         for v in ker:
@@ -117,7 +118,7 @@ def test_sparse_rank_agrees_with_dense():
                  for _ in range(nrows)]
         sparse = [{j: v for j, v in enumerate(r) if v != 0} for r in dense]
         sparse = [r for r in sparse if r]
-        columns = [linal.sparse(col) for col in zip(*dense)]
+        columns = [reference.sparse(col) for col in zip(*dense)]
         assert linal.sparse_rank(q, sparse) == linal.sparse_rank(q, columns)
 
 
@@ -224,7 +225,7 @@ def sparse_products(draw):
 @given(sparse_products())
 def test_contract_is_the_bilinear_product_of_the_table(case):
     field, n, table, u, v = case
-    du, dv = linal.dense(field, n, u), linal.dense(field, n, v)
+    du, dv = reference.dense(field, n, u), reference.dense(field, n, v)
     expected = [field.zero] * n
     for i in range(n):
         for j in range(n):
@@ -233,7 +234,7 @@ def test_contract_is_the_bilinear_product_of_the_table(case):
                 expected[k] = field.add(expected[k], field.mul(field.mul(du[i], dv[j]), c))
     got = linal.contract(field, table, u, v)
     assert all(c != 0 for c in got.values())
-    assert linal.dense(field, n, got) == expected
+    assert reference.dense(field, n, got) == expected
 
 
 # -- the scalar representation over Q: an int when integral --------------
@@ -281,17 +282,17 @@ def rational_rows(draw):
 def test_rational_elimination_is_fraction_gauss_jordan_with_int_entries(case):
     ncols, rows = case
     q = Field(0)
-    ref_rows, ref_pivots = fraction_rref([linal.dense(q, ncols, r) for r in rows])
+    ref_rows, ref_pivots = fraction_rref([reference.dense(q, ncols, r) for r in rows])
     ech, pivots = linal.rref(q, rows)
     assert pivots == ref_pivots
-    assert [linal.dense(q, ncols, r) for r in ech] == ref_rows
+    assert [reference.dense(q, ncols, r) for r in ech] == ref_rows
     free = [c for c in range(ncols) if c not in ref_pivots]
     ref_kernel = [[Fraction(int(k == c)) for k in range(ncols)] for c in free]
     for row, pc in zip(ref_rows, ref_pivots):
         for v, c in zip(ref_kernel, free):
             v[pc] = -row[c]
     ker = linal.kernel_basis(q, rows, ncols)
-    assert [linal.dense(q, ncols, v) for v in ker] == ref_kernel
+    assert [reference.dense(q, ncols, v) for v in ker] == ref_kernel
     assert all(is_normal(a) for v in ech + ker for a in v.values())
 
 

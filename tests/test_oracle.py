@@ -11,9 +11,9 @@ from quiverhh.derlie import derivation_space, hh1
 from quiverhh.dsl import load_presentation
 from quiverhh.errors import NotAssociative, TooLarge
 from quiverhh.linal import Field
-from quiverhh.oracle import (MAX_ORACLE_DIM, _cocycle_rows, _full_columns, bar_hh1_dim,
-                             derivations_from_table)
+from quiverhh.oracle import MAX_ORACLE_DIM, _cocycle_rows, bar_hh1_dim
 from quiverhh.quiver import Quiver
+from reference import dense, derivations_from_table, full_columns
 
 Q = Field(0)
 
@@ -67,7 +67,7 @@ def test_cochain_complex_identity():
     # d1 applied to every commutator map [basis_u, -] is zero
     t = build(["1", "2"], [("a", "1", "2"), ("b", "1", "2")], [])
     d, field = t.dim, t.field
-    d1_rows = _cocycle_rows(field, t.products, _full_columns(d), all_pairs(d))
+    d1_rows = _cocycle_rows(field, t.products, full_columns(d), all_pairs(d))
     for u in range(d):
         d0_image = {i * d + j: field.sub(t.products[u][j].get(i, field.zero),
                                          t.products[j][u].get(i, field.zero))
@@ -155,7 +155,7 @@ def dense_d1(t):
     (x, y, c) holds the coefficient of c in x*f(y) + f(x)*y - f(x*y) for each
     entry f(e_j)_i of the cochain, at column i*d + j."""
     f, d = t.field, t.dim
-    m = [[linal.dense(f, d, e) for e in row] for row in t.products]
+    m = [[dense(f, d, e) for e in row] for row in t.products]
     rows = []
     for x, y, c in itertools.product(range(d), repeat=3):
         row = {}
@@ -173,7 +173,7 @@ def dense_hh1_dim(t):
     unknown: d^2 - rank d1 - rank d0, where d0 sends u to the flattened
     matrix of x -> u*x - x*u."""
     f, d = t.field, t.dim
-    m = [[linal.dense(f, d, e) for e in row] for row in t.products]
+    m = [[dense(f, d, e) for e in row] for row in t.products]
     d0 = [{i * d + j: v for i in range(d) for j in range(d)
            if (v := f.sub(m[u][j][i], m[j][u][i])) != 0} for u in range(d)]
     return d * d - linal.sparse_rank(f, dense_d1(t)) - linal.sparse_rank(f, d0)
@@ -183,7 +183,7 @@ def dense_hh1_dim(t):
 def test_cocycle_rows_have_the_rank_of_the_dense_d1(path):
     t = build_algebra(load_presentation(path.read_text()))
     f, d = t.field, t.dim
-    assert (linal.sparse_rank(f, _cocycle_rows(f, t.products, _full_columns(d), all_pairs(d)))
+    assert (linal.sparse_rank(f, _cocycle_rows(f, t.products, full_columns(d), all_pairs(d)))
             == linal.sparse_rank(f, dense_d1(t)))
 
 
