@@ -20,7 +20,7 @@ import functools
 
 from . import linal
 from .algebra import AlgebraTable
-from .errors import DeltaUndefined, UnsupportedCharacteristic
+from .errors import DeltaUndefined, QuotientUndefined, UnsupportedCharacteristic
 from .linal import Field
 from .quiver import Quiver
 
@@ -29,9 +29,7 @@ class DerivationLayout:
     """Coordinate layout for the derivations of table: one slot per (arrow,
     parallel basis monomial).  slots: list of (arrow label, basis index);
     position: slot -> its position in slots; blocks: arrow label -> list of
-    slot positions; parallel: the sorted basis indices of the slots;
-    actions: frozenset(vec.items()) -> action_columns(vec, parallel), filled
-    by ``lie_from_quotient``."""
+    slot positions; parallel: the sorted basis indices of the slots."""
 
     def __init__(self, table: AlgebraTable):
         self.table, self.slots, self.blocks = table, [], {}
@@ -44,7 +42,6 @@ class DerivationLayout:
                     self.slots.append((arrow.label, i))
         self.position = {slot: s for s, slot in enumerate(self.slots)}
         self.parallel = sorted({bi for _, bi in self.slots})
-        self.actions: dict = {}
 
     @property
     def size(self) -> int:
@@ -255,33 +252,26 @@ class LieAlgebra:
         return self._derived_dims[-1] == 0
 
 
-def lie_from_quotient(layout: DerivationLayout, der_basis: list,
-                      inn_basis: list) -> LieAlgebra:
-    """Lie algebra on Der/Inn with bracket computed on representatives.
+def lie_from_quotient(layout: DerivationLayout, reps: list, inn: list) -> LieAlgebra:
+    """Lie algebra on span(reps + inn) / span(inn), bracketed on reps, a
+    section of the quotient: reps + inn must be linearly independent.
 
     The commutator [d_i, d_j] is a derivation, so it is fixed by its slot
     vector: the coordinate bi of d_i(d_j(a)) - d_j(d_i(a)) for each slot
     (a, bi).  The value of a representative on an arrow a lives on the
     monomials parallel to a, so each representative's action is needed
-    only on the monomials parallel to some arrow: those sparse columns
-    are kept on the layout, once per representative for HH1 and HH1_rad
-    alike, and each term is a combination of them.  By antisymmetry only
-    the d(d-1)/2 commutators with i < j are computed; they are written in
+    only on the monomials parallel to some arrow, and each term is a
+    combination of those sparse columns.  By antisymmetry only the
+    d(d-1)/2 commutators with i < j are computed; they are written in
     (reps | inn) coordinates by one row reduction of
     [reps | inn | commutators], and the reps part is the bracket.  The
-    commutators lie in Der exactly when the pivots of that reduction are
-    the reps and inn columns and nothing else.
+    commutators lie in the span exactly when the pivots of that reduction
+    are the reps and inn columns and nothing else.
     """
     field = layout.table.field
-    reps = linal.quotient_reps(field, der_basis, inn_basis)
     d = len(reps)
     slots, position = layout.slots, layout.position
-    cols = []
-    for v in reps:
-        key = frozenset(v.items())
-        if key not in layout.actions:
-            layout.actions[key] = layout.action_columns(v, layout.parallel)
-        cols.append(layout.actions[key])
+    cols = [layout.action_columns(v, layout.parallel) for v in reps]
     pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
     comms = []
     for i, j in pairs:
@@ -295,9 +285,9 @@ def lie_from_quotient(layout: DerivationLayout, der_basis: list,
             linal.add_multiple(field, images.setdefault(label, {}), field.neg(c), cols[j][m])
         comms.append({position[label, bi]: c for label, img in images.items()
                       for bi, c in img.items()})
-    base = len(reps) + len(inn_basis)
+    base = d + len(inn)
     matrix = [{} for _ in range(layout.size)]
-    for k, col in enumerate(reps + inn_basis + comms):
+    for k, col in enumerate(reps + inn + comms):
         for r, c in col.items():
             matrix[r][k] = c
     ech, pivots = linal.rref(field, matrix)
@@ -314,30 +304,44 @@ def lie_from_quotient(layout: DerivationLayout, der_basis: list,
 
 
 class HH1Result:
-    """The Lie algebra lie on Der/Inn; der: basis of Der, or of its
-    radical-preserving part; inn: basis of Inn."""
+    """The Lie algebra lie on der/inn; der: basis of Der, or of its
+    radical-preserving part; inn: basis of Inn; cut: basis of the
+    radical-preserving part of Der."""
 
-    def __init__(self, lie: LieAlgebra, der: list, inn: list):
-        self.lie, self.der, self.inn = lie, der, inn
+    def __init__(self, lie: LieAlgebra, der: list, inn: list, cut: list):
+        self.lie, self.der, self.inn, self.cut = lie, der, inn, cut
         self.layout, self.der_dim, self.inn_dim = lie.layout, len(der), len(inn)
 
 
 def hh1(table: AlgebraTable) -> HH1Result:
-    """HH1(A) as an explicit Lie algebra."""
+    """HH1(A) as an explicit Lie algebra.  Its section lists the reduced
+    echelon section of cut / Inn first and, when the cut is proper, that of
+    Der modulo Inn and those next, so HH1_rad is the leading block."""
+    field = table.field
     layout, der = derivation_space(table)
-    inn = inner_space(layout)
-    return HH1Result(lie_from_quotient(layout, der, inn), der, inn)
+    inn = inner_space(layout)  # reduced echelon
+    cut = radical_preserving(layout, der)
+    reps = linal.span_basis(field, [linal.reduce_against(field, v, inn) for v in cut])
+    if len(reps) != len(cut) - len(inn):
+        raise QuotientUndefined("Inn is not inside the radical-preserving derivations")
+    if len(cut) < len(der):
+        ech = inn + reps
+        reps += linal.span_basis(field, [linal.reduce_against(field, v, ech) for v in der])
+    return HH1Result(lie_from_quotient(layout, reps, inn), der, inn, cut)
 
 
 def radical_part(full: HH1Result) -> HH1Result:
-    """HH1_rad: the radical-preserving cut of the Der of full = hh1(table),
-    bracketed modulo its Inn on its layout.  When the cut keeps all of Der
-    this is full itself: equal spans have the same quotient section, so the
-    bracket would come out the same."""
-    der = radical_preserving(full.layout, full.der)
-    if len(der) == len(full.der):
+    """HH1_rad of full = hh1(table): the leading d x d block of its
+    structure constants, d = dim cut - dim Inn, with no bracket computed.
+    When the cut keeps all of Der this is full itself."""
+    lie, d = full.lie, len(full.cut) - full.inn_dim
+    if d == lie.dim:
         return full
-    return HH1Result(lie_from_quotient(full.layout, der, full.inn), der, full.inn)
+    block = [row[:d] for row in lie.structure[:d]]
+    if any(k >= d for row in block for entry in row for k in entry):
+        raise AssertionError("bracket left the radical-preserving derivations")
+    rad = LieAlgebra(lie.field, d, block, lie.layout, lie.reps[:d])
+    return HH1Result(rad, full.cut, full.inn, full.cut)
 
 
 # -- the rank-one cut down to sl2 -----------------------------------------

@@ -40,10 +40,6 @@ class KroneckerChain(Value, fields=("pairs", "shape")):
             out.extend([p.a, p.b])
         return out
 
-    @property
-    def is_closed(self) -> bool:
-        return self.pairs[0].source == self.pairs[-1].target
-
     def key(self):
         return tuple(p.labels for p in self.pairs)
 
@@ -227,7 +223,7 @@ def standard_relations_literal(table: AlgebraTable,
     s2 = all(triple(chain.pairs[i], chain.pairs[i + 1])
              for i in range(len(chain.pairs) - 1))
     s3 = True
-    if chain.is_closed:
+    if chain.shape != "Linear":
         s3 = triple(chain.pairs[-1], chain.pairs[0])
     return StandardRelationsReport(s1, s2, s3, witnesses)
 
@@ -281,12 +277,8 @@ def decomposition_report(h: HH1Result, septype: str,
     # stacked rows of each surjective class's first surjective pair
     rows = [row for s in surj if s.surjective for row in s.delta.rows]
     kernel = linal.kernel_basis(field, rows, lie.dim)
-    if not rows:  # no sl2 summand: the joint kernel is all of L
-        joint_derived = list(derived)
-    elif kernel:
-        joint_derived = lie.derived_series(kernel)
-    else:
-        joint_derived = [0]
+    # with no sl2 summand the joint kernel is all of L
+    joint_derived = lie.derived_series(kernel) if rows else list(derived)
 
     flags = {
         "char_ne_2": True,

@@ -6,10 +6,10 @@ residue ``int`` in ``[0, p)``.  Most structure constants, constraint rows
 and derivation vectors are 0 or +-1, and ``int`` arithmetic is several
 times cheaper than ``Fraction``'s.  Vectors and matrix rows are
 sparse: a dict index -> nonzero scalar, with no zero stored.  Row
-reduction, kernels, spans, quotient sections and solves take and return
-that form, and so do structure constants: a table entry is such a vector,
-``contract`` multiplies sparse vectors through the table, visiting only
-nonzero entries, and ``combine`` sums rows or columns of it.  Everything
+reduction, kernels, spans and solves take and return that form, and so
+do structure constants: a table entry is such a vector, ``contract``
+multiplies sparse vectors through the table, visiting only nonzero
+entries, and ``combine`` sums rows or columns of it.  Everything
 downstream (quotient algebras, derivation solves, structure constants)
 runs through the one row reduction in this module, so all arithmetic here
 is exact by construction.  Every vector the package takes or returns is
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import QuotientUndefined
 from .value import Value
 
 
@@ -242,17 +241,6 @@ def reduce_against(field: Field, v: dict, ech: list[dict]) -> dict:
         if c is not None:
             add_multiple(field, v, field.neg(c), row)
     return v
-
-
-def quotient_reps(field: Field, span_a: list[dict], span_b: list[dict]) -> list[dict]:
-    """Reduced echelon section of span_a modulo span_b.
-
-    Only defined when span_b is contained in span_a.
-    """
-    if sparse_rank(field, [*span_a, *span_b]) != sparse_rank(field, span_a):
-        raise QuotientUndefined("span_b is not contained in span_a")
-    ech = span_basis(field, span_b)
-    return span_basis(field, [reduce_against(field, v, ech) for v in span_a])
 
 
 # -- structure constants ---------------------------------------------------

@@ -1,12 +1,13 @@
 """Independent references the tests compare the package against: the
 full Hochschild complex of a bare table, with all d^2 unknowns, the
-associativity check it relies on, and conversions between sparse vectors
-and coordinate lists."""
+associativity check it relies on, the quotient section of one span
+modulo another, and conversions between sparse vectors and coordinate
+lists."""
 
 import itertools
 
 from quiverhh import linal
-from quiverhh.errors import NotAssociative, TooLarge
+from quiverhh.errors import NotAssociative, QuotientUndefined, TooLarge
 from quiverhh.linal import Field
 from quiverhh.oracle import MAX_ORACLE_DIM, _cocycle_rows
 
@@ -22,6 +23,15 @@ def dense(field: Field, n: int, v: dict) -> list:
     for i, a in v.items():
         out[i] = a
     return out
+
+
+def quotient_reps(field: Field, span_a: list[dict], span_b: list[dict]) -> list[dict]:
+    """Reduced echelon section of span_a modulo span_b, from any spanning
+    sets.  Only defined when span_b is contained in span_a."""
+    if linal.sparse_rank(field, [*span_a, *span_b]) != linal.sparse_rank(field, span_a):
+        raise QuotientUndefined("span_b is not contained in span_a")
+    ech = linal.span_basis(field, span_b)
+    return linal.span_basis(field, [linal.reduce_against(field, v, ech) for v in span_a])
 
 
 def is_associative(field: Field, table: list) -> bool:

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from quiverhh import derlie, linal
 from quiverhh.algebra import Presentation, Relation, build_algebra
 from quiverhh.analysis import run_analyze
-from quiverhh.derlie import (DerivationLayout, delta_defined, delta_map,
+from quiverhh.derlie import (DerivationLayout, HH1Result, delta_defined, delta_map,
                              derivation_space, hh1, inner_space, lie_from_quotient,
                              loop_criterion, radical_part, radical_preserving)
 from quiverhh.dsl import load_presentation
@@ -16,6 +16,7 @@ from quiverhh.kron import decomposition_report
 from quiverhh.linal import Field
 from quiverhh.quiver import Quiver, reptype_radsq
 from test_algebra import radsq_cycle
+import reference
 
 Q = Field(0)
 
@@ -55,14 +56,15 @@ def test_truncated_loop_bracket_table():
     """Every structure constant of HH1 and HH1_rad of k[x]/(x^n) against
     the Witt closed form [x^i d, x^j d] = (j - i) x^(i+j-1) d, zero once
     i + j - 1 >= n.  Der is spanned by the x^m d with m >= 1, and also by
-    d = x^0 d when p | n (d(x^n) = n x^(n-1) d(x)); Inn = 0."""
+    d = x^0 d when p | n (d(x^n) = n x^(n-1) d(x)); Inn = 0.  HH1 lists the
+    radical-preserving classes first, so x^0 d is its last basis vector."""
     for n, field in [(4, Q), (10, Field(5)), (15, Field(5)), (10, Field(7)), (15, Field(7))]:
         t = truncated_loop(n, field)
         assert t.basis_paths == [("x",) * m for m in range(n)]
         divides = field.characteristic and n % field.characteristic == 0
         full = hh1(t)
         for rad_only, lie in ((False, full.lie), (True, radical_part(full).lie)):
-            exps = list(range(0 if divides and not rad_only else 1, n))
+            exps = list(range(1, n)) + ([0] if divides and not rad_only else [])
             assert [lie.layout.sparse_value(v, "x") for v in lie.reps] == \
                 [{m: field.one} for m in exps]
             at = {m: r for r, m in enumerate(exps)}
@@ -272,9 +274,9 @@ def test_bracket_leaving_the_space_is_refused():
     def arrow_to(a, b):
         return {layout.slots.index((a, t.arrow_index(b))): t.field.one}
 
-    span = inn + [arrow_to("a", "b"), arrow_to("b", "a")]
+    section = [arrow_to("a", "b"), arrow_to("b", "a")]
     with pytest.raises(AssertionError, match="left the derivation space"):
-        lie_from_quotient(layout, span, inn)
+        lie_from_quotient(layout, section, inn)
 
 
 @pytest.mark.parametrize("t", [kronecker_table(), truncated_loop(10, Field(3))],
@@ -461,28 +463,51 @@ def quantum_plane(n, c=1, field=Q):
                          [(1, ("x",) * n)], [(1, ("y",) * n)]], field)
 
 
-@pytest.mark.parametrize("t", [truncated_loop(10, Field(5)), truncated_loop(15, Field(5)),
-                               build_algebra(quantum_plane(3, field=Field(3)))],
-                         ids=["x10_fp5", "x15_fp5", "plane3_fp3"])
-def test_the_radical_bracket_reuses_the_action_columns_of_hh1(monkeypatch, t):
-    """Where p | n the cut drops only the derivations moving a loop to the
-    unit, so each representative of HH1_rad is one of HH1's: its action
-    columns, kept on the shared layout, are not computed again, and the
-    bracket equals the one computed on a fresh layout."""
+# presentations whose radical cut drops a derivation moving a loop of order
+# p to the unit: (table, dims of HH1 and HH1_rad, derived series of HH1_rad)
+PROPER_CUTS = {
+    "x10_fp5": (lambda: truncated_loop(10, Field(5)), (10, 9), [9, 8, 6, 2, 0]),
+    "x15_fp5": (lambda: truncated_loop(15, Field(5)), (15, 14), [14, 13, 11, 7, 0]),
+    "plane3_fp3": (lambda: build_algebra(quantum_plane(3, field=Field(3))), (18, 16), [16, 15, 15]),
+    # Inn != 0: Der 6, Inn 3 and HH1 = [HH1, HH1]; the cut keeps 5 of Der
+    "loop_and_arrow_fp3": (lambda: build(["1", "2"], [("x", "1", "1"), ("a", "1", "2")],
+                                         [[(1, ("x",) * 3)]], Field(3)), (3, 2), [2, 1, 0]),
+    # a Kronecker pair beside the loop: m = 1
+    "kronecker_and_loop_fp3": (lambda: build(["1", "2", "3"], [("a", "1", "2"), ("b", "1", "2"),
+                                                               ("x", "3", "3")],
+                                             [[(1, ("x",) * 3)]], Field(3)), (6, 5), [5, 4, 3, 3]),
+}
+
+
+@pytest.mark.parametrize("case", list(PROPER_CUTS))
+def test_radical_part_is_the_leading_block_of_hh1(monkeypatch, case):
+    """HH1 lists the radical-preserving classes first, so HH1_rad is read
+    off its structure constants with no bracket: it agrees with the cut's
+    own quotient section bracketed on a fresh layout, and its block is the
+    bracket of its representatives."""
+    make, dims, series = PROPER_CUTS[case]
+    t = make()
     full = hh1(t)
-    real = DerivationLayout.action_columns
+    layout, der = derivation_space(t)
+    inn = inner_space(layout)
+    cut = radical_preserving(layout, der)
+    ref = HH1Result(lie_from_quotient(layout, reference.quotient_reps(t.field, cut, inn), inn),
+                    cut, inn, cut)
     calls = []
-
-    def counted(self, vec, indices):
-        calls.append(vec)
-        return real(self, vec, indices)
-
-    monkeypatch.setattr(DerivationLayout, "action_columns", counted)
+    monkeypatch.setattr(derlie, "lie_from_quotient", lambda *args: calls.append(args))
+    monkeypatch.setattr(DerivationLayout, "action_columns", lambda *args: calls.append(args))
     rad = radical_part(full)
-    assert rad is not full and rad.layout is full.layout
-    assert rad.lie.dim < full.lie.dim and calls == []
-    fresh = lie_from_quotient(DerivationLayout(t), rad.der, rad.inn)
-    assert len(calls) == rad.lie.dim
+    monkeypatch.undo()
+    assert calls == [] and rad.layout is full.layout
+    assert (full.lie.dim, rad.lie.dim) == dims
+    # the representatives with Inn span the cut, not a subalgebra of Der of its dimension
+    assert linal.span_basis(t.field, rad.lie.reps + inn) == linal.span_basis(t.field, cut)
+    assert rad.lie.derived_series() == series
+    assert ((rad.lie.dim, rad.der_dim, rad.inn_dim, rad.lie.derived_series(),
+             rad.lie.is_solvable())
+            == (ref.lie.dim, ref.der_dim, ref.inn_dim, ref.lie.derived_series(),
+                ref.lie.is_solvable()))
+    fresh = lie_from_quotient(DerivationLayout(t), rad.lie.reps, rad.inn)
     assert fresh.structure == rad.lie.structure
 
 
