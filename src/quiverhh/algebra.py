@@ -8,17 +8,18 @@ arithmetic; a lead factor of a path is looked up in the rule dict, one
 slice per lead length.  Overlap ambiguities are resolved until confluence,
 skipping those of two monomial rules (a zero S-polynomial) unless a lead
 passes the length cap; the finiteness certificate is the exhaustion of
-normal monomials at some length, whose set is the basis of the quotient.  The
-product of a basis monomial and an arrow is their concatenation, fully
-reduced; every longer product follows from these by arrow prefix, as
-b * (w * a) = (b * w) * a.  The radical filtration is built once per
-algebra, as rad^(n+1) = span(rad^n * arrows) by exact row reduction
-(relations need not be homogeneous in path length), and its bases are
-kept on the table.
+normal monomials at some length, whose set is the basis of the quotient.  A
+product of basis monomials whose word is normal is that basis vector; any
+other product with an arrow is its word fully reduced, and every longer
+product follows from these by arrow prefix, as b * (w * a) = (b * w) * a.
+The radical filtration is built once per algebra from path length and the
+few products that reduce to shorter monomials (relations need not be
+homogeneous in path length), and its bases are kept on the table.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import islice
 
 from . import linal
@@ -196,17 +197,19 @@ class AlgebraTable:
     vertex order), then arrows, then longer normal monomials in
     length-then-lex order.  products[i][j] is the sparse coefficient
     vector (dict index -> nonzero scalar) of basis_i * basis_j, empty
-    unless target(i) = source(j); only the products with an arrow are
-    reduced, and basis_i * (w * a) is (basis_i * w) * a, read from the
-    column of a; columns maps each arrow index a to the list of
-    products[i][a] for every i.  These sparse structure constants are
-    behind every product (``multiply``, the radical filtration, the
-    derivation action, the chain tests and the oracle).  path_index maps
-    each nontrivial basis path to its index; factors of a normal monomial
-    are normal, so every proper factor of a basis path or of a rule word
-    in groebner is found there.  basis_source and basis_target give each
-    basis path's endpoints, and rad_bases holds the reduced sparse bases
-    of rad^0 = A, rad^1, ..., 0.
+    unless target(i) = source(j): the unit vector of their word when it is
+    normal, else that word reduced when basis_j is an arrow, else
+    (basis_i * w) * a for basis_j = w * a, read from the column of a;
+    columns maps each arrow index a to the list of products[i][a] for
+    every i.  These sparse structure constants are behind every product
+    (``multiply``, the radical filtration, the derivation action, the
+    chain tests and the oracle).  path_index maps each nontrivial basis
+    path to its index; factors of a normal monomial are normal, so every
+    proper factor of a basis path or of a rule word in groebner is found
+    there.  basis_source and basis_target give each basis path's
+    endpoints.  rad_bases holds the reduced sparse bases of rad^0 = A,
+    rad^1, ..., 0: that of rad^n is E_n, rows with no entry on a monomial
+    of length >= n, then the unit vectors of those monomials.
     """
 
     def __init__(self, field: Field, quiver: Quiver, basis_paths: list[Path],
@@ -299,18 +302,23 @@ def build_algebra(p: Presentation) -> AlgebraTable:
     ending = {v: [] for v in q.vertices}
     for i, v in enumerate(basis_target):
         ending[v].append(i)
-    # only composable pairs are filled: a vertex acts as the identity, only a
-    # product with an arrow is reduced, and basis_i * (w * a) is
-    # (basis_i * w) * a, read from that entry and the column of a, built first
+    # only composable pairs are filled: a vertex acts as the identity, a normal
+    # word is its basis vector, other products with an arrow are reduced, and
+    # basis_i * (w * a) is (basis_i * w) * a, from the column of a, built first
     products = [[{} for _ in range(dim)] for _ in range(dim)]
     columns = {}
+    drops = []  # (len(basis_i), basis_i * a) with a term no longer than basis_i
     for j, path in enumerate(basis_paths):
         for i in ending[basis_source[j]]:
             if i < nverts or j < nverts:
                 products[i][j] = {j if i < nverts else i: one}
+            elif (word := basis_paths[i] + path) in index:
+                products[i][j] = {index[word]: one}
             elif len(path) == 1:
-                red = rw.reduce({basis_paths[i] + path: one})
-                products[i][j] = {index[p]: c for p, c in red.items()}
+                red = rw.reduce({word: one})
+                products[i][j] = entry = {index[p]: c for p, c in red.items()}
+                if any(len(p) < len(word) for p in red):
+                    drops.append((len(word) - 1, entry))
             else:
                 products[i][j] = linal.combine(
                     field, (products[i][index[path[:-1]]], columns[index[path[-1:]]]))
@@ -318,8 +326,7 @@ def build_algebra(p: Presentation) -> AlgebraTable:
             columns[j] = [row[j] for row in products]
     return AlgebraTable(field, q, basis_paths, basis_source, basis_target, products, columns,
                         index, list(rw.rules.values()), rw,
-                        _radical_filtration(field, basis_paths, basis_source, basis_target,
-                                            columns))
+                        _radical_filtration(field, basis_paths, columns, drops))
 
 
 def _normal_monomials(q: Quiver, rw: _Rewriter, cap: int) -> list[Path]:
@@ -354,25 +361,26 @@ def _normal_monomials(q: Quiver, rw: _Rewriter, cap: int) -> list[Path]:
     return out
 
 
-def _radical_filtration(field: Field, basis_paths: list[Path], basis_source: list[str],
-                        basis_target: list[str], columns: dict) -> list[list[dict]]:
+def _radical_filtration(field: Field, basis_paths: list[Path], columns: dict,
+                        drops: list) -> list[list[dict]]:
     """Reduced sparse bases of rad^0 = A, rad^1, ... down to the first zero power.
 
-    rad^(n+1) = span(rad^n * rad) is spanned by rad^n times the arrows alone,
-    since a path of length n + 1 is a path of length n followed by an arrow.
-    Elimination only combines rows that share a pivot column, so each
-    reduced row u lies in one e_s * rad^n * e_t, with t the target of its
-    first basis monomial, and is multiplied only by the arrows leaving t.
+    A basis monomial of length L lies in rad^L and longer ones come later,
+    so rad^n has the basis E_n, then the unit vectors of the monomials of
+    length >= n.  As rad^(n+1) = rad^n * arrows, E_(n+1) is the reduced
+    basis of the parts of length <= n of E_n times each arrow and of the
+    drops of monomials of length >= n; with none, no rows are eliminated.
     """
-    full = [{i: field.one} for i in range(len(basis_paths))]
-    arrows_from: dict = {}
-    for a in columns:
-        arrows_from.setdefault(basis_source[a], []).append(a)
-    bases = [full, [u for u, p in zip(full, basis_paths) if p]]
+    units = [{i: field.one} for i in range(len(basis_paths))]
+    bases, ech = [units, units[bisect_left(basis_paths, 1, key=len):]], []
     while bases[-1]:
-        prods = (linal.combine(field, (u, columns[a])) for u in bases[-1]
-                 for a in arrows_from.get(basis_target[min(u)], ()))
-        cur = linal.span_basis(field, [v for v in prods if v])
+        n = len(bases) - 1
+        start = bisect_left(basis_paths, n + 1, key=len)
+        prods = [linal.combine(field, (u, col)) for u in ech for col in columns.values()]
+        prods += [entry for length, entry in drops if length >= n]
+        ech = linal.span_basis(field, [{k: c for k, c in v.items() if k < start}
+                                       for v in prods])
+        cur = ech + units[start:]
         if cur and len(cur) >= len(bases[-1]):
             raise NotAdmissible(
                 "radical filtration does not terminate; the ideal is not admissible")

@@ -3,13 +3,12 @@ representation type of radical-square-zero algebras, hereditary HH^1 dimension.
 
 A connected underlying graph is classified by its Tits form
 C = 2*Id - Adj: positive definite is Dynkin, positive semidefinite with
-nullity one is Euclidean.  Verdict and catalogue name both come from the
-pivots of one elimination of C (see _classify_component).
+nullity one is Euclidean.  Verdict and catalogue name come from the pivots
+of one integer (Bareiss) elimination of C: its leading principal minors,
+det C last (see _classify_component).
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .errors import InvalidArrow, NotAcyclic
 from .value import Value
@@ -110,19 +109,20 @@ class GraphClass(Value, fields=("components",)):
 def _classify_component(q: Quiver, verts: list[str]) -> ComponentVerdict:
     """Verdict and name from one elimination of the Tits form C = 2*Id - Adj.
 
-    Elimination without pivoting stops at the first pivot that is not
-    positive.  All pivots positive: C is positive definite, so Dynkin
-    (Sylvester).  Only the last pivot zero: the leading minors are positive
-    and det C = 0, so C is semidefinite of nullity one, so Euclidean.  A zero
-    pivot any earlier is a singular proper subgraph, which no Euclidean graph
-    has, so Neither.  The product of the pivots is det C: n + 1 on A_n, 4 on
+    Bareiss elimination without pivoting, in integers: the k-th pivot is the
+    leading principal minor D_k, so the last is det C.  It stops at the
+    first pivot that is not positive.  All pivots positive: C is positive
+    definite, so Dynkin (Sylvester).  Only the last pivot zero: the leading
+    minors are positive and det C = 0, so C is semidefinite of nullity one,
+    so Euclidean.  A zero pivot any earlier is a singular proper subgraph,
+    which no Euclidean graph has, so Neither.  det C is n + 1 on A_n, 4 on
     D_n and 9 - n on E_n.
     """
     vs = tuple(sorted(verts))
     idx = {v: i for i, v in enumerate(vs)}
     n = len(vs)
     neither = ComponentVerdict(vs, "Neither", None)
-    cmat = [[Fraction(2 * int(i == j)) for j in range(n)] for i in range(n)]
+    cmat = [[2 * int(i == j) for j in range(n)] for i in range(n)]
     degree = [0] * n
     for a in q.arrows:
         if a.source in idx:
@@ -134,7 +134,7 @@ def _classify_component(q: Quiver, verts: list[str]) -> ComponentVerdict:
             cmat[j][i] -= 1
             degree[i] += 1
             degree[j] += 1
-    det = Fraction(1)
+    d = 1  # the previous pivot, D_0 = 1 at first; each division by it is exact
     for k, row in enumerate(cmat):
         pivot = row[k]
         if pivot <= 0:
@@ -145,13 +145,11 @@ def _classify_component(q: Quiver, verts: list[str]) -> ComponentVerdict:
             else:
                 kind = "E" if degree.count(3) == 1 and max(degree) == 3 else "D"
             return ComponentVerdict(vs, "Euclidean", f"~{kind}{n - 1}")
-        det *= pivot
         for below in cmat[k + 1:]:
-            f = below[k] / pivot
-            if f:
-                for j in range(k + 1, n):
-                    below[j] -= f * row[j]
-    kind = "A" if det == n + 1 else "D" if det == 4 else "E"
+            f = below[k]
+            below[k + 1:] = [(x * pivot - f * y) // d for x, y in zip(below[k + 1:], row[k + 1:])]
+        d = pivot
+    kind = "A" if d == n + 1 else "D" if d == 4 else "E"
     return ComponentVerdict(vs, "Dynkin", f"{kind}{n}")
 
 

@@ -1,15 +1,18 @@
 """Independent references the tests compare the package against: the
 full Hochschild complex of a bare table, with all d^2 unknowns, the
 associativity check it relies on, the quotient section of one span
-modulo another, and conversions between sparse vectors and coordinate
-lists."""
+modulo another, the radical filtration by row reduction of every power,
+the Tits-form classification by elimination over Fraction, and
+conversions between sparse vectors and coordinate lists."""
 
 import itertools
+from fractions import Fraction
 
 from quiverhh import linal
-from quiverhh.errors import NotAssociative, QuotientUndefined, TooLarge
+from quiverhh.errors import NotAdmissible, NotAssociative, QuotientUndefined, TooLarge
 from quiverhh.linal import Field
 from quiverhh.oracle import MAX_ORACLE_DIM, _cocycle_rows
+from quiverhh.quiver import Quiver
 
 
 def sparse(v: list) -> dict:
@@ -71,3 +74,60 @@ def derivations_from_table(field: Field, table, idempotents=None) -> list:
     for e in idempotents or ():
         rows += [{flat(c, j, d): a for j, a in e.items()} for c in range(d)]
     return linal.kernel_basis(field, rows, d * d)
+
+
+def radical_filtration(field: Field, basis_paths: list, columns: dict) -> list[list[dict]]:
+    """Reduced sparse bases of rad^0 = A, rad^1, ... down to the first zero
+    power, as rad^(n+1) = span(rad^n * arrows) by row reduction of the
+    products of every row of rad^n with every arrow column; NotAdmissible,
+    with the package's message, when a nonzero power does not shrink."""
+    full = [{i: field.one} for i in range(len(basis_paths))]
+    bases = [full, [u for u, p in zip(full, basis_paths) if p]]
+    while bases[-1]:
+        prods = (linal.combine(field, (u, col)) for u in bases[-1] for col in columns.values())
+        cur = linal.span_basis(field, [v for v in prods if v])
+        if cur and len(cur) >= len(bases[-1]):
+            raise NotAdmissible(
+                "radical filtration does not terminate; the ideal is not admissible")
+        bases.append(cur)
+    return bases
+
+
+def classify_component(q: Quiver, verts: list) -> tuple:
+    """(verdict, name) of one connected component from the Tits form
+    C = 2*Id - Adj, by elimination over Fraction without pivoting: the
+    pivots are D_k / D_(k-1), positive exactly while the leading principal
+    minors are, and their product is det C."""
+    vs = sorted(verts)
+    idx = {v: i for i, v in enumerate(vs)}
+    n = len(vs)
+    cmat = [[Fraction(2 * int(i == j)) for j in range(n)] for i in range(n)]
+    degree = [0] * n
+    for a in q.arrows:
+        if a.source in idx:
+            if a.source == a.target:
+                return "Neither", None
+            i, j = idx[a.source], idx[a.target]
+            cmat[i][j] -= 1
+            cmat[j][i] -= 1
+            degree[i] += 1
+            degree[j] += 1
+    det = Fraction(1)
+    for k, row in enumerate(cmat):
+        pivot = row[k]
+        if pivot <= 0:
+            if pivot < 0 or k < n - 1:
+                return "Neither", None
+            if sum(degree) == 2 * n:
+                kind = "A"
+            else:
+                kind = "E" if degree.count(3) == 1 and max(degree) == 3 else "D"
+            return "Euclidean", f"~{kind}{n - 1}"
+        det *= pivot
+        for below in cmat[k + 1:]:
+            f = below[k] / pivot
+            if f:
+                for j in range(k + 1, n):
+                    below[j] -= f * row[j]
+    kind = "A" if det == n + 1 else "D" if det == 4 else "E"
+    return "Dynkin", f"{kind}{n}"

@@ -1,5 +1,6 @@
 import pathlib
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +11,7 @@ from quiverhh.dsl import load_presentation
 from quiverhh.errors import (InvalidArrow, NotAdmissible, NotFiniteDimensional)
 from quiverhh.linal import Field
 from quiverhh.quiver import Quiver
+import reference
 from reference import is_associative
 
 Q = Field(0)
@@ -228,6 +230,131 @@ def test_non_terminating_radical_filtration_is_not_admissible():
 CORPUS = sorted((pathlib.Path(__file__).resolve().parent.parent / "corpus").glob("*.dsl"))
 X2_Y3 = ("field Q\nvertex 1\narrow x 1 1\narrow y 1 1\n"
          "relation x*x - y*y*y\nrelation x*y\nrelation y*x\n")
+
+
+def filtration_outcomes(presentation):
+    """The radical filtration of a build and that of the row-reducing
+    reference on the same table columns: each the list of bases or the
+    NotAdmissible message; None when the build stops before the filtration."""
+    seen = []
+    real = algebra._radical_filtration
+
+    def both(field, basis_paths, columns, drops):
+        try:
+            seen.append(reference.radical_filtration(field, basis_paths, columns))
+        except NotAdmissible as e:
+            seen.append(str(e))
+        return real(field, basis_paths, columns, drops)
+
+    with mock.patch.object(algebra, "_radical_filtration", both):
+        try:
+            got = build_algebra(presentation).rad_bases
+        except NotAdmissible as e:
+            got = str(e)
+        except NotFiniteDimensional:
+            return None
+    return got, seen[0]
+
+
+@st.composite
+def mixed_length_presentations(draw):
+    """<x, y>/(x^a - c*y^b, xy, yx) with 2 <= a < b <= 6, whose products
+    y^(b-1) * y = c^-1 x^a drop in length; one loop with x^a - c*x^b,
+    which is not admissible; or random binomials on at most two vertices
+    and three arrows with every path of length 4 zero, so that the
+    completion ends."""
+    field = draw(st.sampled_from([Field(0), Field(2), Field(3), Field(5)]))
+    p = field.characteristic
+    c = draw(st.sampled_from([1, -1, 2, 3, -4, 6]).filter(lambda c: p == 0 or c % p))
+    a = draw(st.integers(2, 5))
+    b = draw(st.integers(a + 1, 6))
+    kind = draw(st.sampled_from(["xy", "x", "random"]))
+    if kind == "xy":
+        q = Quiver.make(["1"], [("x", "1", "1"), ("y", "1", "1")])
+        rels = [[(1, ("x",) * a), (-c, ("y",) * b)], [(1, ("x", "y"))], [(1, ("y", "x"))]]
+        return Presentation(q, tuple(Relation(tuple(r)) for r in rels), field, 12)
+    if kind == "x":
+        q = Quiver.make(["1"], [("x", "1", "1")])
+        rel = Relation(((1, ("x",) * a), (-c, ("x",) * b)))
+        return Presentation(q, (rel,), field, 12)
+    vertices = ["1", "2"][:draw(st.integers(1, 2))]
+    arrows = [(f"a{k}", draw(st.sampled_from(vertices)), draw(st.sampled_from(vertices)))
+              for k in range(draw(st.integers(1, 3)))]
+    q = Quiver.make(vertices, arrows)
+    paths = {1: [(l,) for l, _, _ in arrows]}
+    for n in range(2, 5):
+        paths[n] = [w + (l,) for w in paths[n - 1] for l, s, _ in arrows
+                    if q.arrow(w[-1]).target == s]
+    ends = {w: (q.arrow(w[0]).source, q.arrow(w[-1]).target)
+            for n in (2, 3, 4) for w in paths[n]}
+    rels = [Relation(((1, w),)) for w in paths[4]]
+    for _ in range(draw(st.integers(0, 3))):
+        if not paths[2] + paths[3]:
+            break
+        u = draw(st.sampled_from(paths[2] + paths[3]))
+        parallel = [w for w in ends if ends[w] == ends[u] and w != u]
+        terms = [(1, u)]
+        if parallel and draw(st.booleans()):
+            terms.append((draw(st.sampled_from([1, -1, 2, 3])), draw(st.sampled_from(parallel))))
+        rels.append(Relation(tuple(terms)))
+    return Presentation(q, tuple(rels), field, 12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_length_presentations())
+def test_radical_filtration_matches_the_row_reducing_reference(presentation):
+    """rad_bases equals, row for row, the reduced bases that the reference
+    finds by row reduction of rad^n times every arrow, and both refuse the
+    same presentations as not admissible."""
+    outcomes = filtration_outcomes(presentation)
+    if outcomes is not None:
+        got, expected = outcomes
+        assert got == expected
+
+
+A8_DOUBLED = ("field Q\nvertex " + " ".join(map(str, range(1, 9)))
+              + "".join(f"\narrow a{i} {i} {i + 1}" for i in range(1, 8)) + "\narrow b 1 2\n")
+X15_F5 = "field fp:5\nvertex 1\narrow x 1 1\nrelation " + "*".join(["x"] * 15) + "\n"
+
+
+@pytest.mark.parametrize("text,reduced,nonempty", [
+    (A8_DOUBLED, [], False),
+    (X15_F5, [("x",) * 15], False),
+    (X2_Y3, [("x", "x", "x"), ("x", "x", "y"), ("x", "y"), ("y", "x"), ("y", "y", "x"),
+             ("y", "y", "y")], True),
+], ids=["a8_doubled", "x15_fp5", "x2_y3"])
+def test_table_fill_reduces_only_words_that_are_not_normal(text, reduced, nonempty):
+    """A product whose word is a basis monomial is read from the index: the
+    fill sends to the rewriter only the words of a basis monomial and an
+    arrow that are not normal.  Under homogeneous relations no product
+    drops in length, so the radical filtration hands span_basis only empty
+    lists; x^2 = y^3 makes y^2 * y drop to x^2, and a nonempty call."""
+    words, calls = [], []
+    complete, span_basis = algebra._complete, linal.span_basis
+
+    def completed(*args):
+        rw = complete(*args)
+        reduce = rw.reduce
+
+        def reduce_in_fill(poly):
+            words.extend(poly)
+            return reduce(poly)
+
+        rw.reduce = reduce_in_fill
+        return rw
+
+    def spanned(field, vectors):
+        calls.append(list(vectors))
+        return span_basis(field, vectors)
+
+    with mock.patch.object(algebra, "_complete", completed), \
+            mock.patch.object(linal, "span_basis", spanned):
+        t = build_algebra(load_presentation(text))
+    assert sorted(words) == sorted(reduced)
+    assert not any(w in t.path_index for w in words)
+    assert len(calls) == len(t.rad_bases) - 2
+    assert any(calls) == nonempty
+    assert t.rad_bases == reference.radical_filtration(t.field, t.basis_paths, t.columns)
 
 
 @pytest.mark.parametrize("text", [p.read_text() for p in CORPUS] + [X2_Y3],

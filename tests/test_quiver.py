@@ -13,6 +13,7 @@ from quiverhh.dsl import load_presentation
 from quiverhh.errors import NotAcyclic
 from quiverhh.quiver import (Quiver, classify_components, hereditary_hh1_dim,
                              path_counts, reptype_radsq, separated_quiver)
+import reference
 
 
 def q_make(vertices, arrows):
@@ -262,3 +263,31 @@ def test_classify_matches_principal_minors(graph, rng):
     rng.shuffle(vertices)
     (moved,) = classify_components(q_make(vertices, relabel)).components
     assert (moved.verdict, moved.name) == (component.verdict, component.name)
+
+
+@st.composite
+def multigraphs(draw):
+    """A loop-free multigraph on 1..10 vertices, in general disconnected:
+    a forest in which each vertex hangs from an earlier one with chance
+    3/4, then up to three further edges; each edge has multiplicity 1..2
+    and a random orientation."""
+    n = draw(st.integers(1, 10))
+    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n) if draw(st.integers(0, 3))]
+    pairs = [(i, j) for j in range(n) for i in range(j)]
+    if pairs:
+        edges += draw(st.lists(st.sampled_from(pairs), max_size=3))
+    arrows = []
+    for i, j in edges:
+        for _ in range(draw(st.integers(1, 2))):
+            s, t = (i, j) if draw(st.booleans()) else (j, i)
+            arrows.append((f"a{len(arrows)}", f"v{s}", f"v{t}"))
+    return q_make([f"v{v}" for v in range(n)], arrows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(multigraphs())
+def test_classify_matches_the_fraction_elimination(q):
+    """The integer elimination gives each component the verdict and name of
+    the elimination over Fraction it replaced."""
+    got = [(c.verdict, c.name) for c in classify_components(q).components]
+    assert got == [reference.classify_component(q, c) for c in quiver_mod._components(q)]
