@@ -5,10 +5,13 @@ system under the length-then-lex order on paths (arrows ordered by
 declaration, longer paths larger).  A rule is a monic polynomial, a
 sparse row keyed by path, and ``linal.add_multiple`` does all the rewriting
 arithmetic; a lead factor of a path is looked up in the rule dict, one
-slice per lead length.  Overlap ambiguities are resolved until confluence,
-skipping those of two monomial rules (a zero S-polynomial) unless a lead
-passes the length cap; the finiteness certificate is the exhaustion of
-normal monomials at some length, whose set is the basis of the quotient.  A
+slice per lead length.  Completion installs each polynomial of a worklist,
+sends back the rules whose lead the new one makes reducible, and resolves
+the overlaps of leads from one heap, lowest degree first, skipping those of
+two monomial rules (a zero S-polynomial) unless a lead passes the length
+cap; one reduction of each tail gives the reduced system.  Its normal
+monomials, the basis of the quotient, are finite exactly when the graph of
+normal words one shorter than the longest lead has no cycle.  A
 product of basis monomials whose word is normal is that basis vector; any
 other product with an arrow is its word fully reduced, and every longer
 product follows from these by arrow prefix, as b * (w * a) = (b * w) * a.
@@ -20,6 +23,8 @@ homogeneous in path length), and its bases are kept on the table.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
+from heapq import heappop, heappush
 from itertools import islice
 
 from . import linal
@@ -86,7 +91,7 @@ class _Rewriter:
         self.field = field
         self.order = order
         self.rules: dict[Path, Poly] = {}
-        self.lengths: list[int] = []  # every lead length installed, ascending
+        self.lengths: list[int] = []  # lead lengths, ascending; while completing, stale too
 
     def reduce(self, poly: Poly) -> Poly:
         """Normal form of poly, terms in decreasing order.  The largest term
@@ -128,62 +133,47 @@ class _Rewriter:
         self.lengths = sorted({*self.lengths, len(lead)})
         return lead
 
-    def interreduce(self) -> bool:
-        """Reduce each rule by the others until none changes; True if any did."""
-        any_change = False
-        changed = True
-        while changed:
-            changed = False
-            for lead in list(self.rules):
-                rule = self.rules.pop(lead)
-                if self.add(rule) != lead or self.rules[lead] != rule:
-                    changed = True
-            any_change = any_change or changed
-        return any_change
-
 
 def _complete(field: Field, order: _Order, gens: list[Poly], cap: int) -> _Rewriter:
+    """The reduced rewriting system of the ideal of gens (Knuth-Bendix), from
+    a worklist of polynomials and a heap of critical pairs."""
     rw = _Rewriter(field, order)
-    for g in gens:
-        rw.add(g)
-    rw.interreduce()
-    done: set = set()
-    pending: set = set()
-
-    def enqueue_all():
+    rules, work, pairs = rw.rules, list(gens), []
+    while work or pairs:
+        if not work:
+            degree, u, v, t = heappop(pairs)
+            if u not in rules or v not in rules:
+                continue
+            if degree > 2 * cap:
+                raise NotFiniteDimensional("overlap degree exceeds the length cap")
+            # ambiguity word w = u * v[t:] = u[:-t] * v; the S-polynomial
+            # rule_u * v[t:] - u[:-t] * rule_v, in which w cancels
+            spoly = {p + v[t:]: c for p, c in rules[u].items()}
+            linal.add_multiple(field, spoly, field.neg(field.one),
+                               {u[:len(u) - t] + p: c for p, c in rules[v].items()})
+            work.append(spoly)
+            continue
+        lead = rw.add(work.pop())
+        if lead is None:
+            continue
+        n = len(lead)  # a lead that has the new one as a factor is reducible now
+        for old in [o for o in rules if len(o) > n
+                    and any(o[i:i + n] == lead for i in range(len(o) - n + 1))]:
+            work.append(rules.pop(old))
         # the proper overlaps (u, v, t): the suffix of length t of u is a prefix
         # of v; two monomial rules have a zero S-polynomial, so their overlaps
         # are queued only when a lead is longer than the cap, to be refused
-        leads = list(rw.rules)
-        short = {u for u in leads if len(rw.rules[u]) == 1 and len(u) <= cap}
-        for u in leads:
-            for v in leads:
-                if u in short and v in short:
-                    continue
+        short = len(rules[lead]) == 1 and n <= cap
+        for other in rules:
+            if short and len(rules[other]) == 1 and len(other) <= cap:
+                continue
+            for u, v in {(lead, other), (other, lead)}:
                 for t in range(1, min(len(u), len(v))):
-                    if u[len(u) - t:] == v[:t] and (u, v, t) not in done:
-                        pending.add((u, v, t))
-
-    enqueue_all()
-    while pending:
-        trip = min(pending, key=lambda p: (len(p[0]) + len(p[1]) - p[2], p))
-        pending.discard(trip)
-        done.add(trip)
-        u, v, t = trip
-        if u not in rw.rules or v not in rw.rules:
-            continue
-        if len(u) + len(v) - t > 2 * cap:
-            raise NotFiniteDimensional("overlap degree exceeds the length cap")
-        # ambiguity word w = u * v[t:] = u[:-t] * v; the S-polynomial
-        # rule_u * v[t:] - u[:-t] * rule_v, in which w cancels
-        spoly = {p + v[t:]: c for p, c in rw.rules[u].items()}
-        linal.add_multiple(field, spoly, field.neg(field.one),
-                           {u[:len(u) - t] + p: c for p, c in rw.rules[v].items()})
-        lead = rw.add(spoly)
-        if lead is not None:
-            if rw.interreduce():
-                done.clear()
-            enqueue_all()
+                    if u[len(u) - t:] == v[:t]:
+                        heappush(pairs, (len(u) + len(v) - t, u, v, t))
+    for lead, rule in rules.items():
+        rules[lead] = {lead: rule[lead], **rw.reduce(dict(islice(rule.items(), 1, None)))}
+    rw.lengths = sorted({len(lead) for lead in rules})
     return rw
 
 
@@ -334,19 +324,15 @@ def _normal_monomials(q: Quiver, rw: _Rewriter, cap: int) -> list[Path]:
     level: list[Path] = [(a.label,) for a in q.arrows]
     arrows_from = {v: [a.label for a in q.arrows_from(v)] for v in q.vertices}
     target = {a.label: a.target for a in q.arrows}
-    # a factor of a normal word is normal, and whether a word extends to a
-    # normal one depends only on its last span letters; a word with more such
-    # factors than there are normal words of length span repeats one, and the
-    # stretch between the two can be pumped: the basis is infinite
+    # a factor of a normal word is normal, and a word longer than span is
+    # normal when its factors of length span + 1 are: the normal words of
+    # length span + k are the walks of length k in the graph linking each
+    # normal word w of length span to w[1:] + (l,) when w + (l,) is normal
+    # (Ufnarovskii), so the basis is infinite when that graph has a cycle
     span = max(rw.lengths, default=2) - 1
     length = 1
     while level:
         out.extend(level)
-        if length == span:
-            windows = len(level)
-        if length >= span and length - span + 1 > windows:
-            raise NotFiniteDimensional(f"a normal monomial of length {length} repeats a "
-                                       f"factor of length {span}, so dim A is infinite")
         if length >= cap:
             raise NotFiniteDimensional(
                 f"normal monomials persist past the length cap {cap}")
@@ -356,6 +342,20 @@ def _normal_monomials(q: Quiver, rw: _Rewriter, cap: int) -> list[Path]:
                 cand = path + (label,)
                 if not any(cand[-ll:] in rw.rules for ll in rw.lengths):
                     nxt.append(cand)
+        if length == span:
+            # peel the words no link enters (Kahn): a word left is on or after a cycle
+            links, entering = {}, Counter(w[1:] for w in nxt)
+            for w in nxt:
+                links.setdefault(w[:-1], []).append(w[1:])
+            peeled = [w for w in level if not entering[w]]
+            for w in peeled:  # grows while it is read
+                for x in links.get(w, ()):
+                    entering[x] -= 1
+                    if not entering[x]:
+                        peeled.append(x)
+            if len(peeled) < len(level):
+                raise NotFiniteDimensional(f"a normal monomial repeats a factor of length "
+                                           f"{span}, so dim A is infinite")
         level = nxt
         length += 1
     return out

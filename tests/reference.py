@@ -1,15 +1,18 @@
 """Independent references the tests compare the package against: the
 full Hochschild complex of a bare table, with all d^2 unknowns, the
 associativity check it relies on, the quotient section of one span
-modulo another, the radical filtration by row reduction of every power,
-the Tits-form classification by elimination over Fraction, and
-conversions between sparse vectors and coordinate lists."""
+modulo another, the completion that interreduces every rule after each
+new one, the radical filtration by row reduction of every power, the
+Tits-form classification by elimination over Fraction, and conversions
+between sparse vectors and coordinate lists."""
 
 import itertools
 from fractions import Fraction
 
 from quiverhh import linal
-from quiverhh.errors import NotAdmissible, NotAssociative, QuotientUndefined, TooLarge
+from quiverhh.algebra import _Rewriter
+from quiverhh.errors import (NotAdmissible, NotAssociative, NotFiniteDimensional,
+                             QuotientUndefined, TooLarge)
 from quiverhh.linal import Field
 from quiverhh.oracle import MAX_ORACLE_DIM, _cocycle_rows
 from quiverhh.quiver import Quiver
@@ -74,6 +77,65 @@ def derivations_from_table(field: Field, table, idempotents=None) -> list:
     for e in idempotents or ():
         rows += [{flat(c, j, d): a for j, a in e.items()} for c in range(d)]
     return linal.kernel_basis(field, rows, d * d)
+
+
+def interreduce(rw: _Rewriter) -> bool:
+    """Reduce each rule by the others until none changes; True if any did."""
+    any_change = False
+    changed = True
+    while changed:
+        changed = False
+        for lead in list(rw.rules):
+            rule = rw.rules.pop(lead)
+            if rw.add(rule) != lead or rw.rules[lead] != rule:
+                changed = True
+        any_change = any_change or changed
+    return any_change
+
+
+def complete(field: Field, order, gens: list, cap: int) -> _Rewriter:
+    """The reduced rewriting system of the ideal of gens, as the package's
+    completion once found it: after every new rule, all rules are
+    interreduced and every overlap of two leads is listed again, and every
+    resolved overlap is forgotten when a rule changed; the next overlap is
+    the least pending one by degree.  NotFiniteDimensional, with the
+    package's message, past overlap degree 2 * cap."""
+    rw = _Rewriter(field, order)
+    for g in gens:
+        rw.add(g)
+    interreduce(rw)
+    done: set = set()
+    pending: set = set()
+
+    def enqueue_all():
+        leads = list(rw.rules)
+        short = {u for u in leads if len(rw.rules[u]) == 1 and len(u) <= cap}
+        for u in leads:
+            for v in leads:
+                if u in short and v in short:
+                    continue
+                for t in range(1, min(len(u), len(v))):
+                    if u[len(u) - t:] == v[:t] and (u, v, t) not in done:
+                        pending.add((u, v, t))
+
+    enqueue_all()
+    while pending:
+        trip = min(pending, key=lambda p: (len(p[0]) + len(p[1]) - p[2], p))
+        pending.discard(trip)
+        done.add(trip)
+        u, v, t = trip
+        if u not in rw.rules or v not in rw.rules:
+            continue
+        if len(u) + len(v) - t > 2 * cap:
+            raise NotFiniteDimensional("overlap degree exceeds the length cap")
+        spoly = {p + v[t:]: c for p, c in rw.rules[u].items()}
+        linal.add_multiple(field, spoly, field.neg(field.one),
+                           {u[:len(u) - t] + p: c for p, c in rw.rules[v].items()})
+        if rw.add(spoly) is not None:
+            if interreduce(rw):
+                done.clear()
+            enqueue_all()
+    return rw
 
 
 def radical_filtration(field: Field, basis_paths: list, columns: dict) -> list[list[dict]]:

@@ -17,10 +17,14 @@ from reference import is_associative
 Q = Field(0)
 
 
-def build(vertices, arrows, relations, field=Q, cap=64):
+def presentation(vertices, arrows, relations, field=Q, cap=64):
     quiver = Quiver.make(vertices, arrows)
-    rels = tuple(Relation(tuple(terms)) for terms in relations)
-    return build_algebra(Presentation(quiver, rels, field, cap))
+    return Presentation(quiver, tuple(Relation(tuple(terms)) for terms in relations),
+                        field, cap)
+
+
+def build(*args, **kwargs):
+    return build_algebra(presentation(*args, **kwargs))
 
 
 def test_path_algebra_of_dag():
@@ -169,8 +173,8 @@ def radsq_cycle(n):
 
 def test_completion_queues_no_overlap_of_two_monomial_rules(monkeypatch):
     """Two monomial rules have a zero S-polynomial: on the radical-square-zero
-    16-cycle (64 monomial relations) completion installs each relation and
-    reduces it once against the others, and reduces none of the 128 overlaps."""
+    16-cycle (64 monomial relations) completion installs each relation
+    once, and reduces none of the 128 overlaps."""
     added = []
     add = algebra._Rewriter.add
 
@@ -181,7 +185,7 @@ def test_completion_queues_no_overlap_of_two_monomial_rules(monkeypatch):
     monkeypatch.setattr(algebra._Rewriter, "add", counted)
     t = build(*radsq_cycle(16))
     assert len(t.groebner) == 64 and t.rad_dims == [48, 32, 0]
-    assert len(added) == 2 * 64
+    assert len(added) == 64
 
 
 @pytest.mark.parametrize("vertices,arrows,relations", [
@@ -256,14 +260,16 @@ def filtration_outcomes(presentation):
     return got, seen[0]
 
 
+FIELDS = st.sampled_from([Field(0), Field(2), Field(3), Field(5)])
+
+
 @st.composite
 def mixed_length_presentations(draw):
     """<x, y>/(x^a - c*y^b, xy, yx) with 2 <= a < b <= 6, whose products
     y^(b-1) * y = c^-1 x^a drop in length; one loop with x^a - c*x^b,
-    which is not admissible; or random binomials on at most two vertices
-    and three arrows with every path of length 4 zero, so that the
-    completion ends."""
-    field = draw(st.sampled_from([Field(0), Field(2), Field(3), Field(5)]))
+    which is not admissible; or random binomials with every path of length
+    4 zero."""
+    field = draw(FIELDS)
     p = field.characteristic
     c = draw(st.sampled_from([1, -1, 2, 3, -4, 6]).filter(lambda c: p == 0 or c % p))
     a = draw(st.integers(2, 5))
@@ -277,6 +283,15 @@ def mixed_length_presentations(draw):
         q = Quiver.make(["1"], [("x", "1", "1")])
         rel = Relation(((1, ("x",) * a), (-c, ("x",) * b)))
         return Presentation(q, (rel,), field, 12)
+    return draw(random_binomials(field))
+
+
+@st.composite
+def random_binomials(draw, field, truncated=True):
+    """Random monomials and binomials of lengths 2 to 4 on at most two
+    vertices and three arrows; truncated, every path of length 4 is zero
+    too, so that the completion ends, else the cap is 3, at which some
+    completions are refused."""
     vertices = ["1", "2"][:draw(st.integers(1, 2))]
     arrows = [(f"a{k}", draw(st.sampled_from(vertices)), draw(st.sampled_from(vertices)))
               for k in range(draw(st.integers(1, 3)))]
@@ -287,7 +302,7 @@ def mixed_length_presentations(draw):
                     if q.arrow(w[-1]).target == s]
     ends = {w: (q.arrow(w[0]).source, q.arrow(w[-1]).target)
             for n in (2, 3, 4) for w in paths[n]}
-    rels = [Relation(((1, w),)) for w in paths[4]]
+    rels = [Relation(((1, w),)) for w in paths[4]] if truncated else []
     for _ in range(draw(st.integers(0, 3))):
         if not paths[2] + paths[3]:
             break
@@ -297,7 +312,7 @@ def mixed_length_presentations(draw):
         if parallel and draw(st.booleans()):
             terms.append((draw(st.sampled_from([1, -1, 2, 3])), draw(st.sampled_from(parallel))))
         rels.append(Relation(tuple(terms)))
-    return Presentation(q, tuple(rels), field, 12)
+    return Presentation(q, tuple(rels), field, 12 if truncated else 3)
 
 
 @settings(max_examples=150, deadline=None)
@@ -441,24 +456,31 @@ def binomial_presentations(draw):
         u = draw(long_words)
         v = draw(long_words.filter(lambda w: w != u))
         rels.append([(draw(coef), u), (draw(coef), v)])
-    return build(["1"], [("x", "1", "1"), ("y", "1", "1")], rels, field=field)
+    return presentation(["1"], [("x", "1", "1"), ("y", "1", "1")], rels, field=field)
 
 
 @settings(max_examples=40, deadline=None)
 @given(binomial_presentations())
-def test_sparse_products_are_the_dense_table_on_binomial_presentations(t):
-    assert_products_are_reductions(t)
+def test_sparse_products_are_the_dense_table_on_binomial_presentations(p):
+    assert_products_are_reductions(build_algebra(p))
 
 
 @settings(max_examples=60, deadline=None)
 @given(binomial_presentations(), st.data())
-def test_rewriting_is_a_reduced_complete_system(t, data):
-    """The completed rules of a binomial presentation are interreduced,
-    monic and confluent, and reduction is linear onto normal monomials."""
+def test_rewriting_is_a_reduced_complete_system(p, data):
+    """The completed rules of a binomial presentation are reduced (normal
+    tails, no lead a factor of another), monic and confluent, lengths
+    holds exactly the lead lengths, and reduction is linear onto normal
+    monomials."""
+    t = build_algebra(p)
     field, rw, key = t.field, t.rewriter, t.rewriter.order.key
-    rules = [(lead, dict(rule)) for lead, rule in rw.rules.items()]
-    assert not rw.interreduce()
-    assert list(rw.rules.items()) == rules
+    assert rw.lengths == sorted({len(lead) for lead in rw.rules})
+    for lead, rule in rw.rules.items():
+        tail = dict(list(rule.items())[1:])
+        assert rw.reduce(tail) == tail
+        assert not any(other != lead and lead in [other[i:i + len(lead)]
+                                                  for i in range(len(other))]
+                       for other in rw.rules)
     for g in t.groebner:
         assert list(g) == sorted(g, key=key, reverse=True)
         assert g[next(iter(g))] == 1
@@ -479,3 +501,56 @@ def test_rewriting_is_a_reduced_complete_system(t, data):
             assert not any(path[i:i + len(lead)] == lead
                            for lead in rw.rules for i in range(len(path))), path
     assert is_associative(field, t.products)
+
+
+def completions(presentation):
+    """The rules of the completion of a presentation's relations and those
+    of the interreducing reference on the same generators: each the rule
+    dict or the NotFiniteDimensional message."""
+    seen = []
+    real = algebra._complete
+
+    def both(*args):
+        try:
+            expected = reference.complete(*args).rules
+        except NotFiniteDimensional as e:
+            expected = str(e)
+        try:
+            rw = real(*args)
+        except NotFiniteDimensional as e:
+            seen.append((str(e), expected))
+            raise
+        seen.append((rw.rules, expected))
+        return rw
+
+    with mock.patch.object(algebra, "_complete", both):
+        try:
+            build_algebra(presentation)
+        except (NotAdmissible, NotFiniteDimensional):
+            pass
+    return seen[0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(binomial_presentations(),
+                 FIELDS.flatmap(random_binomials),
+                 FIELDS.flatmap(lambda f: random_binomials(f, truncated=False))))
+def test_completion_matches_the_interreducing_reference(presentation):
+    """A reduced rewriting system is unique for the order: the completion
+    from one heap of critical pairs gives the reference's rules, each with
+    its lead first, and refuses the same presentations."""
+    got, expected = completions(presentation)
+    assert got == expected
+    if isinstance(got, dict):
+        assert all(next(iter(rule)) == lead for lead, rule in got.items())
+
+
+@pytest.mark.parametrize("relations", [[[(1, ("x", "y", "y"))], [(1, ("x", "y"))]],
+                                       [[(1, ("x", "y"))], [(1, ("x", "y", "y"))]]],
+                         ids=["xyy_first", "xy_first"])
+def test_window_length_is_read_off_the_reduced_leads(relations):
+    """xy is a factor of xyy, so the reduced system is xy alone, in either
+    order of installing them, and the windows of the infinitely many
+    normal words y^a x^b have length 1."""
+    with pytest.raises(NotFiniteDimensional, match="repeats a factor of length 1,"):
+        build(["1"], [("x", "1", "1"), ("y", "1", "1")], relations, cap=16)

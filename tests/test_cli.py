@@ -281,16 +281,19 @@ INFINITE = {
     "binomial_fp5": "field fp:5\nvertex 1\narrow x 1 1\narrow y 1 1\nrelation x*x*x*x\n"
                     "relation y*y*y*y\nrelation y*y*x - 2*x*x*x*y\n"
                     "relation y*y*y - y*y*y*x*y\n",
+    "x5_beside_two_loops": "field Q\nvertex 1\narrow x 1 1\narrow y 1 1\narrow z 1 1\n"
+                           "relation x*x*x*x*x\n",
 }
 
 
 @pytest.mark.parametrize("text", INFINITE.values(), ids=list(INFINITE))
 def test_an_infinite_quotient_is_refused_by_a_repeated_factor(text, tmp_path, capsys):
-    """Both quotients have infinitely many normal words.  Counted up to the
+    """Each quotient has infinitely many normal words.  Counted up to the
     default length cap they exhaust memory, so the refusal must come from
-    a repeated factor well below the cap: checked first at cap 16, where
-    counting alone would reach the cap, then through the CLI."""
-    p = dsl.load_presentation(text, max_length_cap=16)
+    a cycle among the normal words of the window length, well below the
+    cap: checked first at cap 10, where counting alone would reach the
+    cap, then through the CLI."""
+    p = dsl.load_presentation(text, max_length_cap=10)
     with pytest.raises(errors.NotFiniteDimensional, match="repeats a factor"):
         build_algebra(p)
     f = tmp_path / "infinite.dsl"
