@@ -2,28 +2,27 @@
 
 A presentation (quiver, relations, field) is completed into a rewriting
 system under the length-then-lex order on paths (arrows ordered by
-declaration, longer paths larger).  A rule is a monic polynomial, a
-sparse row keyed by path, and ``linal.add_multiple`` does all the rewriting
-arithmetic; a lead factor of a path is looked up in the rule dict, one
-slice per lead length.  Completion installs each polynomial of a worklist,
-sends back the rules whose lead the new one makes reducible, and resolves
-the overlaps of leads from one heap, lowest degree first, skipping those of
-two monomial rules (a zero S-polynomial) unless a lead passes the length
-cap; one reduction of each tail gives the reduced system.  Its normal
-monomials, the basis of the quotient, are finite exactly when the graph of
-normal words one shorter than the longest lead has no cycle.  A
-product of basis monomials whose word is normal is that basis vector; any
-other product with an arrow is its word fully reduced, and every longer
-product follows from these by arrow prefix, as b * (w * a) = (b * w) * a.
-The radical filtration is built once per algebra from path length and the
-few products that reduce to shorter monomials (relations need not be
-homogeneous in path length), and its bases are kept on the table.
+declaration, longer paths larger).  A rule is a monic polynomial, a sparse
+row keyed by path, and ``linal.add_multiple`` does all the rewriting
+arithmetic; a lead factor of a path is looked up in the rule dict, one slice
+per lead length.  Completion installs each polynomial of a worklist, sends
+back the rules whose lead the new one makes reducible, and resolves the
+overlaps of leads from one heap, lowest degree first, skipping those of two
+monomial rules (a zero S-polynomial) unless a lead passes the length cap;
+one reduction of each tail gives the reduced system.  Its normal monomials,
+the basis of the quotient, are the walks in a graph on the proper prefixes
+of the leads, finite exactly when it has no cycle.  A product of basis
+monomials whose word is normal is that basis vector; any other product with
+an arrow is its word fully reduced, and every longer product follows from
+these by arrow prefix, as b * (w * a) = (b * w) * a.  The radical filtration
+is built once per algebra from path length and the few products that reduce
+to shorter monomials (relations need not be homogeneous in path length), and
+its bases are kept on the table.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter
 from heapq import heappop, heappush
 from itertools import islice
 
@@ -52,19 +51,6 @@ class Presentation(Value, fields=("quiver", "relations", "field", "max_length_ca
         self.field, self.max_length_cap = field, max_length_cap
 
 
-class _Order:
-    """Length-then-lex monomial order keyed on arrow declaration index."""
-
-    def __init__(self, quiver: Quiver):
-        self.index = {a.label: i for i, a in enumerate(quiver.arrows)}
-
-    def key(self, path: Path):
-        # tuple() of a list allocates the exact size from the tuple free
-        # list; tuple() of a generator grows by resizing, and every such
-        # key freed parks on the free list until a full garbage collection
-        return (len(path), tuple([self.index[l] for l in path]))
-
-
 def _validate_relation(q: Quiver, rel: Relation) -> None:
     if not rel.terms:
         raise NotAdmissible("empty relation")
@@ -87,30 +73,34 @@ def _validate_relation(q: Quiver, rel: Relation) -> None:
 class _Rewriter:
     """Two-sided rewriting system: lead path -> monic rule, lead first."""
 
-    def __init__(self, field: Field, order: _Order):
+    def __init__(self, field: Field, order: dict):
         self.field = field
-        self.order = order
+        self.order = order  # arrow label -> declaration index
         self.rules: dict[Path, Poly] = {}
         self.lengths: list[int] = []  # lead lengths, ascending; while completing, stale too
 
     def reduce(self, poly: Poly) -> Poly:
         """Normal form of poly, terms in decreasing order.  The largest term
         is normal, and final, or is pre * lead * post: it then cancels with
-        coef * (pre * rule * post), whose other terms are smaller."""
-        work = dict(poly)
-        out: Poly = {}
-        while work:
-            path = max(work, key=self.order.key)
-            coef = work.pop(path)
+        coef * (pre * rule * post), whose other terms are smaller, so no
+        path returns once popped.  Each path is keyed once, as it enters
+        work, on a heap; an entry whose path has left work is skipped."""
+        order, work, out = self.order, dict(poly), {}
+        heap = sorted((-len(p), [-order[l] for l in p], p) for p in work)  # sorted, so a heap
+        while heap:
+            path = heappop(heap)[2]
+            if (coef := work.pop(path, None)) is None:
+                continue
             hit = self._find_factor(path)
             if hit is None:
                 out[path] = coef
                 continue
             pos, lead = hit
             pre, post = path[:pos], path[pos + len(lead):]
-            rest = islice(self.rules[lead].items(), 1, None)
-            linal.add_multiple(self.field, work, self.field.neg(coef),
-                               {pre + p + post: c for p, c in rest})
+            terms = {pre + p + post: c for p, c in islice(self.rules[lead].items(), 1, None)}
+            for p in terms.keys() - work.keys():
+                heappush(heap, (-len(p), [-order[l] for l in p], p))
+            linal.add_multiple(self.field, work, self.field.neg(coef), terms)
         return out
 
     def _find_factor(self, path: Path):
@@ -134,7 +124,7 @@ class _Rewriter:
         return lead
 
 
-def _complete(field: Field, order: _Order, gens: list[Poly], cap: int) -> _Rewriter:
+def _complete(field: Field, order: dict, gens: list[Poly], cap: int) -> _Rewriter:
     """The reduced rewriting system of the ideal of gens (Knuth-Bendix), from
     a worklist of polynomials and a heap of critical pairs."""
     rw = _Rewriter(field, order)
@@ -266,7 +256,7 @@ class AlgebraTable:
 def build_algebra(p: Presentation) -> AlgebraTable:
     q = p.quiver
     field = p.field
-    order = _Order(q)
+    order = {a.label: i for i, a in enumerate(q.arrows)}
     gens: list[Poly] = []
     for rel in p.relations:
         _validate_relation(q, rel)
@@ -320,43 +310,49 @@ def build_algebra(p: Presentation) -> AlgebraTable:
 
 
 def _normal_monomials(q: Quiver, rw: _Rewriter, cap: int) -> list[Path]:
-    out: list[Path] = [() for _ in q.vertices]
-    level: list[Path] = [(a.label,) for a in q.arrows]
     arrows_from = {v: [a.label for a in q.arrows_from(v)] for v in q.vertices}
     target = {a.label: a.target for a in q.arrows}
-    # a factor of a normal word is normal, and a word longer than span is
-    # normal when its factors of length span + 1 are: the normal words of
-    # length span + k are the walks of length k in the graph linking each
-    # normal word w of length span to w[1:] + (l,) when w + (l,) is normal
-    # (Ufnarovskii), so the basis is infinite when that graph has a cycle
-    span = max(rw.lengths, default=2) - 1
+    prefixes = {lead[:i] for lead in rw.rules for i in range(1, len(lead))}
+    # the state of a normal word w is its longest suffix that is a proper
+    # prefix of a lead, else its last arrow.  A lead ending w + (l,) is, less
+    # l, such a suffix of w, so no longer than the state: whether w + (l,) is
+    # normal, and its state, depend on state + (l,) alone.  The normal words
+    # are the walks in the graph of states (Ufnarovskii's graph, on the
+    # prefixes of the leads as in Aho-Corasick), finite when it has no cycle
+    links, entering = {}, {}
+    states = [(a.label,) for a in q.arrows]
+    for state in states:  # grows while it is read
+        if state in links:
+            continue
+        links[state] = []
+        for label in arrows_from[target[state[-1]]]:
+            cand = state + (label,)
+            if not any(cand[-ll:] in rw.rules for ll in rw.lengths):
+                nxt = next((cand[i:] for i in range(len(cand) - 1) if cand[i:] in prefixes),
+                           (label,))
+                links[state].append(nxt)  # ends with label
+                states.append(nxt)
+                entering[nxt] = entering.get(nxt, 0) + 1
+    # peel the states no link enters (Kahn): a state left is on or after a cycle
+    peeled = [state for state in links if state not in entering]
+    for state in peeled:  # grows while it is read
+        for nxt in links[state]:
+            entering[nxt] -= 1
+            if not entering[nxt]:
+                peeled.append(nxt)
+    if len(peeled) < len(links):
+        span = max(rw.lengths, default=2) - 1
+        raise NotFiniteDimensional(f"a normal monomial repeats a factor of length "
+                                   f"{span}, so dim A is infinite")
+    out: list[Path] = [() for _ in q.vertices]
+    level = [((a.label,), (a.label,)) for a in q.arrows]  # (normal word, its state)
     length = 1
     while level:
-        out.extend(level)
+        out.extend(w for w, _ in level)
         if length >= cap:
             raise NotFiniteDimensional(
                 f"normal monomials persist past the length cap {cap}")
-        nxt: list[Path] = []
-        for path in level:
-            for label in arrows_from[target[path[-1]]]:
-                cand = path + (label,)
-                if not any(cand[-ll:] in rw.rules for ll in rw.lengths):
-                    nxt.append(cand)
-        if length == span:
-            # peel the words no link enters (Kahn): a word left is on or after a cycle
-            links, entering = {}, Counter(w[1:] for w in nxt)
-            for w in nxt:
-                links.setdefault(w[:-1], []).append(w[1:])
-            peeled = [w for w in level if not entering[w]]
-            for w in peeled:  # grows while it is read
-                for x in links.get(w, ()):
-                    entering[x] -= 1
-                    if not entering[x]:
-                        peeled.append(x)
-            if len(peeled) < len(level):
-                raise NotFiniteDimensional(f"a normal monomial repeats a factor of length "
-                                           f"{span}, so dim A is infinite")
-        level = nxt
+        level = [(w + nxt[-1:], nxt) for w, state in level for nxt in links[state]]
         length += 1
     return out
 

@@ -262,7 +262,8 @@ def presentation_from_json(data, field_override: str | None = None,
         except json.JSONDecodeError as exc:
             raise ParseError(f"bad JSON: {exc}", exc.lineno, exc.colno) from None
     try:
-        field = Field.parse(data["field"] if field_override is None else field_override)
+        field = Field.parse(data["field"])  # declared and valid under an override too
+        field = field if field_override is None else Field.parse(field_override)
         vertices = _array(data["vertices"], "vertices")
         arrows = [(a["label"], a["src"], a["dst"]) for a in data["arrows"]]
         for name, rule in [(v, _NAME) for v in vertices] + [(a[0], _LABEL) for a in arrows]:

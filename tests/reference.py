@@ -1,12 +1,15 @@
-"""Independent references the tests compare the package against: the
-full Hochschild complex of a bare table, with all d^2 unknowns, the
+"""Independent references the tests compare the package against: the full
+Hochschild complex of a bare table, with all d^2 unknowns, the
 associativity check it relies on, the quotient section of one span
 modulo another, the completion that interreduces every rule after each
-new one, the radical filtration by row reduction of every power, the
-Tits-form classification by elimination over Fraction, and conversions
-between sparse vectors and coordinate lists."""
+new one, the normal words listed up to the longest lead with a cycle
+test on the graph of those words, the radical filtration by row
+reduction of every power, the Tits-form classification by elimination
+over Fraction, and conversions between sparse vectors and coordinate
+lists."""
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 from quiverhh import linal
@@ -136,6 +139,48 @@ def complete(field: Field, order, gens: list, cap: int) -> _Rewriter:
                 done.clear()
             enqueue_all()
     return rw
+
+
+def normal_monomials(q: Quiver, rw: _Rewriter, cap: int) -> list:
+    """The basis of normal words of a reduced rewriting system, as the
+    package once listed it: level by level, and at the length span one
+    shorter than the longest lead, the graph linking each normal word w of
+    that length to w[1:] + (l,) when w + (l,) is normal (Ufnarovskii) is
+    peeled (Kahn); a word left means a cycle.  NotFiniteDimensional, with
+    the package's messages, on a cycle or at the length cap."""
+    out = [() for _ in q.vertices]
+    level = [(a.label,) for a in q.arrows]
+    arrows_from = {v: [a.label for a in q.arrows_from(v)] for v in q.vertices}
+    target = {a.label: a.target for a in q.arrows}
+    span = max(rw.lengths, default=2) - 1
+    length = 1
+    while level:
+        out.extend(level)
+        if length >= cap:
+            raise NotFiniteDimensional(
+                f"normal monomials persist past the length cap {cap}")
+        nxt = []
+        for path in level:
+            for label in arrows_from[target[path[-1]]]:
+                cand = path + (label,)
+                if not any(cand[-ll:] in rw.rules for ll in rw.lengths):
+                    nxt.append(cand)
+        if length == span:
+            links, entering = {}, Counter(w[1:] for w in nxt)
+            for w in nxt:
+                links.setdefault(w[:-1], []).append(w[1:])
+            peeled = [w for w in level if not entering[w]]
+            for w in peeled:  # grows while it is read
+                for x in links.get(w, ()):
+                    entering[x] -= 1
+                    if not entering[x]:
+                        peeled.append(x)
+            if len(peeled) < len(level):
+                raise NotFiniteDimensional(f"a normal monomial repeats a factor of length "
+                                           f"{span}, so dim A is infinite")
+        level = nxt
+        length += 1
+    return out
 
 
 def radical_filtration(field: Field, basis_paths: list, columns: dict) -> list[list[dict]]:

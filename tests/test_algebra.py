@@ -473,7 +473,8 @@ def test_rewriting_is_a_reduced_complete_system(p, data):
     holds exactly the lead lengths, and reduction is linear onto normal
     monomials."""
     t = build_algebra(p)
-    field, rw, key = t.field, t.rewriter, t.rewriter.order.key
+    field, rw = t.field, t.rewriter
+    key = lambda path: (len(path), [rw.order[l] for l in path])  # length-then-lex
     assert rw.lengths == sorted({len(lead) for lead in rw.rules})
     for lead, rule in rw.rules.items():
         tail = dict(list(rule.items())[1:])
@@ -554,3 +555,53 @@ def test_window_length_is_read_off_the_reduced_leads(relations):
     normal words y^a x^b have length 1."""
     with pytest.raises(NotFiniteDimensional, match="repeats a factor of length 1,"):
         build(["1"], [("x", "1", "1"), ("y", "1", "1")], relations, cap=16)
+
+
+def outcome(f, *args):
+    """f(*args), or the NotFiniteDimensional it raises."""
+    try:
+        return f(*args)
+    except NotFiniteDimensional as e:
+        return e
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(binomial_presentations(),
+                 FIELDS.flatmap(random_binomials),
+                 FIELDS.flatmap(lambda f: random_binomials(f, truncated=False))))
+def test_normal_words_match_the_graph_of_words_reference(presentation):
+    """On the same completed system, the walks in the graph of lead
+    prefixes list the reference's basis whenever the reference finishes,
+    and both refuse the same presentations; with the cap past the window
+    length, where the reference runs its cycle test, with equal messages."""
+    seen = []
+    real = algebra._normal_monomials
+
+    def both(q, rw, cap):
+        span = max(rw.lengths, default=2) - 1
+        seen.append((outcome(real, q, rw, cap),
+                     outcome(reference.normal_monomials, q, rw, cap), cap > span))
+        return real(q, rw, cap)
+
+    with mock.patch.object(algebra, "_normal_monomials", both):
+        try:
+            build_algebra(presentation)
+        except (NotAdmissible, NotFiniteDimensional):
+            pass
+    if seen:
+        got, expected, past_span = seen[0]
+        if isinstance(expected, list):
+            assert got == expected
+        else:
+            assert isinstance(got, NotFiniteDimensional)
+            if past_span:
+                assert str(got) == str(expected)
+
+
+def test_a_cycle_is_refused_before_any_word_is_listed():
+    """x * y^5 has no self-overlap, so it is its own reduced system, and
+    every power of x is a normal word: the graph of lead prefixes says so
+    at cap 4, below the window length 5, where listing the words level by
+    level would stop at the cap instead."""
+    with pytest.raises(NotFiniteDimensional, match="repeats a factor of length 5,"):
+        build(["1"], [("x", "1", "1"), ("y", "1", "1")], [[(1, ("x",) + ("y",) * 5)]], cap=4)

@@ -149,6 +149,34 @@ def test_a_second_field_line_is_refused():
         assert err.value.line == 3
 
 
+BODY = "vertex 1\narrow x 1 1\nrelation x*x\n"
+
+
+def dsl_text(field):
+    """BODY in the DSL, with the field line when field is not None."""
+    return (f"field {field}\n" if field is not None else "") + BODY
+
+
+def json_text(field):
+    """BODY as JSON, with the "field" key when field is not None."""
+    data = presentation_to_json(parse_presentation("field Q\n" + BODY))
+    del data["field"]
+    if field is not None:
+        data["field"] = field
+    return json.dumps(data)
+
+
+@pytest.mark.parametrize("front_end", [dsl_text, json_text], ids=["dsl", "json"])
+@pytest.mark.parametrize("field", [None, "fp:4"], ids=["missing", "fp4"])
+def test_the_declared_field_is_checked_under_an_override(front_end, field):
+    """Both front ends require a valid declared field even when --field
+    overrides it; the override then wins over a valid one."""
+    with pytest.raises(ParseError, match="field|characteristic"):
+        load_presentation(front_end(field), field_override="Q")
+    p = load_presentation(front_end("fp:3"), field_override="Q")
+    assert p.field.characteristic == 0
+
+
 NAMES = st.text(string.ascii_letters + string.digits + "_", min_size=1, max_size=3)
 
 

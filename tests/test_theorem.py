@@ -1,10 +1,13 @@
-"""The paper's theorem checked over every small radical-square-zero algebra.
+"""The paper's theorem checked over every small radical-square-zero algebra
+and every small Brauer graph algebra.
 
 A radical-square-zero algebra has the representation type of its separated
 quiver (Gabriel; Dlab-Ringel and Nazarova for tame type), which is what the
 report's ``septype`` computes, so the non-wild cases are known without the
-pipeline.  On each of them HH1_rad must split as m copies of sl2 plus a
-solvable ideal of dimension dim - 3m.
+pipeline.  A Brauer graph algebra is special biserial, so of finite or tame
+type (Wald-Waschbüsch 1985; Butler-Ringel 1987).  On each non-wild algebra
+HH1_rad must split as m copies of sl2 plus a solvable ideal of dimension
+dim - 3m.
 """
 
 import itertools
@@ -64,3 +67,62 @@ def test_the_theorem_holds_on_every_small_radical_square_zero_algebra(p):
         assert cr.joint_kernel_derived_dims[-1] == 0, presentation
         assert cr.joint_kernel_dim == report.hh1_rad.lie.dim - 3 * cr.m, presentation
     assert (seen, nonwild) == (467, 247)
+
+
+def brauer_graph_algebras(field):
+    """Every connected Brauer graph with one or two edges and vertex
+    multiplicities 1 or 2, none truncated (one end and multiplicity 1).
+    The ends 2i and 2i + 1 belong to edge i, and a permutation sigma of
+    the ends lists the ends at each vertex in cyclic order, one cycle per
+    vertex.  The quiver has a vertex per edge and an arrow a_h from the
+    edge of h to that of sigma(h); C_h is the cycle a_h a_sigma(h) ...
+    around the vertex of h, to the power of its multiplicity m, and the
+    relations are C_h^m - C_h'^m' for the two ends of each edge, a_h a_g
+    when g is not sigma(h), and C_h^m a_h."""
+    for edges in (1, 2):
+        ends = range(2 * edges)
+        for sigma in itertools.permutations(ends):
+            around = {}
+            for h in ends:
+                cycle = [h]
+                while sigma[cycle[-1]] != h:
+                    cycle.append(sigma[cycle[-1]])
+                around[h] = cycle
+            vertices = sorted({min(c) for c in around.values()})
+            if not connected(vertices, [(min(around[2 * i]), min(around[2 * i + 1]))
+                                        for i in range(edges)]):
+                continue
+            quiver = Quiver.make([str(i) for i in range(edges)],
+                                 [(f"a{h}", str(h // 2), str(sigma[h] // 2)) for h in ends])
+            for mults in itertools.product((1, 2), repeat=len(vertices)):
+                m = {h: mults[vertices.index(min(around[h]))] for h in ends}
+                if any(len(around[h]) == 1 and m[h] == 1 for h in ends):
+                    continue
+                cyc = {h: tuple(f"a{g}" for g in around[h]) * m[h] for h in ends}
+                relations = ([((1, cyc[2 * i]), (-1, cyc[2 * i + 1])) for i in range(edges)]
+                             + [((1, (f"a{h}", f"a{g}")),) for h in ends for g in ends
+                                if g // 2 == sigma[h] // 2 and g != sigma[h]]
+                             + [((1, cyc[h] + (f"a{h}",)),) for h in ends])
+                yield Presentation(quiver, tuple(map(Relation, relations)), field)
+
+
+@pytest.mark.parametrize("p", [0, 3], ids=["Q", "fp3"])
+def test_the_theorem_holds_on_every_small_brauer_graph_algebra(p):
+    """The 47 Brauer graph algebras on at most two edges have binomial
+    relations and linked Kronecker pairs.  The type is taken from the
+    family, not from septype, which is exact only for radical square zero.
+    The oracle agrees, and the joint kernel is solvable of dimension
+    dim HH1_rad - 3m.  Two edges between two vertices, each of
+    multiplicity 1, give m = 1 from a cyclic chain with two rotations."""
+    seen, two_rotations = 0, 0
+    for presentation in brauer_graph_algebras(Field(p)):
+        report = run_analyze(presentation, AnalysisOptions(oracle=True, assert_nonwild=True))
+        assert report.oracle_dim == report.hh1.lie.dim, presentation
+        cr = report.chain_report
+        assert cr.consistency_ok, presentation
+        assert cr.joint_kernel_derived_dims[-1] == 0, presentation
+        assert cr.joint_kernel_dim == report.hh1_rad.lie.dim - 3 * cr.m, presentation
+        seen += 1
+        two_rotations += cr.m == 1 and any(
+            cl.representative.shape == "Cyclic" and cl.size == 2 for cl in cr.classes)
+    assert (seen, two_rotations) == (47, 2)
