@@ -6,7 +6,7 @@ output was written (no traceback), 2 input errors (unreadable or non-UTF-8
 file, parse, unknown, non-prime or too large --field, a coefficient whose
 denominator vanishes in the field, admissibility, finiteness), 3 every
 other error of the package, a refused or failed operation (unsupported
-characteristic, oversized oracle, undefined Delta map or quotient, a
+characteristic, oversized oracle, undefined Delta map, chains or quotient, a
 cyclic quiver where an acyclic one is needed, a table that is not
 associative or whose idempotents the oracle cannot trust).
 """

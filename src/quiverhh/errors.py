@@ -26,7 +26,8 @@ class NotAcyclic(QuiverHHError):
 
 
 class DeltaUndefined(QuiverHHError):
-    """The arrow pair does not span a Kronecker component of the separated quiver."""
+    """The arrow pair does not span a Kronecker component of the separated
+    quiver, or Kronecker pairs branch (only on a wild algebra): no chains."""
 
 
 class UnsupportedCharacteristic(QuiverHHError):

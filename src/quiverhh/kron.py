@@ -1,10 +1,10 @@
 """Kronecker pairs, maximal chains and the sl2-summand count m.
 
 A Kronecker pair is a parallel class of exactly two arrows.  Chains link
-pairs head to tail, subject to at least one of the four cross products
-surviving in the algebra; maximal chains and their rotation classes drive
-the decomposition of the radical-preserving part of HH1 into m copies of
-sl2 plus a solvable remainder.
+pairs head to tail where a cross product survives; unless A is wild the
+links form disjoint paths and cycles.  Maximal chains and their rotation
+classes split the radical-preserving part of HH1 into m copies of sl2
+plus a solvable remainder.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 from . import linal
 from .algebra import AlgebraTable
 from .derlie import DeltaMap, HH1Result, delta_defined, delta_map
-from .errors import UnsupportedCharacteristic
+from .errors import DeltaUndefined, UnsupportedCharacteristic
 from .quiver import reptype_radsq  # noqa: F401  bench/spans.py wraps kron.reptype_radsq
 from .value import Value
 
@@ -74,44 +74,37 @@ def _chain_shape(pairs) -> str:
 
 
 def maximal_chains(table: AlgebraTable):
-    """Maximal Kronecker chains, cyclic ones as their smallest rotation."""
+    """Maximal Kronecker chains, cyclic ones as their least rotation.
+
+    Two links out of one pair, or into one, join a vertex of the separated
+    quiver to two others by double edges, so A/rad^2 and A are wild: that
+    raises DeltaUndefined.  Otherwise the links are disjoint paths, each one
+    chain, and cycles, whose maximal chains are their rotations."""
     pairs = kronecker_pairs(table)
-    # the links p -> q, each tested once: q starts where p ends and some
-    # cross product survives; preceding holds the same links reversed
-    following = {p: [q for q in pairs if q is not p and p.target == q.source
-                     and _cross_product_survives(table, p, q)] for p in pairs}
-    preceding: dict = {p: [] for p in pairs}
-    for p, qs in following.items():
-        for q in qs:
-            preceding[q].append(p)
-
-    # every chain, depth first from each pair in order; an explicit stack,
-    # because a recursive closure is a reference cycle that keeps the table
-    # alive until the next full garbage collection
-    all_chains = []
-    stack = [(p,) for p in reversed(pairs)]
-    while stack:
-        seq = stack.pop()
-        all_chains.append(seq)
-        stack.extend(seq + (q,) for q in reversed(following[seq[-1]]) if q not in seq)
-
-    def extendable(seq) -> bool:
-        return any(q not in seq for q in following[seq[-1]] + preceding[seq[0]])
-
-    maximal = [seq for seq in all_chains if not extendable(seq)]
-    # each sequence is enumerated once; a closed chain is kept as the least
-    # of its rotations that are themselves maximal chains
-    maximal_set = set(maximal)
-    chains = {}
-    for seq in maximal:
-        shape = _chain_shape(seq)
-        if shape == "Cyclic":
-            seq = min((rot for rot in (seq[i:] + seq[:i] for i in range(len(seq)))
-                       if rot in maximal_set),
-                      key=lambda rot: tuple(p.labels for p in rot))
-        chain = KroneckerChain(seq, shape)
-        chains[chain.key()] = chain
-    return sorted(chains.values(), key=KroneckerChain.key)
+    following, preceding = {}, {}
+    for p in pairs:
+        for q in pairs:
+            if q is not p and p.target == q.source and _cross_product_survives(table, p, q):
+                if p in following or q in preceding:
+                    raise DeltaUndefined(
+                        f"Kronecker pairs branch at vertex {p.target}: the algebra "
+                        f"is wild, and its chains are not defined")
+                following[p], preceding[q] = q, p
+    # the paths from their first pairs, then what is left: the cycles
+    chains, seen = [], set()
+    for start in [p for p in pairs if p not in preceding] + pairs:
+        if start in seen:
+            continue
+        seq = [start]
+        while following.get(seq[-1], start) is not start:
+            seq.append(following[seq[-1]])
+        seen.update(seq)
+        if start in preceding:
+            # pairs have distinct labels, so the least rotation starts at the least pair
+            i = seq.index(min(seq, key=lambda p: p.labels))
+            seq = seq[i:] + seq[:i]
+        chains.append(KroneckerChain(tuple(seq), _chain_shape(seq)))
+    return sorted(chains, key=KroneckerChain.key)
 
 
 class ChainClass:

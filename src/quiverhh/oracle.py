@@ -21,7 +21,7 @@ from .algebra import AlgebraTable
 from .errors import NotAssociative, TooLarge
 from .linal import Field
 
-MAX_ORACLE_DIM = 64
+MAX_ORACLE_UNKNOWNS = 4096
 
 
 def _cocycle_rows(field: Field, table, cols: list[dict], pairs):
@@ -106,9 +106,6 @@ def bar_hh1_dim(a: AlgebraTable) -> int:
     dim HH1 = dim ker d1 - (dim A^E - dim Z(A)).  The idempotents are the
     first |Q0| basis vectors, checked on the products alone (``_vertex_pairs``).
     """
-    d = a.dim
-    if d > MAX_ORACLE_DIM:
-        raise TooLarge(f"oracle limited to dimension {MAX_ORACLE_DIM}, got {d}")
     field, table = a.field, a.products
     pairs = _vertex_pairs(table, len(a.quiver.vertices), field.one)
     parallel: dict = {}
@@ -116,10 +113,13 @@ def bar_hh1_dim(a: AlgebraTable) -> int:
         parallel.setdefault(pair, []).append(j)
     column = itertools.count()
     cols = [{c: next(column) for c in parallel[pair]} for pair in pairs]
+    unknowns = sum(map(len, cols))
+    if unknowns > MAX_ORACLE_UNKNOWNS:
+        raise TooLarge(f"oracle limited to {MAX_ORACLE_UNKNOWNS} unknowns, got {unknowns}")
     composable = [(x, y) for x, (_, t) in enumerate(pairs) for y, (s, _) in enumerate(pairs)
                   if s == t]
     # the rank does not depend on the order; short rows first keep the fill-in small
     rows = sorted(_cocycle_rows(field, table, cols, composable), key=len)
-    ker_d1 = sum(map(len, cols)) - linal.sparse_rank(field, rows)
+    ker_d1 = unknowns - linal.sparse_rank(field, rows)
     diagonal = [u for u, (s, t) in enumerate(pairs) if s == t]
     return ker_d1 - (len(diagonal) - _center_dim(field, table, diagonal, pairs))

@@ -5,19 +5,22 @@ modulo another, the completion that interreduces every rule after each
 new one, the normal words listed up to the longest lead with a cycle
 test on the graph of those words, the radical filtration by row
 reduction of every power, the Tits-form classification by elimination
-over Fraction, and conversions between sparse vectors and coordinate
-lists."""
+over Fraction, the maximal Kronecker chains as every simple path of the
+link graph that cannot be extended, and conversions between sparse
+vectors and coordinate lists."""
 
 import itertools
 from collections import Counter
 from fractions import Fraction
 
 from quiverhh import linal
-from quiverhh.algebra import _Rewriter
+from quiverhh.algebra import AlgebraTable, _Rewriter
 from quiverhh.errors import (NotAdmissible, NotAssociative, NotFiniteDimensional,
                              QuotientUndefined, TooLarge)
+from quiverhh.kron import (KroneckerChain, _chain_shape, _cross_product_survives,
+                           kronecker_pairs)
 from quiverhh.linal import Field
-from quiverhh.oracle import MAX_ORACLE_DIM, _cocycle_rows
+from quiverhh.oracle import MAX_ORACLE_UNKNOWNS, _cocycle_rows
 from quiverhh.quiver import Quiver
 
 
@@ -72,8 +75,8 @@ def derivations_from_table(field: Field, table, idempotents=None) -> list:
     convention.
     """
     d = len(table)
-    if d > MAX_ORACLE_DIM:
-        raise TooLarge(f"oracle limited to dimension {MAX_ORACLE_DIM}, got {d}")
+    if d * d > MAX_ORACLE_UNKNOWNS:
+        raise TooLarge(f"oracle limited to {MAX_ORACLE_UNKNOWNS} unknowns, got {d * d}")
     if not is_associative(field, table):
         raise NotAssociative("multiplication table is not associative")
     rows = _cocycle_rows(field, table, full_columns(d), itertools.product(range(d), repeat=2))
@@ -238,3 +241,44 @@ def classify_component(q: Quiver, verts: list) -> tuple:
                     below[j] -= f * row[j]
     kind = "A" if det == n + 1 else "D" if det == 4 else "E"
     return "Dynkin", f"{kind}{n}"
+
+
+def maximal_chains(table: AlgebraTable):
+    """Maximal Kronecker chains, cyclic ones as their smallest rotation."""
+    pairs = kronecker_pairs(table)
+    # the links p -> q, each tested once: q starts where p ends and some
+    # cross product survives; preceding holds the same links reversed
+    following = {p: [q for q in pairs if q is not p and p.target == q.source
+                     and _cross_product_survives(table, p, q)] for p in pairs}
+    preceding: dict = {p: [] for p in pairs}
+    for p, qs in following.items():
+        for q in qs:
+            preceding[q].append(p)
+
+    # every chain, depth first from each pair in order; an explicit stack,
+    # because a recursive closure is a reference cycle that keeps the table
+    # alive until the next full garbage collection
+    all_chains = []
+    stack = [(p,) for p in reversed(pairs)]
+    while stack:
+        seq = stack.pop()
+        all_chains.append(seq)
+        stack.extend(seq + (q,) for q in reversed(following[seq[-1]]) if q not in seq)
+
+    def extendable(seq) -> bool:
+        return any(q not in seq for q in following[seq[-1]] + preceding[seq[0]])
+
+    maximal = [seq for seq in all_chains if not extendable(seq)]
+    # each sequence is enumerated once; a closed chain is kept as the least
+    # of its rotations that are themselves maximal chains
+    maximal_set = set(maximal)
+    chains = {}
+    for seq in maximal:
+        shape = _chain_shape(seq)
+        if shape == "Cyclic":
+            seq = min((rot for rot in (seq[i:] + seq[:i] for i in range(len(seq)))
+                       if rot in maximal_set),
+                      key=lambda rot: tuple(p.labels for p in rot))
+        chain = KroneckerChain(seq, shape)
+        chains[chain.key()] = chain
+    return sorted(chains.values(), key=KroneckerChain.key)

@@ -1,15 +1,20 @@
 import gc
+import itertools
+import json
 import pathlib
+import random
 import weakref
 
 import pytest
 
+import reference
 from quiverhh import kron, linal
 from quiverhh.algebra import Presentation, Relation, build_algebra
-from quiverhh.analysis import run_analyze
+from quiverhh.analysis import AnalysisOptions, run_analyze
+from quiverhh.cli import main
 from quiverhh.derlie import LieAlgebra, delta_map, hh1, radical_part
 from quiverhh.dsl import load_presentation
-from quiverhh.errors import UnsupportedCharacteristic
+from quiverhh.errors import DeltaUndefined, UnsupportedCharacteristic
 from quiverhh.kron import (decomposition_report, equivalence_classes,
                            is_surjective_chain, kronecker_pairs, maximal_chains,
                            standard_relations_literal)
@@ -373,3 +378,118 @@ def test_an_analysis_frees_its_table_without_the_garbage_collector():
     finally:
         if enabled:
             gc.enable()
+
+
+def radical_cube_zero(vertices, arrows):
+    """DSL text of the path algebra over Q modulo every path of length three."""
+    lines = ["field Q", "vertex " + " ".join(vertices)]
+    lines += [f"arrow {x} {s} {t}" for x, s, t in arrows]
+    lines += [f"relation {x}*{y}*{z}" for x, _, tx in arrows for y, sy, ty in arrows
+              if tx == sy for z, sz, _ in arrows if ty == sz]
+    return "\n".join(lines) + "\n"
+
+
+def linked_cycle(n):
+    """The n-cycle of double arrows a_i, b_i: i -> i + 1 with rad^3 = 0: every
+    pair links to the next, the last to the first."""
+    return radical_cube_zero([str(i) for i in range(n)],
+                             [(f"{s}{i}", str(i), str((i + 1) % n))
+                              for i in range(n) for s in "ab"])
+
+
+def complete_double(n):
+    """Two arrows between each ordered pair of the n vertices, rad^3 = 0: at
+    each vertex n - 1 pairs start and n - 1 end, so for n >= 3 the links branch."""
+    vertices = [str(i) for i in range(n)]
+    return radical_cube_zero(vertices, [(f"{s}{v}{w}", v, w) for v in vertices
+                                        for w in vertices if v != w for s in "ab"])
+
+
+def random_radical_cube_zero(rng, field):
+    """A presentation with rad^3 = 0 on at most five vertices: two to four
+    groups of one to three parallel arrows (groups with the same ends merge),
+    declared in random order, each path of length two zero with probability
+    0.3, some parallel paths of length two made proportional, and every
+    other path of length three zero."""
+    vertices = [str(v) for v in range(rng.randint(1, 5))]
+    arrows = []
+    for _ in range(rng.randint(2, 4)):
+        s, t = rng.choice(vertices), rng.choice(vertices)
+        for _ in range(rng.choice([1, 2, 2, 3])):
+            arrows.append((f"x{len(arrows)}", s, t))
+    rng.shuffle(arrows)
+    ends = {x: (s, t) for x, s, t in arrows}
+    two = [(x, y) for x, _, tx in arrows for y, sy, _ in arrows if tx == sy]
+    zero = {p for p in two if rng.random() < 0.3}
+    rels = [((1, p),) for p in zero]
+    rels += [((1, u), (rng.choice([1, -1, 2]), v)) for u, v in itertools.combinations(two, 2)
+             if ends[u[0]][0] == ends[v[0]][0] and ends[u[1]][1] == ends[v[1]][1]
+             and rng.random() < 0.1]
+    rels += [((1, p + (z,)),) for p in two for z, sz, _ in arrows
+             if ends[p[1]][1] == sz and p not in zero and (p[1], z) not in zero]
+    return Presentation(Quiver.make(vertices, arrows), tuple(map(Relation, rels)), field)
+
+
+def test_the_walk_of_the_links_gives_every_simple_path_that_is_maximal():
+    """Against the reference, which lists every simple path of the link graph
+    and keeps the maximal ones, on random presentations with rad^3 = 0 over
+    Q, F_3 and F_5: the same chains and rotation counts wherever the links
+    do not branch, and a refusal, on a wild algebra, wherever they do."""
+    rng = random.Random(1)
+    linked = rotated = branched = 0
+    for _ in range(200):
+        p = random_radical_cube_zero(rng, Field(rng.choice([0, 3, 5])))
+        t = build_algebra(p)
+        try:
+            chains = maximal_chains(t)
+        except DeltaUndefined:
+            assert reptype_radsq(p.quiver) == "Wild", p
+            branched += 1
+            continue
+        expected = reference.maximal_chains(t)
+        assert chains == expected, p
+        sizes = [cl.size for cl in equivalence_classes(t, chains)]
+        assert sizes == [cl.size for cl in equivalence_classes(t, expected)], p
+        linked += any(len(c.pairs) > 1 for c in chains)
+        rotated += any(size > 1 for size in sizes)
+    assert linked and rotated and branched, (linked, rotated, branched)
+
+
+def test_a_linked_cycle_is_kept_as_its_least_rotation():
+    """The walk meets (e,f) first, as it is declared first, but the chain is
+    kept as its least rotation."""
+    t = build_algebra(load_presentation(radical_cube_zero(
+        ["1", "2", "3"], [("e", "3", "1"), ("f", "3", "1"), ("a", "1", "2"),
+                          ("b", "1", "2"), ("c", "2", "3"), ("d", "2", "3")])))
+    (chain,) = maximal_chains(t)
+    assert chain.shape == "Cyclic"
+    assert [p.labels for p in chain.pairs] == [("a", "b"), ("c", "d"), ("e", "f")]
+    assert [cl.size for cl in equivalence_classes(t, [chain])] == [3]
+
+
+def test_pairs_that_branch_are_refused(tmp_path, capsys):
+    """On the complete double quiver on three vertices two pairs start at
+    each vertex: the chains are refused, and HH1 is still computed."""
+    text = complete_double(3)
+    with pytest.raises(DeltaUndefined, match=r"branch at vertex [012]:"):
+        maximal_chains(build_algebra(load_presentation(text)))
+    f = tmp_path / "complete3.dsl"
+    f.write_text(text)
+    capsys.readouterr()
+    assert main(["analyze", str(f)]) == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("refused: Kronecker pairs branch")
+    assert main(["hh1", str(f), "--json"]) == 0
+    d = json.loads(capsys.readouterr().out)
+    assert d["hh1"]["dim"] == 70
+
+
+def test_the_linked_eight_cycle():
+    """dim HH1 = 3n + 1 on the linked n-cycle with rad^3 = 0, as the oracle
+    confirms, and its one chain gives m = 1 from 8 rotations."""
+    d = run_analyze(load_presentation(linked_cycle(8)), AnalysisOptions(oracle=True)).to_dict()
+    assert d["algebra"]["dim"] == 56
+    assert d["hh1"]["dim"] == d["oracle"]["bar_hh1_dim"] == 25
+    assert d["m"] == 1
+    (cl,) = d["chains"]["classes"]
+    assert (cl["shape"], cl["rotations"], len(cl["pairs"])) == ("Cyclic", 8, 8)

@@ -11,7 +11,7 @@ from quiverhh.derlie import derivation_space, hh1
 from quiverhh.dsl import load_presentation
 from quiverhh.errors import NotAssociative, TooLarge
 from quiverhh.linal import Field
-from quiverhh.oracle import MAX_ORACLE_DIM, _cocycle_rows, bar_hh1_dim
+from quiverhh.oracle import _cocycle_rows, bar_hh1_dim
 from quiverhh.quiver import Quiver
 from reference import dense, derivations_from_table, full_columns
 
@@ -138,13 +138,13 @@ def test_too_large_guard():
     assert t.dim == 10
     assert bar_hh1_dim(t) == 9  # sanity: still within bounds
     import quiverhh.oracle as om
-    old = om.MAX_ORACLE_DIM
-    om.MAX_ORACLE_DIM = 4
+    old = om.MAX_ORACLE_UNKNOWNS
+    om.MAX_ORACLE_UNKNOWNS = 16
     try:
-        with pytest.raises(TooLarge):
+        with pytest.raises(TooLarge, match="16 unknowns, got 100"):
             bar_hh1_dim(t)
     finally:
-        om.MAX_ORACLE_DIM = old
+        om.MAX_ORACLE_UNKNOWNS = old
 
 
 CORPUS = sorted((pathlib.Path(__file__).resolve().parent.parent / "corpus").glob("*.dsl"))
