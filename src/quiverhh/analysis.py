@@ -49,15 +49,22 @@ class AnalysisReport:
         return self.graph.reptype
 
     @functools.cached_property
-    def chain_report(self) -> kron.ChainReport | None:
-        """None in characteristic 2, which ``options.decompose`` refuses."""
+    def chains(self) -> list | None:
+        """The maximal Kronecker chains, from the table alone, so that
+        branching pairs are refused before HH1 is computed; None in
+        characteristic 2, which ``options.decompose`` refuses."""
         if self.table.field.characteristic == 2:
             if self.options.decompose:
                 raise UnsupportedCharacteristic(
                     "the sl2 decomposition needs 2 to be invertible")
             return None
-        return kron.decomposition_report(self.hh1_rad, self.septype,
-                                         self.options.assert_nonwild)
+        return kron.maximal_chains(self.table)
+
+    @functools.cached_property
+    def chain_report(self) -> kron.ChainReport | None:
+        """None in characteristic 2 (see chains)."""
+        return None if self.chains is None else kron.decomposition_report(
+            self.hh1_rad, self.septype, self.options.assert_nonwild, self.chains)
 
     @functools.cached_property
     def oracle_dim(self) -> int:
@@ -184,7 +191,7 @@ def run_analyze(p: Presentation, options: AnalysisOptions | None = None) -> Anal
     """The analysis with every artefact of the full report computed, in
     pipeline order, so that any error of the pipeline is raised here."""
     report = AnalysisReport(p, options)
-    stages = ("table", "hh1", "hh1_rad", "loops", "graph", "chain_report")
+    stages = ("table", "chains", "hh1", "hh1_rad", "loops", "graph", "chain_report")
     for stage in stages + (("oracle_dim",) if report.options.oracle else ()):
         getattr(report, stage)
     return report

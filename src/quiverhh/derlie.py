@@ -7,11 +7,13 @@ of the linear problem are those coefficients, one block per arrow in
 declaration order; a derivation is a sparse slot vector (slot position ->
 nonzero coefficient), the form ``linal`` eliminates on.
 
-A derivation extends from the arrows to paths one arrow at a time by the
-product rule d(p a) = d(p) a + p d(a) (``_extend``).  A proper prefix of
-a normal monomial or of a rule word is normal, so p is a basis monomial
-and d(p) a + p d(a) is read from the column of a and the row of p: one
-``linal.combine`` per path, given the image of its prefix.
+A derivation extends from the arrows to paths by the product rule
+d(p a) = d(p) a + p d(a) (``_extend``), p a proper prefix of a normal
+monomial or of a rule word, so a basis monomial: one ``linal.combine`` of
+the column of a and the row of p per step.  The extension is linear in
+the values on arrows, so it is walked once per slot, for the slot's unit
+derivation (``DerivationLayout.unit_images``), and the constraint rows
+and the bracket of HH1 both read those images.
 """
 
 from __future__ import annotations
@@ -29,7 +31,9 @@ class DerivationLayout:
     """Coordinate layout for the derivations of table: one slot per (arrow,
     parallel basis monomial).  slots: list of (arrow label, basis index);
     position: slot -> its position in slots; blocks: arrow label -> list of
-    slot positions; parallel: the sorted basis indices of the slots."""
+    slot positions; parallel: the sorted basis indices of the slots; words:
+    arrow label -> the monomials parallel to an arrow, shortest first, then
+    the rule words, that hold it."""
 
     def __init__(self, table: AlgebraTable):
         self.table, self.slots, self.blocks = table, [], {}
@@ -42,6 +46,10 @@ class DerivationLayout:
                     self.slots.append((arrow.label, i))
         self.position = {slot: s for s, slot in enumerate(self.slots)}
         self.parallel = sorted({bi for _, bi in self.slots})
+        words = [table.basis_paths[i] for i in self.parallel]
+        words += [w for g in table.groebner for w in g]
+        self.words = {label: [w for w in words if label in w] for label in self.blocks}
+        self._images: dict = {}  # slot -> unit_images(slot)
 
     @property
     def size(self) -> int:
@@ -51,6 +59,17 @@ class DerivationLayout:
         """The element delta(arrow) of A as a sparse vector."""
         return {self.slots[pos][1]: vec[pos] for pos in self.blocks[arrow_label]
                 if pos in vec}
+
+    def unit_images(self, s: int) -> dict:
+        """d_s(w) for the unit derivation d_s of slot s = (a, m), sending a to
+        x_m and every other arrow to 0, for each prefix w of the words of a
+        with d_s(w) != 0 (one ``_extend`` walk, on the first call)."""
+        images = self._images.get(s)
+        if images is None:
+            label, m = self.slots[s]
+            walked = _extend(self.table, {label: {m: self.table.field.one}}, self.words[label])
+            images = self._images[s] = {w: img for w, img in walked.items() if img}
+        return images
 
     def action_columns(self, vec: dict, indices) -> dict:
         """Images of the basis monomials in indices under the derivation
@@ -70,7 +89,9 @@ def _extend(t: AlgebraTable, values: dict, words) -> dict:
     """d(p) for every nonempty prefix p of the words (basis monomials or
     rule words), each by the product rule from the image of its own prefix,
     where d(a) = values.get(a, 0): prefix -> sparse vector.  Each word is
-    walked on from its longest prefix already imaged."""
+    walked on from its longest prefix already imaged; a step with d(p) = 0
+    and d(a) = 0 gives 0 with no table read."""
+    field, columns, products, index = t.field, t.columns, t.products, t.path_index
     images: dict = {}
     for w in words:
         n = len(w) if images else 0
@@ -79,9 +100,9 @@ def _extend(t: AlgebraTable, values: dict, words) -> dict:
         head = w[:n]
         for a in w[n:]:
             da = values.get(a, {})
-            if head:
-                img = linal.combine(t.field, (images[head], t.columns[t.path_index[(a,)]]),
-                                    (da, t.products[t.path_index[head]]))
+            if head and (da or images[head]):
+                img = linal.combine(field, (images[head], columns[index[(a,)]]),
+                                    (da, products[index[head]]))
             else:
                 img = dict(da)
             head += (a,)
@@ -97,7 +118,6 @@ def _constraint_rows(layout: DerivationLayout) -> list:
     occurring in g can give one."""
     t = layout.table
     field = t.field
-    one = field.one
     rows = []
     for g in t.groebner:
         by_coord: dict = {}  # coordinate of delta(g) -> its row
@@ -106,8 +126,12 @@ def _constraint_rows(layout: DerivationLayout) -> list:
             if not terms:
                 continue
             for s in block:
-                images = _extend(t, {label: {layout.slots[s][1]: one}}, terms)
-                for coord, a in linal.combine(field, (terms, images)).items():
+                images = layout.unit_images(s)
+                delta: dict = {}  # d_s(g), from the nonzero images of its words
+                for w, c in terms.items():
+                    if img := images.get(w):
+                        linal.add_multiple(field, delta, c, img)
+                for coord, a in delta.items():
                     by_coord.setdefault(coord, {})[s] = a
         rows.extend(by_coord[coord] for coord in sorted(by_coord))
     return rows
@@ -258,31 +282,37 @@ def lie_from_quotient(layout: DerivationLayout, reps: list, inn: list) -> LieAlg
 
     The commutator [d_i, d_j] is a derivation, so it is fixed by its slot
     vector: the coordinate bi of d_i(d_j(a)) - d_j(d_i(a)) for each slot
-    (a, bi).  The value of a representative on an arrow a lives on the
-    monomials parallel to a, so each representative's action is needed
-    only on the monomials parallel to some arrow, and each term is a
-    combination of those sparse columns.  By antisymmetry only the
-    d(d-1)/2 commutators with i < j are computed; they are written in
+    (a, bi).  The extension to paths is linear in the values on arrows, so
+    with d_j(a) = sum of d_j[(a, m)] x_m and d_i = sum of d_i[s] d_s over
+    the unit derivations d_s of the slots, d_i(d_j(a)) is the sum of
+    d_i[s] d_j[(a, m)] d_s(x_m), read from the per-slot images of the
+    layout (``unit_images``).  By antisymmetry only the d(d-1)/2
+    commutators with i < j are computed; they are written in
     (reps | inn) coordinates by one row reduction of
     [reps | inn | commutators], and the reps part is the bracket.  The
     commutators lie in the span exactly when the pivots of that reduction
     are the reps and inn columns and nothing else.
     """
     field = layout.table.field
+    paths = layout.table.basis_paths
     d = len(reps)
     slots, position = layout.slots, layout.position
-    cols = [layout.action_columns(v, layout.parallel) for v in reps]
+    # each representative as its unit derivations, with its coefficients and
+    # with their negatives, and as the words of its values
+    units = [[(layout.unit_images(s), c) for s, c in v.items()] for v in reps]
+    negated = [[(unit, field.neg(c)) for unit, c in u] for u in units]
+    values = [[(slots[s][0], paths[slots[s][1]], c) for s, c in v.items()] for v in reps]
     pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
     comms = []
     for i, j in pairs:
         # d_i(d_j(a)) - d_j(d_i(a)), over the nonzero slots (a, m) of each
         images: dict = {}
-        for s, c in reps[j].items():
-            label, m = slots[s]
-            linal.add_multiple(field, images.setdefault(label, {}), c, cols[i][m])
-        for s, c in reps[i].items():
-            label, m = slots[s]
-            linal.add_multiple(field, images.setdefault(label, {}), field.neg(c), cols[j][m])
+        for acts, y in ((units[i], j), (negated[j], i)):
+            for label, w, c in values[y]:
+                for unit, b in acts:
+                    if img := unit.get(w):
+                        linal.add_multiple(field, images.setdefault(label, {}),
+                                           field.mul(b, c), img)
         comms.append({position[label, bi]: c for label, img in images.items()
                       for bi, c in img.items()})
     base = d + len(inn)

@@ -239,12 +239,12 @@ class ChainReport:
         return len(self.joint_kernel)
 
 
-def decomposition_report(h: HH1Result, septype: str,
-                         assert_nonwild: bool = False) -> ChainReport:
+def decomposition_report(h: HH1Result, septype: str, assert_nonwild: bool = False,
+                         chains: list | None = None) -> ChainReport:
     """Assemble m, the solvable remainder and the hypothesis flags.
 
-    septype is the representation-type verdict of the separated quiver
-    (``GraphClass.reptype``), which the analysis has already computed.
+    septype, the separated quiver's verdict (``GraphClass.reptype``), and
+    chains (``maximal_chains``, by default found here) come from the analysis.
 
     m counts the rotation classes of maximal chains whose sl2 projection
     is surjective; under the stated hypotheses (characteristic not 2 and
@@ -256,7 +256,8 @@ def decomposition_report(h: HH1Result, septype: str,
     if field.characteristic == 2:
         raise UnsupportedCharacteristic(
             "the decomposition count needs 2 to be invertible")
-    chains = maximal_chains(table)
+    if chains is None:
+        chains = maximal_chains(table)
     classes = equivalence_classes(table, chains)
     surj = [is_surjective_chain(h, cl.representative) for cl in classes]
     std = [standard_relations_literal(table, cl.representative) for cl in classes]

@@ -1,8 +1,9 @@
 """Independent references the tests compare the package against: the full
 Hochschild complex of a bare table, with all d^2 unknowns, the
 associativity check it relies on, the quotient section of one span
-modulo another, the completion that interreduces every rule after each
-new one, the normal words listed up to the longest lead with a cycle
+modulo another, the bracket of derivations from the action columns of
+each representative, the completion that interreduces every rule after
+each new one, the normal words listed up to the longest lead with a cycle
 test on the graph of those words, the radical filtration by row
 reduction of every power, the Tits-form classification by elimination
 over Fraction, the maximal Kronecker chains as every simple path of the
@@ -44,6 +45,46 @@ def quotient_reps(field: Field, span_a: list[dict], span_b: list[dict]) -> list[
         raise QuotientUndefined("span_b is not contained in span_a")
     ech = linal.span_basis(field, span_b)
     return linal.span_basis(field, [linal.reduce_against(field, v, ech) for v in span_a])
+
+
+def bracket_structure(layout, reps: list, inn: list) -> list:
+    """The structure constants of span(reps + inn) / span(inn) on reps, as
+    the package once bracketed: each representative extended to every
+    monomial parallel to an arrow by ``action_columns``, then each
+    commutator d_i(d_j(a)) - d_j(d_i(a)) summed over the nonzero slots
+    (a, m) of d_j and of d_i, and written in (reps | inn) coordinates by
+    one row reduction."""
+    field = layout.table.field
+    d = len(reps)
+    slots, position = layout.slots, layout.position
+    cols = [layout.action_columns(v, layout.parallel) for v in reps]
+    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
+    comms = []
+    for i, j in pairs:
+        images: dict = {}
+        for s, c in reps[j].items():
+            label, m = slots[s]
+            linal.add_multiple(field, images.setdefault(label, {}), c, cols[i][m])
+        for s, c in reps[i].items():
+            label, m = slots[s]
+            linal.add_multiple(field, images.setdefault(label, {}), field.neg(c), cols[j][m])
+        comms.append({position[label, bi]: c for label, img in images.items()
+                      for bi, c in img.items()})
+    base = d + len(inn)
+    matrix = [{} for _ in range(layout.size)]
+    for k, col in enumerate(reps + inn + comms):
+        for r, c in col.items():
+            matrix[r][k] = c
+    ech, pivots = linal.rref(field, matrix)
+    assert pivots == list(range(base)), "bracket left the derivation space"
+    structure = [[{} for _ in range(d)] for _ in range(d)]
+    for r in range(d):
+        for col, c in ech[r].items():
+            if col >= base:
+                i, j = pairs[col - base]
+                structure[i][j][r] = c
+                structure[j][i][r] = field.neg(c)
+    return structure
 
 
 def is_associative(field: Field, table: list) -> bool:

@@ -16,6 +16,7 @@ from quiverhh.kron import decomposition_report
 from quiverhh.linal import Field
 from quiverhh.quiver import Quiver, reptype_radsq
 from test_algebra import radsq_cycle
+from test_kron import linked_cycle
 import reference
 
 Q = Field(0)
@@ -496,6 +497,7 @@ def test_radical_part_is_the_leading_block_of_hh1(monkeypatch, case):
     calls = []
     monkeypatch.setattr(derlie, "lie_from_quotient", lambda *args: calls.append(args))
     monkeypatch.setattr(DerivationLayout, "action_columns", lambda *args: calls.append(args))
+    monkeypatch.setattr(DerivationLayout, "unit_images", lambda *args: calls.append(args))
     rad = radical_part(full)
     monkeypatch.undo()
     assert calls == [] and rad.layout is full.layout
@@ -509,6 +511,45 @@ def test_radical_part_is_the_leading_block_of_hh1(monkeypatch, case):
                 ref.lie.is_solvable()))
     fresh = lie_from_quotient(DerivationLayout(t), rad.lie.reps, rad.inn)
     assert fresh.structure == rad.lie.structure
+
+
+BRACKET_CASES = {
+    **{path.stem: lambda path=path: build_algebra(load_presentation(path.read_text()))
+       for path in CORPUS},
+    **{case: lambda case=case: PROPER_CUTS[case][0]() for case in PROPER_CUTS},
+    **BINOMIAL,
+    "x15_fp5": lambda: truncated_loop(15, Field(5)),
+    "x15_fp7": lambda: truncated_loop(15, Field(7)),
+    "linked_cycle16": lambda: build_algebra(load_presentation(linked_cycle(16))),
+}
+
+
+@pytest.mark.parametrize("case", list(BRACKET_CASES))
+def test_bracket_from_unit_images_matches_the_action_columns(case):
+    """The commutators built from the per-slot images of the unit
+    derivations give the structure constants of the reference, which
+    extends each representative to every parallel monomial first."""
+    t = BRACKET_CASES[case]()
+    full = hh1(t)
+    lie = full.lie
+    assert lie.structure == reference.bracket_structure(DerivationLayout(t), lie.reps, full.inn)
+
+
+@pytest.mark.parametrize("case", ["x15_fp5", "linked_cycle16"])
+def test_hh1_walks_the_product_rule_at_most_once_per_slot(monkeypatch, case):
+    """The constraint rows and the bracket share one ``_extend`` walk per
+    slot of the layout."""
+    t = BRACKET_CASES[case]()
+    extend = derlie._extend
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return extend(*args)
+
+    monkeypatch.setattr(derlie, "_extend", counted)
+    full = hh1(t)
+    assert 0 < len(calls) <= full.layout.size
 
 
 @pytest.mark.parametrize("n,p", [(3, 0), (4, 0), (5, 0), (6, 0), (3, 3), (5, 5), (6, 3)])

@@ -8,7 +8,7 @@ import weakref
 import pytest
 
 import reference
-from quiverhh import kron, linal
+from quiverhh import derlie, kron, linal
 from quiverhh.algebra import Presentation, Relation, build_algebra
 from quiverhh.analysis import AnalysisOptions, run_analyze
 from quiverhh.cli import main
@@ -467,18 +467,26 @@ def test_a_linked_cycle_is_kept_as_its_least_rotation():
     assert [cl.size for cl in equivalence_classes(t, [chain])] == [3]
 
 
-def test_pairs_that_branch_are_refused(tmp_path, capsys):
+def test_pairs_that_branch_are_refused(tmp_path, capsys, monkeypatch):
     """On the complete double quiver on three vertices two pairs start at
-    each vertex: the chains are refused, and HH1 is still computed."""
+    each vertex: analyze and chains refuse the chains from the table,
+    before derlie.hh1 is called, and hh1 still computes HH1."""
     text = complete_double(3)
     with pytest.raises(DeltaUndefined, match=r"branch at vertex [012]:"):
         maximal_chains(build_algebra(load_presentation(text)))
     f = tmp_path / "complete3.dsl"
     f.write_text(text)
+    calls = []
+    monkeypatch.setattr(derlie, "hh1", lambda *args: calls.append(args))
+    with pytest.raises(DeltaUndefined, match=r"branch at vertex [012]:"):
+        run_analyze(load_presentation(text))
     capsys.readouterr()
-    assert main(["analyze", str(f)]) == 3
-    err = capsys.readouterr().err
-    assert len(err.splitlines()) == 1 and err.startswith("refused: Kronecker pairs branch")
+    for command in ("analyze", "chains"):
+        assert main([command, str(f)]) == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("refused: Kronecker pairs branch")
+    monkeypatch.undo()
+    assert calls == []
     assert main(["hh1", str(f), "--json"]) == 0
     d = json.loads(capsys.readouterr().out)
     assert d["hh1"]["dim"] == 70
