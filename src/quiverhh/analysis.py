@@ -88,9 +88,9 @@ class AnalysisReport:
         chains = {
             "classes": [
                 {
-                    "pairs": [[p.a, p.b] for p in cl.representative.pairs],
-                    "shape": cl.representative.shape,
-                    "rotations": cl.size,
+                    "pairs": [[p.a, p.b] for p in chain.pairs],
+                    "shape": chain.shape,
+                    "rotations": chain.rotations,
                     "surjective": s.surjective,
                     "per_pair_image_dims": {
                         "*".join(k): v for k, v in s.per_pair_image_dims.items()},
@@ -100,7 +100,7 @@ class AnalysisReport:
                         "witnesses": list(st.witnesses),
                     },
                 }
-                for cl, s, st in zip(cr.classes, cr.surjectivity, cr.standard)
+                for chain, s, st in zip(cr.classes, cr.surjectivity, cr.standard)
             ],
             "r_dim": cr.r_dim,
             "joint_kernel_dim": cr.joint_kernel_dim,
@@ -165,8 +165,8 @@ def render_text(d: dict) -> str:
                      f"{ch['joint_kernel_dim']}, derived series "
                      + " ".join(str(x) for x in ch["joint_kernel_derived_dims"]))
         if not ch["consistency_ok"]:
-            lines.append("warning: solvability does not match m = 0; "
-                         "hypotheses likely violated")
+            lines.append("warning: solvability does not match m = 0, or the joint "
+                         "kernel is not solvable; hypotheses likely violated")
     flags = d["flags"]
     lines.append("flags: " + ", ".join(f"{k}={v}" for k, v in flags.items()))
     if "oracle" in d:

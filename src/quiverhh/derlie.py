@@ -31,9 +31,8 @@ class DerivationLayout:
     """Coordinate layout for the derivations of table: one slot per (arrow,
     parallel basis monomial).  slots: list of (arrow label, basis index);
     position: slot -> its position in slots; blocks: arrow label -> list of
-    slot positions; parallel: the sorted basis indices of the slots; words:
-    arrow label -> the monomials parallel to an arrow, shortest first, then
-    the rule words, that hold it."""
+    slot positions; words: arrow label -> the monomials parallel to an
+    arrow, shortest first, then the rule words, that hold it."""
 
     def __init__(self, table: AlgebraTable):
         self.table, self.slots, self.blocks = table, [], {}
@@ -45,8 +44,7 @@ class DerivationLayout:
                     block.append(len(self.slots))
                     self.slots.append((arrow.label, i))
         self.position = {slot: s for s, slot in enumerate(self.slots)}
-        self.parallel = sorted({bi for _, bi in self.slots})
-        words = [table.basis_paths[i] for i in self.parallel]
+        words = [table.basis_paths[i] for i in sorted({bi for _, bi in self.slots})]
         words += [w for g in table.groebner for w in g]
         self.words = {label: [w for w in words if label in w] for label in self.blocks}
         self._images: dict = {}  # slot -> unit_images(slot)
@@ -54,11 +52,6 @@ class DerivationLayout:
     @property
     def size(self) -> int:
         return len(self.slots)
-
-    def sparse_value(self, vec: dict, arrow_label: str) -> dict:
-        """The element delta(arrow) of A as a sparse vector."""
-        return {self.slots[pos][1]: vec[pos] for pos in self.blocks[arrow_label]
-                if pos in vec}
 
     def unit_images(self, s: int) -> dict:
         """d_s(w) for the unit derivation d_s of slot s = (a, m), sending a to
@@ -70,19 +63,6 @@ class DerivationLayout:
             walked = _extend(self.table, {label: {m: self.table.field.one}}, self.words[label])
             images = self._images[s] = {w: img for w, img in walked.items() if img}
         return images
-
-    def action_columns(self, vec: dict, indices) -> dict:
-        """Images of the basis monomials in indices under the derivation
-        extended to all of A by the product rule: index -> sparse vector.
-
-        Each image is d(p a) = d(p) a + p d(a) from the image of its prefix
-        p, itself a basis monomial (see _extend).  Idempotents map to zero.
-        """
-        t = self.table
-        values = {label: self.sparse_value(vec, label) for label in self.blocks}
-        paths = [t.basis_paths[j] for j in indices]
-        images = _extend(t, values, paths)
-        return {j: images[p] if p else {} for j, p in zip(indices, paths)}
 
 
 def _extend(t: AlgebraTable, values: dict, words) -> dict:
@@ -357,7 +337,9 @@ def hh1(table: AlgebraTable) -> HH1Result:
     if len(cut) < len(der):
         ech = inn + reps
         reps += linal.span_basis(field, [linal.reduce_against(field, v, ech) for v in der])
-    return HH1Result(lie_from_quotient(layout, reps, inn), der, inn, cut)
+    lie = lie_from_quotient(layout, reps, inn)
+    layout._images.clear()  # the bracket is the last reader of the per-slot images
+    return HH1Result(lie, der, inn, cut)
 
 
 def radical_part(full: HH1Result) -> HH1Result:

@@ -2,9 +2,9 @@
 
 A Kronecker pair is a parallel class of exactly two arrows.  Chains link
 pairs head to tail where a cross product survives; unless A is wild the
-links form disjoint paths and cycles.  Maximal chains and their rotation
-classes split the radical-preserving part of HH1 into m copies of sl2
-plus a solvable remainder.
+links form disjoint paths and cycles.  Maximal chains, each standing for its
+class of rotations, split the radical-preserving part of HH1 into m
+copies of sl2 plus a solvable remainder.
 """
 
 from __future__ import annotations
@@ -27,11 +27,12 @@ class KroneckerPair(Value, fields=("a", "b", "source", "target", "delta_defined"
         return (self.a, self.b)
 
 
-class KroneckerChain(Value, fields=("pairs", "shape")):
-    """pairs: tuple of KroneckerPair; shape: DoubleLoop, Cyclic or Linear."""
+class KroneckerChain(Value, fields=("pairs", "shape", "rotations")):
+    """pairs: tuple of KroneckerPair; shape: DoubleLoop, Cyclic or Linear;
+    rotations: the number of rotations of pairs that are maximal chains."""
 
-    def __init__(self, pairs: tuple, shape: str):
-        self.pairs, self.shape = pairs, shape
+    def __init__(self, pairs: tuple, shape: str, rotations: int):
+        self.pairs, self.shape, self.rotations = pairs, shape, rotations
 
     @property
     def arrow_labels(self):
@@ -74,12 +75,13 @@ def _chain_shape(pairs) -> str:
 
 
 def maximal_chains(table: AlgebraTable):
-    """Maximal Kronecker chains, cyclic ones as their least rotation.
+    """Maximal Kronecker chains, one per rotation class, cyclic ones as
+    their least rotation.
 
     Two links out of one pair, or into one, join a vertex of the separated
     quiver to two others by double edges, so A/rad^2 and A are wild: that
     raises DeltaUndefined.  Otherwise the links are disjoint paths, each one
-    chain, and cycles, whose maximal chains are their rotations."""
+    chain, and cycles, whose maximal chains are all their rotations."""
     pairs = kronecker_pairs(table)
     following, preceding = {}, {}
     for p in pairs:
@@ -99,35 +101,13 @@ def maximal_chains(table: AlgebraTable):
         while following.get(seq[-1], start) is not start:
             seq.append(following[seq[-1]])
         seen.update(seq)
+        rotations = 1
         if start in preceding:
             # pairs have distinct labels, so the least rotation starts at the least pair
             i = seq.index(min(seq, key=lambda p: p.labels))
-            seq = seq[i:] + seq[:i]
-        chains.append(KroneckerChain(tuple(seq), _chain_shape(seq)))
+            seq, rotations = seq[i:] + seq[:i], len(seq)
+        chains.append(KroneckerChain(tuple(seq), _chain_shape(seq), rotations))
     return sorted(chains, key=KroneckerChain.key)
-
-
-class ChainClass:
-    """size: the number of rotations realised as chains."""
-
-    def __init__(self, representative: KroneckerChain, size: int):
-        self.representative, self.size = representative, size
-
-
-def equivalence_classes(table: AlgebraTable, chains) -> list:
-    """Rotation orbits; non-closed chains are singletons."""
-    out = []
-    for chain in chains:
-        if chain.shape != "Cyclic":
-            out.append(ChainClass(chain, 1))
-            continue
-        # a rotation keeps every link of the chain but one and adds the
-        # wrap-around link, so every rotation is a chain exactly when that
-        # link survives, and otherwise only the chain itself is
-        seq = chain.pairs
-        size = len(seq) if _cross_product_survives(table, seq[-1], seq[0]) else 1
-        out.append(ChainClass(chain, size))
-    return out
 
 
 class SurjectivityReport:
@@ -222,8 +202,9 @@ def standard_relations_literal(table: AlgebraTable,
 
 
 class ChainReport:
-    """classes: list of ChainClass, with one SurjectivityReport and one
-    StandardRelationsReport per class in surjectivity and standard;
+    """classes: the maximal chains, one per rotation class, with one
+    SurjectivityReport and one StandardRelationsReport per chain in
+    surjectivity and standard;
     joint_kernel: sparse basis of the kernel onto the m sl2 summands."""
 
     def __init__(self, classes: list, surjectivity: list, standard: list, m: int,
@@ -258,9 +239,8 @@ def decomposition_report(h: HH1Result, septype: str, assert_nonwild: bool = Fals
             "the decomposition count needs 2 to be invertible")
     if chains is None:
         chains = maximal_chains(table)
-    classes = equivalence_classes(table, chains)
-    surj = [is_surjective_chain(h, cl.representative) for cl in classes]
-    std = [standard_relations_literal(table, cl.representative) for cl in classes]
+    surj = [is_surjective_chain(h, chain) for chain in chains]
+    std = [standard_relations_literal(table, chain) for chain in chains]
     m = sum(1 for s in surj if s.surjective)
     lie = h.lie
     derived = lie.derived_series()
@@ -280,7 +260,8 @@ def decomposition_report(h: HH1Result, septype: str, assert_nonwild: bool = Fals
         "user_asserted_nonwild": assert_nonwild,
     }
     conditional = flags["qs_nonwild_compatible"] or flags["user_asserted_nonwild"]
-    consistency_ok = (not conditional) or (solvable == (m == 0))
-    return ChainReport(classes, surj, std, m, r_dim, kernel, joint_derived, flags,
+    # HH1_rad is m copies of sl2 plus the joint kernel, a solvable ideal
+    consistency_ok = not conditional or (solvable == (m == 0) and joint_derived[-1] == 0)
+    return ChainReport(chains, surj, std, m, r_dim, kernel, joint_derived, flags,
                        consistency_ok)
 

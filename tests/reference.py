@@ -1,14 +1,15 @@
 """Independent references the tests compare the package against: the full
 Hochschild complex of a bare table, with all d^2 unknowns, the
 associativity check it relies on, the quotient section of one span
-modulo another, the bracket of derivations from the action columns of
-each representative, the completion that interreduces every rule after
+modulo another, a derivation extended from its slot vector to every basis
+monomial, the bracket of derivations from the action columns of each
+representative, the completion that interreduces every rule after
 each new one, the normal words listed up to the longest lead with a cycle
 test on the graph of those words, the radical filtration by row
 reduction of every power, the Tits-form classification by elimination
 over Fraction, the maximal Kronecker chains as every simple path of the
-link graph that cannot be extended, and conversions between sparse
-vectors and coordinate lists."""
+link graph that cannot be extended, with the rotations of each that are
+chains too, and conversions between sparse vectors and coordinate lists."""
 
 import itertools
 from collections import Counter
@@ -16,6 +17,7 @@ from fractions import Fraction
 
 from quiverhh import linal
 from quiverhh.algebra import AlgebraTable, _Rewriter
+from quiverhh.derlie import _extend
 from quiverhh.errors import (NotAdmissible, NotAssociative, NotFiniteDimensional,
                              QuotientUndefined, TooLarge)
 from quiverhh.kron import (KroneckerChain, _chain_shape, _cross_product_survives,
@@ -47,6 +49,24 @@ def quotient_reps(field: Field, span_a: list[dict], span_b: list[dict]) -> list[
     return linal.span_basis(field, [linal.reduce_against(field, v, ech) for v in span_a])
 
 
+def sparse_value(layout, vec: dict, label: str) -> dict:
+    """d(a) for the arrow a named label, as a sparse vector of A, where d
+    is the derivation with slot vector vec on layout."""
+    return {layout.slots[pos][1]: vec[pos] for pos in layout.blocks[label] if pos in vec}
+
+
+def action_columns(layout, vec: dict, indices) -> dict:
+    """Images of the basis monomials in indices under the derivation with
+    slot vector vec, extended to all of A by the product rule
+    d(p a) = d(p) a + p d(a) (``derlie._extend``): index -> sparse vector.
+    Idempotents map to zero."""
+    t = layout.table
+    values = {label: sparse_value(layout, vec, label) for label in layout.blocks}
+    paths = [t.basis_paths[j] for j in indices]
+    images = _extend(t, values, paths)
+    return {j: images[p] if p else {} for j, p in zip(indices, paths)}
+
+
 def bracket_structure(layout, reps: list, inn: list) -> list:
     """The structure constants of span(reps + inn) / span(inn) on reps, as
     the package once bracketed: each representative extended to every
@@ -57,7 +77,8 @@ def bracket_structure(layout, reps: list, inn: list) -> list:
     field = layout.table.field
     d = len(reps)
     slots, position = layout.slots, layout.position
-    cols = [layout.action_columns(v, layout.parallel) for v in reps]
+    parallel = sorted({m for _, m in slots})
+    cols = [action_columns(layout, v, parallel) for v in reps]
     pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
     comms = []
     for i, j in pairs:
@@ -285,7 +306,8 @@ def classify_component(q: Quiver, verts: list) -> tuple:
 
 
 def maximal_chains(table: AlgebraTable):
-    """Maximal Kronecker chains, cyclic ones as their smallest rotation."""
+    """Maximal Kronecker chains, cyclic ones as their smallest rotation,
+    each with the number of its rotations that are maximal chains."""
     pairs = kronecker_pairs(table)
     # the links p -> q, each tested once: q starts where p ends and some
     # cross product survives; preceding holds the same links reversed
@@ -310,16 +332,14 @@ def maximal_chains(table: AlgebraTable):
         return any(q not in seq for q in following[seq[-1]] + preceding[seq[0]])
 
     maximal = [seq for seq in all_chains if not extendable(seq)]
-    # each sequence is enumerated once; a closed chain is kept as the least
-    # of its rotations that are themselves maximal chains
+    # each sequence is enumerated once; a chain is kept as the least of its
+    # rotations that are themselves maximal chains, and counts them
     maximal_set = set(maximal)
     chains = {}
     for seq in maximal:
-        shape = _chain_shape(seq)
-        if shape == "Cyclic":
-            seq = min((rot for rot in (seq[i:] + seq[:i] for i in range(len(seq)))
-                       if rot in maximal_set),
-                      key=lambda rot: tuple(p.labels for p in rot))
-        chain = KroneckerChain(seq, shape)
+        rotations = [rot for rot in (seq[i:] + seq[:i] for i in range(len(seq)))
+                     if rot in maximal_set]
+        least = min(rotations, key=lambda rot: tuple(p.labels for p in rot))
+        chain = KroneckerChain(least, _chain_shape(least), len(rotations))
         chains[chain.key()] = chain
     return sorted(chains.values(), key=KroneckerChain.key)

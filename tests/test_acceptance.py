@@ -19,6 +19,7 @@ from quiverhh.kron import (decomposition_report, kronecker_pairs,
                            is_surjective_chain)
 from quiverhh.oracle import bar_hh1_dim
 from quiverhh.quiver import Quiver, hereditary_hh1_dim
+from reference import action_columns, sparse_value
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 STEMS = sorted(p.stem for p in CORPUS.glob("*.dsl"))
@@ -119,10 +120,9 @@ def test_criterion_05_cyclic_chain_of_three():
     cr = rep.chain_report
     assert cr.m == 1
     assert cr.r_dim == 1
-    assert len(cr.classes) == 1
-    chain = cr.classes[0].representative
+    (chain,) = cr.classes
     assert chain.shape == "Cyclic" and len(chain.pairs) == 3
-    assert cr.classes[0].size == 3
+    assert chain.rotations == 3
     _report(5, "triangle of pairs: one cyclic class, remainder dim 1")
 
 
@@ -152,7 +152,7 @@ def test_criterion_08_truncated_loop_brackets():
         t = table(f"nilpotent_loop_{n}")
         # generator p is the derivation x -> x^(p+1)
         for p, v in enumerate(lie.reps, start=1):
-            assert lie.layout.sparse_value(v, "x") == {t.path_index[("x",) * p]: 1}
+            assert sparse_value(lie.layout, v, "x") == {t.path_index[("x",) * p]: 1}
         # [x_0, x_q] = q x_q: ad x_0 has nonzero eigenvalues, so L is not nilpotent
         for p in range(n - 1):
             for q in range(n - 1):
@@ -179,8 +179,7 @@ def test_criterion_10_symmetric_two_cycle():
     cr = rep.chain_report
     assert cr.m == 1
     assert not rep.hh1_rad.lie.is_solvable()
-    assert len(cr.classes) == 1
-    chain = cr.classes[0].representative
+    (chain,) = cr.classes
     assert chain.shape == "Cyclic" and len(chain.pairs) == 2
     std = cr.standard[0]
     assert std.s1 and std.s2 and std.s3
@@ -205,11 +204,11 @@ def test_criterion_12_oracle_agreement():
 
 def _check_leibniz(t):
     """d(x y) = d(x) y + x d(y) on basis pairs, with every product by the
-    sparse ``multiply`` and d extended to all of A by ``action_columns``."""
+    sparse ``multiply`` and d extended to all of A by ``reference.action_columns``."""
     layout, der = derivation_space(t)
     field = t.field
     for v in der:
-        cols = layout.action_columns(v, range(t.dim))
+        cols = action_columns(layout, v, range(t.dim))
 
         def apply(x):
             out = {}
@@ -242,8 +241,8 @@ def _check_jacobi(lie):
 def _slot_sl2(t, layout, vec, a_label, b_label):
     field = t.field
     ia, ib = t.arrow_index(a_label), t.arrow_index(b_label)
-    va = layout.sparse_value(vec, a_label)
-    vb = layout.sparse_value(vec, b_label)
+    va = sparse_value(layout, vec, a_label)
+    vb = sparse_value(layout, vec, b_label)
     half = field.inv(field.of(2))
     return (field.mul(half, field.sub(va.get(ia, 0), vb.get(ib, 0))), vb.get(ia, 0),
             va.get(ib, 0))

@@ -50,7 +50,7 @@ def test_truncated_loop_derivations():
         assert len(der) == n - 1
         # the echelon basis is exactly x -> x^i for i = 1..n-1
         for i, v in enumerate(der, start=1):
-            assert layout.sparse_value(v, "x") == {t.path_index[("x",) * i]: 1}
+            assert reference.sparse_value(layout, v, "x") == {t.path_index[("x",) * i]: 1}
 
 
 def test_truncated_loop_bracket_table():
@@ -66,7 +66,7 @@ def test_truncated_loop_bracket_table():
         full = hh1(t)
         for rad_only, lie in ((False, full.lie), (True, radical_part(full).lie)):
             exps = list(range(1, n)) + ([0] if divides and not rad_only else [])
-            assert [lie.layout.sparse_value(v, "x") for v in lie.reps] == \
+            assert [reference.sparse_value(lie.layout, v, "x") for v in lie.reps] == \
                 [{m: field.one} for m in exps]
             at = {m: r for r, m in enumerate(exps)}
             for r, i in enumerate(exps):
@@ -223,7 +223,7 @@ def bracket_by_commutators(res):
     lie, layout = res.lie, res.layout
     t = layout.table
     f = t.field
-    acts = [layout.action_columns(v, range(t.dim)) for v in lie.reps]
+    acts = [reference.action_columns(layout, v, range(t.dim)) for v in lie.reps]
     inn = inner_space(layout)
     cols = lie.reps + inn
     matrix = [{k: col[r] for k, col in enumerate(cols) if r in col} for r in range(layout.size)]
@@ -397,38 +397,67 @@ BINOMIAL = {
 }
 
 
-@pytest.mark.parametrize("path", CORPUS + ["x15_fp5"] + list(BINOMIAL),
-                         ids=lambda p: getattr(p, "stem", p))
+PRODUCT_RULE_CASES = CORPUS + ["x15_fp5"] + list(BINOMIAL)
+
+
+def product_rule_table(case):
+    if case == "x15_fp5":
+        return truncated_loop(15, field=Field(5))
+    if case in BINOMIAL:
+        return BINOMIAL[case]()
+    return build_algebra(load_presentation(case.read_text()))
+
+
+def path_factor(t, w):
+    """A word as an element of A, the empty word as the unit."""
+    return t.path_vector(w) if w else t.unit()
+
+
+@pytest.mark.parametrize("path", PRODUCT_RULE_CASES, ids=lambda p: getattr(p, "stem", p))
 def test_action_columns_are_the_product_rule(path):
     """The sparse columns on the monomials parallel to the arrows equal the
     product rule written out at every position with ``multiply``, for each
     derivation of a basis of Der and for the slot vector of all ones, which
     need not be a derivation."""
-    if path == "x15_fp5":
-        t = truncated_loop(15, field=Field(5))
-    elif path in BINOMIAL:
-        t = BINOMIAL[path]()
-    else:
-        t = build_algebra(load_presentation(path.read_text()))
+    t = product_rule_table(path)
     f = t.field
     layout, der = derivation_space(t)
     parallel = sorted({bi for _, bi in layout.slots})
-
-    def factor(w):
-        return t.path_vector(w) if w else t.unit()
-
     for v in der + [dict.fromkeys(range(layout.size), f.one)]:
-        cols = layout.action_columns(v, parallel)
+        cols = reference.action_columns(layout, v, parallel)
         assert sorted(cols) == parallel
         for j in parallel:
             assert all(c != 0 for c in cols[j].values())
             w = t.basis_paths[j]
             expected = {}
             for k, label in enumerate(w):
-                term = t.multiply(t.multiply(factor(w[:k]), layout.sparse_value(v, label)),
-                                  factor(w[k + 1:]))
+                term = t.multiply(t.multiply(path_factor(t, w[:k]),
+                                             reference.sparse_value(layout, v, label)),
+                                  path_factor(t, w[k + 1:]))
                 linal.add_multiple(f, expected, f.one, term)
             assert cols[j] == expected
+
+
+@pytest.mark.parametrize("path", PRODUCT_RULE_CASES, ids=lambda p: getattr(p, "stem", p))
+def test_unit_images_are_the_product_rule(path):
+    """The per-slot images that the constraint rows and the bracket read:
+    for each slot s = (a, m) and each prefix p of the words of a, d_s(p) is
+    the sum of p<k x_m p>k over the positions k where p holds a, written
+    out with ``multiply``; exactly the nonzero images are kept."""
+    t = product_rule_table(path)
+    f = t.field
+    layout = DerivationLayout(t)
+    for s, (label, m) in enumerate(layout.slots):
+        images = layout.unit_images(s)
+        prefixes = {w[:n] for w in layout.words[label] for n in range(1, len(w) + 1)}
+        assert set(images) <= prefixes
+        for p in prefixes:
+            expected = {}
+            for k in (k for k, x in enumerate(p) if x == label):
+                term = t.multiply(t.multiply(path_factor(t, p[:k]), {m: f.one}),
+                                  path_factor(t, p[k + 1:]))
+                linal.add_multiple(f, expected, f.one, term)
+            assert images.get(p, {}) == expected, (layout.slots[s], p)
 
 
 @pytest.mark.parametrize("n,field", [(15, Field(5)), (32, Q)], ids=["x15_fp5", "x32_Q"])
@@ -448,7 +477,7 @@ def test_action_columns_take_one_product_rule_step_per_monomial(monkeypatch, n, 
         return combine(*args)
 
     monkeypatch.setattr(linal, "combine", counted)
-    layout.action_columns(vec, range(t.dim))
+    reference.action_columns(layout, vec, range(t.dim))
     longer = sum(len(p) >= 2 for p in t.basis_paths)
     assert longer == n - 2
     assert 0 < len(calls) <= 2 * longer
@@ -496,7 +525,6 @@ def test_radical_part_is_the_leading_block_of_hh1(monkeypatch, case):
                     cut, inn, cut)
     calls = []
     monkeypatch.setattr(derlie, "lie_from_quotient", lambda *args: calls.append(args))
-    monkeypatch.setattr(DerivationLayout, "action_columns", lambda *args: calls.append(args))
     monkeypatch.setattr(DerivationLayout, "unit_images", lambda *args: calls.append(args))
     rad = radical_part(full)
     monkeypatch.undo()
@@ -550,6 +578,19 @@ def test_hh1_walks_the_product_rule_at_most_once_per_slot(monkeypatch, case):
     monkeypatch.setattr(derlie, "_extend", counted)
     full = hh1(t)
     assert 0 < len(calls) <= full.layout.size
+
+
+@pytest.mark.parametrize("case,m", [("x15_fp5", 0), ("linked_cycle16", 1)])
+def test_hh1_drops_the_per_slot_images_after_the_bracket(case, m):
+    """The bracket is the last reader of the per-slot images, so the layout
+    that hh1 returns holds none; HH1_rad and the chain report, which read
+    only the slot positions, still run on it and walk nothing again."""
+    t = BRACKET_CASES[case]()
+    full = hh1(t)
+    assert full.layout._images == {}
+    rad = radical_part(full)
+    assert decomposition_report(rad, reptype_radsq(t.quiver)).m == m
+    assert rad.layout is full.layout and full.layout._images == {}
 
 
 @pytest.mark.parametrize("n,p", [(3, 0), (4, 0), (5, 0), (6, 0), (3, 3), (5, 5), (6, 3)])

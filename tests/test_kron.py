@@ -15,9 +15,8 @@ from quiverhh.cli import main
 from quiverhh.derlie import LieAlgebra, delta_map, hh1, radical_part
 from quiverhh.dsl import load_presentation
 from quiverhh.errors import DeltaUndefined, UnsupportedCharacteristic
-from quiverhh.kron import (decomposition_report, equivalence_classes,
-                           is_surjective_chain, kronecker_pairs, maximal_chains,
-                           standard_relations_literal)
+from quiverhh.kron import (decomposition_report, is_surjective_chain, kronecker_pairs,
+                           maximal_chains, standard_relations_literal)
 from quiverhh.linal import Field
 from quiverhh.quiver import Quiver, reptype_radsq
 
@@ -86,9 +85,7 @@ def test_cyclic_chain_canonical_rotation():
     chain = chains[0]
     assert chain.shape == "Cyclic"
     assert [p.labels for p in chain.pairs] == [("a", "b"), ("c", "d"), ("e", "f")]
-    classes = equivalence_classes(t, chains)
-    assert len(classes) == 1
-    assert classes[0].size == 3
+    assert chain.rotations == 3
 
 
 def test_a_cyclic_chain_without_its_wrap_around_link_is_its_only_rotation():
@@ -101,7 +98,7 @@ def test_a_cyclic_chain_without_its_wrap_around_link_is_its_only_rotation():
     (chain,) = maximal_chains(t)
     assert chain.shape == "Cyclic"
     assert [p.labels for p in chain.pairs] == [("a", "b"), ("c", "d"), ("e", "f")]
-    assert [cl.size for cl in equivalence_classes(t, [chain])] == [1]
+    assert chain.rotations == 1
 
 
 def test_chain_blocked_by_vanishing_products():
@@ -287,11 +284,11 @@ def test_joint_kernel_is_the_intersection_of_the_class_kernels(case):
     rep = decomposition_report(h, reptype_radsq(t.quiver))
     f, lie = t.field, h.lie
     expected = [{i: f.one} for i in range(lie.dim)]
-    for cl, s in zip(rep.classes, rep.surjectivity):
+    for chain, s in zip(rep.classes, rep.surjectivity):
         if not s.surjective:
             continue
         first = next(dm for dm in (delta_map(lie, p.a, p.b)
-                                   for p in cl.representative.pairs if p.delta_defined)
+                                   for p in chain.pairs if p.delta_defined)
                      if dm.surjective)
         expected = intersect(f, expected, linal.kernel_basis(f, first.rows, first.dim))
     assert linal.span_basis(f, rep.joint_kernel) == expected
@@ -309,9 +306,9 @@ def test_projections_compared_by_their_rows_agree_with_their_kernels(case):
     h = radical_part(hh1(t))
     rep = decomposition_report(h, reptype_radsq(t.quiver))
     f = t.field
-    for cl, s in zip(rep.classes, rep.surjectivity):
+    for chain, s in zip(rep.classes, rep.surjectivity):
         kernels = []
-        for p in cl.representative.pairs:
+        for p in chain.pairs:
             if not p.delta_defined:
                 continue
             dm = delta_map(h.lie, p.a, p.b)
@@ -324,21 +321,27 @@ def test_projections_compared_by_their_rows_agree_with_their_kernels(case):
 
 def test_surjective_pairs_with_different_kernels():
     """On 1 => 2 => 3 both pairs project onto sl2 but along different
-    kernels; the joint kernel is then a 3-dimensional abelian ideal."""
-    d = run_analyze(load_presentation(DOUBLE_PAIR_CHAIN)).to_dict()
+    kernels.  The joint kernel is then 3-dimensional and perfect (its
+    derived series is [3, 3]): HH1 is sl2 + sl2, not m = 1 copy of sl2
+    plus a solvable ideal, so the report is flagged inconsistent."""
+    report = run_analyze(load_presentation(DOUBLE_PAIR_CHAIN))
+    d = report.to_dict()
     assert d["m"] == 1
     (cl,) = d["chains"]["classes"]
     assert cl["per_pair_image_dims"] == {"a*b": 3, "c*d": 3}
     assert cl["kernels_coincide"] is False
     assert d["chains"]["joint_kernel_dim"] == 3
     assert d["chains"]["joint_kernel_derived_dims"] == [3, 3]
-    assert d["chains"]["consistency_ok"] is True
+    assert d["chains"]["consistency_ok"] is False
+    assert "the joint kernel is not solvable" in report.to_text()
 
 
 def test_the_chain_report_computes_one_kernel_and_tests_each_link_once(monkeypatch):
     """On the radical-square-zero 16-cycle each pair's projection is
     compared by its rows, so the joint kernel is the only kernel computed,
-    and each of the 16 links p -> q has its cross products tested once."""
+    and each of the 16 links p -> q has its cross products tested once.
+    On the linked 8-cycle the whole analysis tests each of its 8 links
+    once: the walk that closes the cycle also counts its rotations."""
     t = radsq_cycle(16)
     h = radical_part(hh1(t))
     kernels, links = [], []
@@ -358,6 +361,10 @@ def test_the_chain_report_computes_one_kernel_and_tests_each_link_once(monkeypat
     monkeypatch.setattr(kron, "_cross_product_survives", counted_link)
     assert len(maximal_chains(t)) == 16  # no link survives: one chain per pair
     assert len(links) == 16
+    links.clear()
+    report = run_analyze(load_presentation(linked_cycle(8)))
+    assert [chain.rotations for chain in report.chain_report.classes] == [8]
+    assert len(links) == 8
 
 
 def test_an_analysis_frees_its_table_without_the_garbage_collector():
@@ -447,11 +454,9 @@ def test_the_walk_of_the_links_gives_every_simple_path_that_is_maximal():
             branched += 1
             continue
         expected = reference.maximal_chains(t)
-        assert chains == expected, p
-        sizes = [cl.size for cl in equivalence_classes(t, chains)]
-        assert sizes == [cl.size for cl in equivalence_classes(t, expected)], p
+        assert chains == expected, p  # rotations included
         linked += any(len(c.pairs) > 1 for c in chains)
-        rotated += any(size > 1 for size in sizes)
+        rotated += any(c.rotations > 1 for c in chains)
     assert linked and rotated and branched, (linked, rotated, branched)
 
 
@@ -464,7 +469,7 @@ def test_a_linked_cycle_is_kept_as_its_least_rotation():
     (chain,) = maximal_chains(t)
     assert chain.shape == "Cyclic"
     assert [p.labels for p in chain.pairs] == [("a", "b"), ("c", "d"), ("e", "f")]
-    assert [cl.size for cl in equivalence_classes(t, [chain])] == [3]
+    assert chain.rotations == 3
 
 
 def test_pairs_that_branch_are_refused(tmp_path, capsys, monkeypatch):
@@ -494,10 +499,14 @@ def test_pairs_that_branch_are_refused(tmp_path, capsys, monkeypatch):
 
 def test_the_linked_eight_cycle():
     """dim HH1 = 3n + 1 on the linked n-cycle with rad^3 = 0, as the oracle
-    confirms, and its one chain gives m = 1 from 8 rotations."""
+    confirms, and its one chain gives m = 1 from 8 rotations.  The algebra
+    is wild and HH1 is sl2^8 + k, so the joint kernel is not solvable and
+    the report is flagged inconsistent."""
     d = run_analyze(load_presentation(linked_cycle(8)), AnalysisOptions(oracle=True)).to_dict()
     assert d["algebra"]["dim"] == 56
     assert d["hh1"]["dim"] == d["oracle"]["bar_hh1_dim"] == 25
     assert d["m"] == 1
     (cl,) = d["chains"]["classes"]
     assert (cl["shape"], cl["rotations"], len(cl["pairs"])) == ("Cyclic", 8, 8)
+    assert d["chains"]["joint_kernel_derived_dims"] == [22, 21, 21]
+    assert d["chains"]["consistency_ok"] is False

@@ -13,7 +13,7 @@ from quiverhh.errors import NotAssociative, TooLarge
 from quiverhh.linal import Field
 from quiverhh.oracle import _cocycle_rows, bar_hh1_dim
 from quiverhh.quiver import Quiver
-from reference import dense, derivations_from_table, full_columns
+from reference import action_columns, dense, derivations_from_table, full_columns
 
 Q = Field(0)
 
@@ -113,7 +113,7 @@ def test_restriction_to_corner_is_a_derivation():
     subders = derivations_from_table(field, corner, corner_idems)
     span = linal.span_basis(field, subders)
     for v in der:
-        cols = layout.action_columns(v, keep)
+        cols = action_columns(layout, v, keep)
         flat = {}
         for col, bj in enumerate(keep):
             for row, bi in enumerate(keep):

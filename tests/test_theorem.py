@@ -130,7 +130,7 @@ def test_the_theorem_holds_on_every_small_brauer_graph_algebra(p):
         assert cr.joint_kernel_dim == report.hh1_rad.lie.dim - 3 * cr.m, presentation
         seen += 1
         two_rotations += cr.m == 1 and any(
-            cl.representative.shape == "Cyclic" and cl.size == 2 for cl in cr.classes)
+            chain.shape == "Cyclic" and chain.rotations == 2 for chain in cr.classes)
     assert (seen, two_rotations) == (47, 2)
 
 
@@ -182,6 +182,6 @@ def test_the_theorem_holds_on_every_small_gentle_algebra(p):
         assert cr.joint_kernel_derived_dims[-1] == 0, presentation
         assert cr.joint_kernel_dim == report.hh1_rad.lie.dim - 3 * cr.m, presentation
         seen += 1
-        linked += any(len(cl.representative.pairs) > 1 for cl in cr.classes)
+        linked += any(len(chain.pairs) > 1 for chain in cr.classes)
         with_sl2 += cr.m > 0
     assert (seen, refused, linked, with_sl2) == (424, 406, 12, 2)
