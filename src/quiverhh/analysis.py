@@ -64,7 +64,7 @@ class AnalysisReport:
     def chain_report(self) -> kron.ChainReport | None:
         """None in characteristic 2 (see chains)."""
         return None if self.chains is None else kron.decomposition_report(
-            self.hh1_rad, self.septype, self.options.assert_nonwild, self.chains)
+            self.hh1_rad, self.septype, self.options.assert_nonwild, chains=self.chains)
 
     @functools.cached_property
     def oracle_dim(self) -> int:

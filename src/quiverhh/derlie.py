@@ -360,16 +360,12 @@ def radical_part(full: HH1Result) -> HH1Result:
 
 
 def delta_defined(quiver: Quiver, a_label: str, b_label: str) -> bool:
-    """The arrows form a parallel pair isolated at both endpoints."""
+    """The only arrows out of a's source and into a's target: an isolated parallel pair."""
     a = quiver.arrow(a_label)
-    b = quiver.arrow(b_label)
-    if a_label == b_label:
-        return False
-    if a.source != b.source or a.target != b.target:
-        return False
-    outgoing = {x.label for x in quiver.arrows_from(a.source)}
-    incoming = {x.label for x in quiver.arrows_to(a.target)}
-    return outgoing == {a_label, b_label} and incoming == {a_label, b_label}
+    quiver.arrow(b_label)  # an unknown label raises InvalidArrow
+    pair = {a_label, b_label}
+    return (len(pair) == 2 and pair == {x.label for x in quiver.arrows_from(a.source)}
+            == {x.label for x in quiver.arrows_to(a.target)})
 
 
 class DeltaMap:

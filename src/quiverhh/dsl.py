@@ -35,11 +35,8 @@ def _tokenize(text: str, line_no: int):
     pos = 0
     while pos < len(text):
         m = _TOKEN.match(text, pos)
-        if m is None or m.end() == pos and text[pos:].strip():
-            col = pos + 1
-            raise ParseError(f"unexpected character {text[pos]!r}", line_no, col)
-        if m.end() == pos:
-            break
+        if m is None:
+            raise ParseError(f"unexpected character {text[pos]!r}", line_no, pos + 1)
         num, ident, op = m.groups()
         if num is not None:
             if "/" in num and not int(num.partition("/")[2]):

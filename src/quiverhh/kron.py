@@ -34,13 +34,6 @@ class KroneckerChain(Value, fields=("pairs", "shape", "rotations")):
     def __init__(self, pairs: tuple, shape: str, rotations: int):
         self.pairs, self.shape, self.rotations = pairs, shape, rotations
 
-    @property
-    def arrow_labels(self):
-        out = []
-        for p in self.pairs:
-            out.extend([p.a, p.b])
-        return out
-
     def key(self):
         return tuple(p.labels for p in self.pairs)
 
@@ -131,17 +124,11 @@ def is_surjective_chain(h: HH1Result, chain: KroneckerChain) -> SurjectivityRepo
     where that happens all surjective pairs must cut out the same kernel,
     that is, their projections must have rows of the same span.
     """
-    dims = {}
-    surjective = []
-    for pair in chain.pairs:
-        if not pair.delta_defined:
-            continue
-        dm = delta_map(h.lie, pair.a, pair.b)
-        dims[pair.labels] = dm.rank
-        if dm.surjective:
-            surjective.append(dm)
+    maps = [delta_map(h.lie, p.a, p.b) for p in chain.pairs if p.delta_defined]
+    surjective = [dm for dm in maps if dm.surjective]
     coincide = all(dm.echelon == surjective[0].echelon for dm in surjective)
-    return SurjectivityReport(dims, coincide, surjective[0] if surjective else None)
+    return SurjectivityReport({dm.pair: dm.rank for dm in maps}, coincide,
+                              surjective[0] if surjective else None)
 
 
 class StandardRelationsReport:
@@ -156,48 +143,33 @@ def standard_relations_literal(table: AlgebraTable,
     (S1) every product of a chain arrow with a non-chain arrow vanishes;
     (S2) along the chain, a_i a_{i+1} = 0, b_i b_{i+1} = 0 and
     a_i b_{i+1} + b_i a_{i+1} = 0; (S3) the same triple at the wrap-around
-    when the chain closes up.  No base change is attempted.
+    when the chain closes up.  No base change is attempted.  Every failing
+    product or sum that is tested is a witness; S2 stops at its first
+    failing link, so the links after it are not tested.
     """
-    q = table.quiver
-    chain_arrows = set(chain.arrow_labels)
+    chain_arrows = [x for p in chain.pairs for x in p.labels]
+    others = [x.label for x in table.quiver.arrows if x.label not in chain_arrows]
     witnesses = []
 
     def vanishes(*products) -> bool:
         total: dict = {}
         for x, y in products:
             linal.add_multiple(table.field, total, table.field.one, _arrow_product(table, x, y))
+        if total:
+            witnesses.append(" + ".join(f"{x}*{y}" for x, y in products))
         return not total
 
-    s1 = True
-    for c in chain.arrow_labels:
-        for arrow in q.arrows:
-            d = arrow.label
-            if d in chain_arrows:
-                continue
-            for path in ((c, d), (d, c)):
-                if (q.arrow(path[0]).target == q.arrow(path[1]).source
-                        and not vanishes(path)):
-                    s1 = False
-                    witnesses.append("*".join(path))
+    # arrows that do not compose have the empty product in the table
+    s1 = all([vanishes(path) for c in chain_arrows for d in others
+              for path in ((c, d), (d, c))])
 
     def triple(p: KroneckerPair, r: KroneckerPair) -> bool:
-        ok = True
-        if not vanishes((p.a, r.a)):
-            ok = False
-            witnesses.append(f"{p.a}*{r.a}")
-        if not vanishes((p.b, r.b)):
-            ok = False
-            witnesses.append(f"{p.b}*{r.b}")
-        if not vanishes((p.a, r.b), (p.b, r.a)):
-            ok = False
-            witnesses.append(f"{p.a}*{r.b} + {p.b}*{r.a}")
-        return ok
+        return all([vanishes((p.a, r.a)), vanishes((p.b, r.b)),
+                    vanishes((p.a, r.b), (p.b, r.a))])
 
     s2 = all(triple(chain.pairs[i], chain.pairs[i + 1])
              for i in range(len(chain.pairs) - 1))
-    s3 = True
-    if chain.shape != "Linear":
-        s3 = triple(chain.pairs[-1], chain.pairs[0])
+    s3 = chain.shape == "Linear" or triple(chain.pairs[-1], chain.pairs[0])
     return StandardRelationsReport(s1, s2, s3, witnesses)
 
 
@@ -220,12 +192,12 @@ class ChainReport:
         return len(self.joint_kernel)
 
 
-def decomposition_report(h: HH1Result, septype: str, assert_nonwild: bool = False,
-                         chains: list | None = None) -> ChainReport:
+def decomposition_report(h: HH1Result, septype: str, assert_nonwild: bool = False, *,
+                         chains: list) -> ChainReport:
     """Assemble m, the solvable remainder and the hypothesis flags.
 
     septype, the separated quiver's verdict (``GraphClass.reptype``), and
-    chains (``maximal_chains``, by default found here) come from the analysis.
+    chains (``maximal_chains``) come from the analysis.
 
     m counts the rotation classes of maximal chains whose sl2 projection
     is surjective; under the stated hypotheses (characteristic not 2 and
@@ -237,8 +209,6 @@ def decomposition_report(h: HH1Result, septype: str, assert_nonwild: bool = Fals
     if field.characteristic == 2:
         raise UnsupportedCharacteristic(
             "the decomposition count needs 2 to be invertible")
-    if chains is None:
-        chains = maximal_chains(table)
     surj = [is_surjective_chain(h, chain) for chain in chains]
     std = [standard_relations_literal(table, chain) for chain in chains]
     m = sum(1 for s in surj if s.surjective)

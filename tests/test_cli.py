@@ -230,6 +230,18 @@ def test_analyze_prints_the_frozen_json_byte_for_byte(path, capsys):
     assert capsys.readouterr().out == expected
 
 
+@pytest.mark.parametrize("stem, extra, lines", [
+    ("kronecker", ["--field", "fp:2"],
+     ["chains: skipped (characteristic 2)", "flags: char_ne_2=False"]),
+    ("chain3_nonstandard", [],
+     ["  chain (a,b) (c,d) (e,f) [Linear]: not surjective, non-standard"]),
+])
+def test_analyze_text_prints_the_chain_lines(stem, extra, lines, capsys):
+    assert main(["analyze", str(CORPUS[0].parent / f"{stem}.dsl")] + extra) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert all(line in out for line in lines)
+
+
 # each subcommand's --json output, as a function of the full frozen report
 SECTIONS = {
     "hh1": lambda d: {k: d[k] for k in ("hh1", "hh1_rad", "loop_criterion")},

@@ -12,7 +12,7 @@ from quiverhh.derlie import (DerivationLayout, HH1Result, delta_defined, delta_m
                              loop_criterion, radical_part, radical_preserving)
 from quiverhh.dsl import load_presentation
 from quiverhh.errors import DeltaUndefined, InvalidArrow, UnsupportedCharacteristic
-from quiverhh.kron import decomposition_report
+from quiverhh.kron import decomposition_report, maximal_chains
 from quiverhh.linal import Field
 from quiverhh.quiver import Quiver, reptype_radsq
 from test_algebra import radsq_cycle
@@ -147,6 +147,7 @@ def test_delta_defined():
                     [("a", "1", "2"), ("b", "1", "2"), ("c", "2", "3")])
     assert delta_defined(q, "a", "b")
     assert not delta_defined(q, "a", "c")
+    assert not delta_defined(q, "c", "c")  # one isolated arrow is not a pair
     q2 = Quiver.make(["1", "2"],
                      [("a", "1", "2"), ("b", "1", "2"), ("c", "1", "2")])
     assert not delta_defined(q2, "a", "b")  # a third parallel arrow intrudes
@@ -374,7 +375,7 @@ def test_analysis_reads_products_from_the_table(path, monkeypatch):
     monkeypatch.setattr(t.rewriter, "reduce", no_rewriting)
     rad = radical_part(hh1(t))
     loop_criterion(t)
-    decomposition_report(rad, reptype_radsq(t.quiver))
+    decomposition_report(rad, reptype_radsq(t.quiver), chains=maximal_chains(t))
 
 
 # algebras where the product d(p)*a of the product rule reduces through a
@@ -589,7 +590,8 @@ def test_hh1_drops_the_per_slot_images_after_the_bracket(case, m):
     full = hh1(t)
     assert full.layout._images == {}
     rad = radical_part(full)
-    assert decomposition_report(rad, reptype_radsq(t.quiver)).m == m
+    rep = decomposition_report(rad, reptype_radsq(t.quiver), chains=maximal_chains(t))
+    assert rep.m == m
     assert rad.layout is full.layout and full.layout._images == {}
 
 

@@ -103,6 +103,12 @@ def test_parse_errors_carry_line_numbers():
         assert err.value.line == line
 
 
+def test_an_unexpected_character_is_placed_in_the_relation_text():
+    with pytest.raises(ParseError) as err:
+        parse_presentation("field Q\nvertex 1\narrow a 1 1\nrelation a$a\n")
+    assert str(err.value) == "line 4, col 2: unexpected character '$'"
+
+
 def test_missing_field_rejected():
     with pytest.raises(ParseError):
         parse_presentation("vertex 1\n")

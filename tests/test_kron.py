@@ -156,7 +156,7 @@ def test_surjectivity():
 def test_decomposition_report_counts():
     t = triangle()
     h = radical_part(hh1(t))
-    rep = decomposition_report(h, reptype_radsq(t.quiver))
+    rep = decomposition_report(h, reptype_radsq(t.quiver), chains=maximal_chains(t))
     assert rep.m == 1
     assert h.lie.dim == 4
     assert rep.r_dim == 1
@@ -175,7 +175,8 @@ def test_joint_kernel_follows_the_surjective_pair(relations):
     t = build(["1", "2", "3"],
               [("a", "1", "2"), ("b", "1", "2"), ("c", "2", "3"), ("d", "2", "3")],
               relations)
-    rep = decomposition_report(radical_part(hh1(t)), reptype_radsq(t.quiver))
+    rep = decomposition_report(radical_part(hh1(t)), reptype_radsq(t.quiver),
+                               chains=maximal_chains(t))
     assert rep.m == 1
     assert sorted(rep.surjectivity[0].per_pair_image_dims.values()) == [2, 3]
     assert rep.joint_kernel_dim == rep.r_dim == 2
@@ -195,7 +196,7 @@ def test_a_report_without_sl2_summands_computes_the_derived_series_once(monkeypa
         return real(self, start)
 
     monkeypatch.setattr(LieAlgebra, "_derived", counted)
-    rep = decomposition_report(h, reptype_radsq(t.quiver))
+    rep = decomposition_report(h, reptype_radsq(t.quiver), chains=maximal_chains(t))
     assert rep.m == 0
     assert rep.joint_kernel_dim == h.lie.dim
     assert rep.joint_kernel_derived_dims == h.lie.derived_series()
@@ -206,7 +207,7 @@ def test_decomposition_refuses_characteristic_two():
     t = build(["1", "2"], [("a", "1", "2"), ("b", "1", "2")], [], field=Field(2))
     h = radical_part(hh1(t))
     with pytest.raises(UnsupportedCharacteristic):
-        decomposition_report(h, reptype_radsq(t.quiver))
+        decomposition_report(h, reptype_radsq(t.quiver), chains=maximal_chains(t))
 
 
 def test_standard_implies_surjective_here():
@@ -281,7 +282,7 @@ def test_joint_kernel_is_the_intersection_of_the_class_kernels(case):
     the kernels of those projections one class at a time gives the same space."""
     t = case_table(case)
     h = radical_part(hh1(t))
-    rep = decomposition_report(h, reptype_radsq(t.quiver))
+    rep = decomposition_report(h, reptype_radsq(t.quiver), chains=maximal_chains(t))
     f, lie = t.field, h.lie
     expected = [{i: f.one} for i in range(lie.dim)]
     for chain, s in zip(rep.classes, rep.surjectivity):
@@ -304,7 +305,7 @@ def test_projections_compared_by_their_rows_agree_with_their_kernels(case):
     comparison of echelons equals the comparison of the kernels."""
     t = case_table(case)
     h = radical_part(hh1(t))
-    rep = decomposition_report(h, reptype_radsq(t.quiver))
+    rep = decomposition_report(h, reptype_radsq(t.quiver), chains=maximal_chains(t))
     f = t.field
     for chain, s in zip(rep.classes, rep.surjectivity):
         kernels = []
@@ -356,7 +357,7 @@ def test_the_chain_report_computes_one_kernel_and_tests_each_link_once(monkeypat
         return survives(*args)
 
     monkeypatch.setattr(linal, "kernel_basis", counted_kernel)
-    rep = decomposition_report(h, reptype_radsq(t.quiver))
+    rep = decomposition_report(h, reptype_radsq(t.quiver), chains=maximal_chains(t))
     assert rep.m == 16 and len(kernels) == 1
     monkeypatch.setattr(kron, "_cross_product_survives", counted_link)
     assert len(maximal_chains(t)) == 16  # no link survives: one chain per pair
