@@ -176,12 +176,14 @@ class AlgebraTable:
     basis paths: trivial paths first (empty tuple, one per vertex, in
     vertex order), then arrows, then longer normal monomials in
     length-then-lex order.  products[i][j] is the sparse coefficient
-    vector (dict index -> nonzero scalar) of basis_i * basis_j, empty
+    vector (dict index -> nonzero scalar) of basis_i * basis_j, zero
     unless target(i) = source(j): the unit vector of their word when it is
     normal, else that word reduced when basis_j is an arrow, else
     (basis_i * w) * a for basis_j = w * a, read from the column of a;
     columns maps each arrow index a to the list of products[i][a] for
-    every i.  These sparse structure constants are behind every product
+    every i.  Every zero entry of both is the one shared read-only
+    ``linal.ZERO``, and no caller writes into an entry.  These sparse
+    structure constants are behind every product
     (``multiply``, the radical filtration, the derivation action, the
     chain tests and the oracle).  path_index maps each nontrivial basis
     path to its index; factors of a normal monomial are normal, so every
@@ -285,23 +287,24 @@ def build_algebra(p: Presentation) -> AlgebraTable:
     # only composable pairs are filled: a vertex acts as the identity, a normal
     # word is its basis vector, other products with an arrow are reduced, and
     # basis_i * (w * a) is (basis_i * w) * a, from the column of a, built first
-    products = [[{} for _ in range(dim)] for _ in range(dim)]
+    products = [[linal.ZERO] * dim for _ in range(dim)]
     columns = {}
     drops = []  # (len(basis_i), basis_i * a) with a term no longer than basis_i
     for j, path in enumerate(basis_paths):
         for i in ending[basis_source[j]]:
             if i < nverts or j < nverts:
-                products[i][j] = {j if i < nverts else i: one}
+                entry = {j if i < nverts else i: one}
             elif (word := basis_paths[i] + path) in index:
-                products[i][j] = {index[word]: one}
+                entry = {index[word]: one}
             elif len(path) == 1:
                 red = rw.reduce({word: one})
-                products[i][j] = entry = {index[p]: c for p, c in red.items()}
+                entry = {index[p]: c for p, c in red.items()}
                 if any(len(p) < len(word) for p in red):
                     drops.append((len(word) - 1, entry))
             else:
-                products[i][j] = linal.combine(
+                entry = linal.combine(
                     field, (products[i][index[path[:-1]]], columns[index[path[-1:]]]))
+            products[i][j] = entry or linal.ZERO
         if len(path) == 1:
             columns[j] = [row[j] for row in products]
     return AlgebraTable(field, q, basis_paths, basis_source, basis_target, products, columns,

@@ -36,13 +36,13 @@ class DerivationLayout:
 
     def __init__(self, table: AlgebraTable):
         self.table, self.slots, self.blocks = table, [], {}
+        parallel: dict = {}  # (source, target) -> the basis indices between them
+        for i, ends in enumerate(zip(table.basis_source, table.basis_target)):
+            parallel.setdefault(ends, []).append(i)
         for arrow in table.quiver.arrows:
-            block = self.blocks[arrow.label] = []
-            for i in range(table.dim):
-                if (table.basis_source[i] == arrow.source
-                        and table.basis_target[i] == arrow.target):
-                    block.append(len(self.slots))
-                    self.slots.append((arrow.label, i))
+            n = len(self.slots)
+            self.slots += [(arrow.label, i) for i in parallel[arrow.source, arrow.target]]
+            self.blocks[arrow.label] = list(range(n, len(self.slots)))
         self.position = {slot: s for s, slot in enumerate(self.slots)}
         words = [table.basis_paths[i] for i in sorted({bi for _, bi in self.slots})]
         words += [w for g in table.groebner for w in g]
@@ -209,7 +209,8 @@ class LieAlgebra:
     """Finite-dimensional Lie algebra with explicit structure constants.
 
     structure[i][j] is the sparse coordinate vector of [x_i, x_j] in the
-    chosen basis; ``linal.contract`` on it brackets any two sparse vectors.
+    chosen basis, the shared read-only ``linal.ZERO`` when zero (no caller
+    writes into an entry); ``linal.contract`` on it brackets any two vectors.
     The basis vectors are classes of the derivation slot vectors in reps,
     written on layout.
     """
@@ -303,13 +304,15 @@ def lie_from_quotient(layout: DerivationLayout, reps: list, inn: list) -> LieAlg
     ech, pivots = linal.rref(field, matrix)
     if pivots != list(range(base)):
         raise AssertionError("bracket left the derivation space")
-    structure = [[{} for _ in range(d)] for _ in range(d)]
+    brackets: dict = {}  # (i, j) with i < j -> the sparse vector of [x_i, x_j]
     for r in range(d):
         for col, c in ech[r].items():
             if col >= base:
-                i, j = pairs[col - base]
-                structure[i][j][r] = c
-                structure[j][i][r] = field.neg(c)
+                brackets.setdefault(pairs[col - base], {})[r] = c
+    structure = [[linal.ZERO] * d for _ in range(d)]
+    for (i, j), entry in brackets.items():
+        structure[i][j] = entry
+        structure[j][i] = {r: field.neg(c) for r, c in entry.items()}
     return LieAlgebra(field, d, structure, layout, reps)
 
 

@@ -35,8 +35,9 @@ def _tokenize(text: str, line_no: int):
     pos = 0
     while pos < len(text):
         m = _TOKEN.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line_no, pos + 1)
+        if m is None:  # name the character, not the whitespace before it
+            bad = len(text) - len(text[pos:].lstrip())
+            raise ParseError(f"unexpected character {text[bad]!r}", line_no, bad + 1)
         num, ident, op = m.groups()
         if num is not None:
             if "/" in num and not int(num.partition("/")[2]):

@@ -7,7 +7,8 @@ and derivation vectors are 0 or +-1, and ``int`` arithmetic is several
 times cheaper than ``Fraction``'s.  Vectors and matrix rows are
 sparse: a dict index -> nonzero scalar, with no zero stored.  Row
 reduction, kernels, spans and solves take and return that form, and so
-do structure constants: a table entry is such a vector, ``contract``
+do structure constants: a table entry is such a vector, each zero entry
+the one shared read-only ``ZERO`` that no caller writes into, ``contract``
 multiplies sparse vectors through the table, visiting only nonzero
 entries, and ``combine`` sums rows or columns of it.  Everything
 downstream (quotient algebras, derivation solves, structure constants)
@@ -19,6 +20,7 @@ sparse.
 from __future__ import annotations
 
 from fractions import Fraction
+from types import MappingProxyType
 
 from .value import Value
 
@@ -120,6 +122,8 @@ class Field(Value, fields=("characteristic",)):
 
 
 Scalar = object  # over Q an int when integral, else a Fraction; over F_p an int residue
+# every zero entry of a table: shared, so read-only, and a write raises TypeError
+ZERO = MappingProxyType({})
 
 
 def _integral(x):
@@ -163,15 +167,21 @@ def _echelon(field: Field, rows) -> dict[int, dict]:
     Returns pivot column -> row with a unit pivot and no entry left of it.
     The input rows are not modified.
     """
+    p = field.characteristic
     ech: dict[int, dict] = {}
     for row in rows:
         row = {c: a for c, a in row.items() if a != 0}
         while row:
             lead = min(row)
             piv = ech.get(lead)
-            if piv is None:
-                inv = field.inv(row[lead])
-                ech[lead] = {c: field.mul(inv, a) for c, a in row.items()}
+            if piv is None:  # divided by its lead, inline
+                a0 = row[lead]
+                if p:
+                    inv = pow(a0, p - 2, p)
+                    ech[lead] = {c: a * inv % p for c, a in row.items()}
+                else:  # a lead +-1 is its own inverse; Fraction(4, 2) becomes 2
+                    inv = a0 if a0 in (1, -1) else Fraction(1, a0)
+                    ech[lead] = {c: _integral(a * inv) for c, a in row.items()}
                 break
             add_multiple(field, row, field.neg(row[lead]), piv)
     return ech

@@ -116,8 +116,10 @@ def bar_hh1_dim(a: AlgebraTable) -> int:
     unknowns = sum(map(len, cols))
     if unknowns > MAX_ORACLE_UNKNOWNS:
         raise TooLarge(f"oracle limited to {MAX_ORACLE_UNKNOWNS} unknowns, got {unknowns}")
-    composable = [(x, y) for x, (_, t) in enumerate(pairs) for y, (s, _) in enumerate(pairs)
-                  if s == t]
+    starting: dict = {}  # vertex -> the basis vectors that start there
+    for y, (s, _) in enumerate(pairs):
+        starting.setdefault(s, []).append(y)
+    composable = [(x, y) for x, (_, t) in enumerate(pairs) for y in starting.get(t, ())]
     # the rank does not depend on the order; short rows first keep the fill-in small
     rows = sorted(_cocycle_rows(field, table, cols, composable), key=len)
     ker_d1 = unknowns - linal.sparse_rank(field, rows)

@@ -402,6 +402,21 @@ def assert_products_are_reductions(t):
                 assert entry == t.path_vector(p + q)
 
 
+def test_zero_products_are_the_one_shared_read_only_entry():
+    """A_8 with its first arrow doubled (dim 43, 1,849 cells) has 155 nonzero
+    products: only those get a dict of their own, and every zero entry of
+    products and of columns is linal.ZERO."""
+    vertices = [str(i) for i in range(1, 9)]
+    arrows = [("b", "1", "2")] + [(f"a{i}", str(i), str(i + 1)) for i in range(1, 8)]
+    t = build(vertices, arrows, [])
+    assert t.dim == 43
+    cells = [e for row in t.products for e in row]
+    assert sum(1 for e in cells if e) == 155
+    entries = cells + [e for column in t.columns.values() for e in column]
+    assert len({id(e) for e in entries}) <= 156
+    assert all(e is linal.ZERO for e in entries if not e)
+
+
 SPARSE_CASES = {
     "x15_fp5": lambda: build(["1"], [("x", "1", "1")], [[(1, ("x",) * 15)]], field=Field(5)),
     "ab_cde": lambda: build(*AB_CDE),

@@ -217,6 +217,20 @@ def assert_bracket_axioms(lie):
                 assert total == {}
 
 
+def test_zero_brackets_are_the_one_shared_read_only_entry():
+    """On the radical-square-zero 8-cycle of double arrows (dim HH1 = 25)
+    only a nonzero bracket gets a dict of its own, every zero bracket is
+    linal.ZERO, and [x_j, x_i] is the negation of [x_i, x_j]."""
+    lie = derlie.hh1(build(*radsq_cycle(8))).lie
+    s, neg = lie.structure, lie.field.neg
+    assert lie.dim == 25
+    entries = [e for row in s for e in row]
+    assert len({id(e) for e in entries}) <= 1 + sum(1 for e in entries if e)
+    assert all(e is linal.ZERO for e in entries if not e)
+    assert all(s[j][i] == {k: neg(c) for k, c in s[i][j].items()}
+               for i in range(lie.dim) for j in range(lie.dim))
+
+
 def bracket_by_commutators(res):
     """Every bracket entry the direct way: the commutator of the actions on
     all of A, composed column by column, read on the arrows and solved in

@@ -104,9 +104,11 @@ def test_parse_errors_carry_line_numbers():
 
 
 def test_an_unexpected_character_is_placed_in_the_relation_text():
-    with pytest.raises(ParseError) as err:
-        parse_presentation("field Q\nvertex 1\narrow a 1 1\nrelation a$a\n")
-    assert str(err.value) == "line 4, col 2: unexpected character '$'"
+    """The character is named and placed, not the whitespace before it."""
+    for relation, column in [("a$a", 2), ("a $a", 3), ("a*a\t$", 5)]:
+        with pytest.raises(ParseError) as err:
+            parse_presentation(f"field Q\nvertex 1\narrow a 1 1\nrelation {relation}\n")
+        assert str(err.value) == f"line 4, col {column}: unexpected character '$'"
 
 
 def test_missing_field_rejected():

@@ -306,3 +306,14 @@ def test_rational_field_operations_return_int_when_integral(a, b):
         results.append((q.inv(q.of(a)), 1 / Fraction(a)))
     for got, want in results:
         assert got == want and is_normal(got)
+
+
+def test_the_shared_zero_entry_is_read_only():
+    """Every zero structure constant is linal.ZERO, so a write into it
+    raises at once instead of changing all of them."""
+    assert linal.ZERO == {} and not linal.ZERO
+    with pytest.raises(TypeError):
+        linal.ZERO[0] = 1
+    with pytest.raises(TypeError):
+        linal.add_multiple(Field(0), linal.ZERO, 1, {0: 1})
+    assert linal.ZERO == {}
