@@ -352,10 +352,10 @@ def _normal_monomials(q: Quiver, rw: _Rewriter, cap: int) -> list[Path]:
     length = 1
     while level:
         out.extend(w for w, _ in level)
-        if length >= cap:
+        level = [(w + nxt[-1:], nxt) for w, state in level for nxt in links[state]]
+        if level and length >= cap:
             raise NotFiniteDimensional(
                 f"normal monomials persist past the length cap {cap}")
-        level = [(w + nxt[-1:], nxt) for w, state in level for nxt in links[state]]
         length += 1
     return out
 

@@ -2,14 +2,14 @@
 
 Everything here works on the raw structure constants (a table whose
 entry [i][j] is the sparse vector of x_i * x_j, as ``AlgebraTable.products``).
-``bar_hh1_dim`` solves the Hochschild complex relative to E = kQ0, the span
-of the vertex idempotents: a cochain is a linear map A -> A that commutes
-with E, so it sends x_j in e_s A e_t into e_s A e_t and has one unknown per
-pair of parallel basis vectors.  E is separable, so this complex has the
-same HH1 as the full one (Cibils 1998).  The idempotents and the pair
-(s, t) of each basis vector are read off the products and checked there;
-no arrow, path or rewriting rule is used, which is the point: agreement
-with the arrow-level computation is a real check.
+``bar_hh1_dim`` solves the normalized Hochschild complex relative to
+E = kQ0, the span of the vertex idempotents: a cochain is a linear map
+A -> A that commutes with E and kills it, one unknown per radical x_j and
+basis vector parallel to it.  E is separable, so this complex has the same
+HH1 as the full one (Cibils 1998).  The idempotents and the pair (s, t) of
+each basis vector are read off the products and checked there; no arrow,
+path or rewriting rule is used, which is the point: agreement with the
+arrow-level computation is a real check.
 """
 
 from __future__ import annotations
@@ -82,14 +82,15 @@ def _vertex_pairs(table, nverts: int, one) -> list[tuple[int, int]]:
     return pairs
 
 
-def _center_dim(field: Field, table, units: list[int], pairs: list) -> int:
-    """Dimension of the centre within the span of the basis vectors ``units``:
-    their number minus the rank of u -> (u*y - y*u)_c over all (y, c), one
-    sparse row per (y, c), y starting or ending at u's vertex (in pairs)."""
+def _center_dim(field: Field, table, units: list[int], pairs: list, touching: dict) -> int:
+    """Dimension of the centre within the span of the basis vectors ``units``
+    of A^E: their number minus the rank of u -> (u*y - y*u)_c over all (y, c),
+    one sparse row per (y, c), y in touching[v] for u in e_v A e_v (an
+    idempotent y commutes with A^E, and touching holds none)."""
     minus_one = field.neg(field.one)
     rows: dict = {}
     for u in units:
-        for y in [y for y, ends in enumerate(pairs) if pairs[u][0] in ends]:
+        for y in touching.get(pairs[u][0], ()):
             comm = dict(table[u][y])
             linal.add_multiple(field, comm, minus_one, table[y][u])
             for c, val in comm.items():
@@ -98,30 +99,34 @@ def _center_dim(field: Field, table, units: list[int], pairs: list) -> int:
 
 
 def bar_hh1_dim(a: AlgebraTable) -> int:
-    """dim HH1 from the complex of cochains commuting with E = kQ0.
+    """dim HH1 from the normalized complex of cochains commuting with E = kQ0.
 
-    The unknowns are f(x_j)_c for x_c parallel to x_j: d1 has the sum of
-    n_st^2 columns, n_st = dim e_s A e_t, not d^2.  C^0 = A^E is spanned by
-    the x_u with s = t and contains the centre, so
+    The unknowns are f(x_j)_c, x_c parallel to a radical x_j, and the rows are
+    at pairs of radical vectors: with f(e_s) unknown, the row (e_s, e_s) would
+    force f(e_s) = 0, and then each row of a pair holding e_s vanishes.
+    C^0 = A^E is spanned by the x_u with s = t and contains the centre, so
     dim HH1 = dim ker d1 - (dim A^E - dim Z(A)).  The idempotents are the
     first |Q0| basis vectors, checked on the products alone (``_vertex_pairs``).
     """
     field, table = a.field, a.products
-    pairs = _vertex_pairs(table, len(a.quiver.vertices), field.one)
+    nverts = len(a.quiver.vertices)
+    pairs = _vertex_pairs(table, nverts, field.one)
     parallel: dict = {}
     for j, pair in enumerate(pairs):
         parallel.setdefault(pair, []).append(j)
     column = itertools.count()
-    cols = [{c: next(column) for c in parallel[pair]} for pair in pairs]
+    cols = [{}] * nverts + [{c: next(column) for c in parallel[p]} for p in pairs[nverts:]]
     unknowns = sum(map(len, cols))
     if unknowns > MAX_ORACLE_UNKNOWNS:
         raise TooLarge(f"oracle limited to {MAX_ORACLE_UNKNOWNS} unknowns, got {unknowns}")
-    starting: dict = {}  # vertex -> the basis vectors that start there
-    for y, (s, _) in enumerate(pairs):
-        starting.setdefault(s, []).append(y)
-    composable = [(x, y) for x, (_, t) in enumerate(pairs) for y in starting.get(t, ())]
+    touching: dict = {}  # vertex -> the radical basis vectors that start or end there
+    for y in range(nverts, len(pairs)):
+        for v in set(pairs[y]):
+            touching.setdefault(v, []).append(y)
+    composable = [(x, y) for x in range(nverts, len(pairs))
+                  for y in touching.get(pairs[x][1], ()) if pairs[y][0] == pairs[x][1]]
     # the rank does not depend on the order; short rows first keep the fill-in small
     rows = sorted(_cocycle_rows(field, table, cols, composable), key=len)
     ker_d1 = unknowns - linal.sparse_rank(field, rows)
     diagonal = [u for u, (s, t) in enumerate(pairs) if s == t]
-    return ker_d1 - (len(diagonal) - _center_dim(field, table, diagonal, pairs))
+    return ker_d1 - (len(diagonal) - _center_dim(field, table, diagonal, pairs, touching))

@@ -9,7 +9,8 @@ test on the graph of those words, the radical filtration by row
 reduction of every power, the Tits-form classification by elimination
 over Fraction, the maximal Kronecker chains as every simple path of the
 link graph that cannot be extended, with the rotations of each that are
-chains too, and conversions between sparse vectors and coordinate lists."""
+chains too, the Levi dimension of a Lie algebra over Q from its Killing
+form, and conversions between sparse vectors and coordinate lists."""
 
 import itertools
 from collections import Counter
@@ -106,6 +107,21 @@ def bracket_structure(layout, reps: list, inn: list) -> list:
                 structure[i][j][r] = c
                 structure[j][i][r] = field.neg(c)
     return structure
+
+
+def levi_dim(lie) -> int:
+    """dim L - dim Rad(L) for a Lie algebra over Q, where Rad(L) is
+    {x : kappa(x, [L, L]) = 0} (Cartan's criterion, characteristic 0) and
+    kappa(x_i, x_j) = sum_{k,l} c_ik^l c_jl^k is the Killing form read from
+    ``structure``.  That difference is the rank of x -> kappa(x, y) over the
+    brackets y; dense, O(d^4)."""
+    field, d, c = lie.field, lie.dim, lie.structure
+    kappa = [[sum(c[i][k].get(m, 0) * c[j][m].get(k, 0) for k in range(d) for m in range(d))
+              for j in range(d)] for i in range(d)]
+    brackets = [y for row in c for y in row if y]
+    return linal.sparse_rank(field, [{i: v for i in range(d)
+                                      if (v := sum(kappa[i][j] * a for j, a in y.items()))}
+                                     for y in brackets])
 
 
 def is_associative(field: Field, table: list) -> bool:
@@ -212,7 +228,7 @@ def normal_monomials(q: Quiver, rw: _Rewriter, cap: int) -> list:
     shorter than the longest lead, the graph linking each normal word w of
     that length to w[1:] + (l,) when w + (l,) is normal (Ufnarovskii) is
     peeled (Kahn); a word left means a cycle.  NotFiniteDimensional, with
-    the package's messages, on a cycle or at the length cap."""
+    the package's messages, on a cycle or on a word past the length cap."""
     out = [() for _ in q.vertices]
     level = [(a.label,) for a in q.arrows]
     arrows_from = {v: [a.label for a in q.arrows_from(v)] for v in q.vertices}
@@ -221,15 +237,15 @@ def normal_monomials(q: Quiver, rw: _Rewriter, cap: int) -> list:
     length = 1
     while level:
         out.extend(level)
-        if length >= cap:
-            raise NotFiniteDimensional(
-                f"normal monomials persist past the length cap {cap}")
         nxt = []
         for path in level:
             for label in arrows_from[target[path[-1]]]:
                 cand = path + (label,)
                 if not any(cand[-ll:] in rw.rules for ll in rw.lengths):
                     nxt.append(cand)
+        if nxt and length >= cap:
+            raise NotFiniteDimensional(
+                f"normal monomials persist past the length cap {cap}")
         if length == span:
             links, entering = {}, Counter(w[1:] for w in nxt)
             for w in nxt:

@@ -92,6 +92,21 @@ def test_long_monomial_overlaps_are_refused_at_the_cap(tmp_path, capsys):
     assert capsys.readouterr().err == "error: overlap degree exceeds the length cap\n"
 
 
+A3 = "field Q\nvertex 1 2 3\narrow a 1 2\narrow b 2 3\n"
+
+
+@pytest.mark.parametrize("text, cap, code", [(KRONECKER, "1", 0), (A3, "2", 0), (A3, "1", 2)],
+                         ids=["kronecker_at_1", "A3_at_2", "A3_at_1"])
+def test_the_length_cap_refuses_only_a_longer_normal_word(tmp_path, capsys, text, cap, code):
+    """The cap N allows normal words of length N: the Kronecker quiver's
+    longest is 1 and A_3's is 2 (a*b), so only A_3 at cap 1 is refused."""
+    f = tmp_path / "p.dsl"
+    f.write_text(text)
+    assert main(["analyze", str(f), "--max-length", cap]) == code
+    err = capsys.readouterr().err
+    assert err == ("" if code == 0 else "error: normal monomials persist past the length cap 1\n")
+
+
 @pytest.mark.parametrize("extra, renders", [([], 1), (["--json"], 0)], ids=["text", "json"])
 def test_analyze_renders_the_text_only_when_it_prints_it(kronecker_file, monkeypatch,
                                                          extra, renders):

@@ -511,3 +511,83 @@ def test_the_linked_eight_cycle():
     assert (cl["shape"], cl["rotations"], len(cl["pairs"])) == ("Cyclic", 8, 8)
     assert d["chains"]["joint_kernel_derived_dims"] == [22, 21, 21]
     assert d["chains"]["consistency_ok"] is False
+
+
+CORPUS_Q = [p for p in CORPUS if not load_presentation(p.read_text()).field.characteristic]
+
+
+@pytest.mark.parametrize("case", CORPUS_Q + [3, 4],
+                         ids=lambda c: f"double_arrow_cycle{c}" if isinstance(c, int) else c.stem)
+def test_the_levi_factor_by_the_killing_form_has_dimension_3m(case):
+    """Over Q, HH1_rad is m copies of sl2 plus a solvable ideal, so its Levi
+    factor, read off the Killing form and not off the chains, has dimension
+    3m: on the corpus and on the radical-square-zero 3- and 4-cycles of
+    double arrows (m = 3 and 4)."""
+    t = case_table(case)
+    h = radical_part(hh1(t))
+    m = decomposition_report(h, "Tame", chains=maximal_chains(t)).m
+    assert reference.levi_dim(h.lie) == 3 * m
+    if isinstance(case, int):
+        assert m == case
+
+
+@pytest.mark.parametrize("text, levi", [(DOUBLE_PAIR_CHAIN, 6), (linked_cycle(3), 9)],
+                         ids=["double_pair_chain", "linked_cycle3"])
+def test_the_levi_factor_exceeds_3m_where_the_report_is_flagged(text, levi):
+    """On 1 => 2 => 3 HH1 is sl2 + sl2, and on the linked 3-cycle with
+    rad^3 = 0 it is sl2^3 + k, though one chain gives m = 1: the Killing
+    form sees the summands the chains miss, where consistency_ok is False."""
+    report = run_analyze(load_presentation(text))
+    assert report.chain_report.m == 1
+    assert report.chain_report.consistency_ok is False
+    assert reference.levi_dim(report.hh1_rad.lie) == levi
+
+
+def disjoint_union(first, second):
+    """The product of two presentations over one field as one presentation,
+    with the labels of the first prefixed by "l." and of the second by "r."."""
+    vertices, arrows, relations = [], [], []
+    for tag, p in (("l.", first), ("r.", second)):
+        vertices += [tag + v for v in p.quiver.vertices]
+        arrows += [(tag + a.label, tag + a.source, tag + a.target) for a in p.quiver.arrows]
+        relations += [Relation(tuple((c, tuple(tag + x for x in path)) for c, path in r.terms))
+                      for r in p.relations]
+    return Presentation(Quiver.make(vertices, arrows), tuple(relations), first.field)
+
+
+def summed_series(a, b):
+    """The derived series of a product from its factors': the termwise sum,
+    each factor padded with its last value, up to the first repeat or 0."""
+    n = max(len(a), len(b)) + 1
+    sums = [x + y for x, y in zip(a + a[-1:] * n, b + b[-1:] * n)]
+    out = sums[:1]
+    for s in sums[1:]:
+        if not out[-1] or (len(out) > 1 and out[-1] == out[-2]):
+            break
+        out.append(s)
+    return out
+
+
+PRODUCTS = [(p, CORPUS_Q[(k + 1) % len(CORPUS_Q)]) for k, p in enumerate(CORPUS_Q)]
+PRODUCTS += [(CORPUS[0].parent / "kronecker.dsl", CORPUS[0].parent / f"{name}.dsl")
+             for name in ("kronecker", "radsq_tail_3")]
+
+
+@pytest.mark.parametrize("first, second", PRODUCTS,
+                         ids=[f"{p.stem}+{q.stem}" for p, q in PRODUCTS])
+def test_the_invariants_of_a_product_are_the_sums_of_its_factors(first, second):
+    """HH1(A x B) = HH1(A) + HH1(B) as Lie algebras, and so for HH1_rad:
+    the dimensions, m, the oracle and the derived series add."""
+    options = AnalysisOptions(oracle=True)
+    a, b = (run_analyze(load_presentation(p.read_text()), options) for p in (first, second))
+    union = run_analyze(disjoint_union(a.presentation, b.presentation), options)
+    for key in ("hh1", "hh1_rad"):
+        got, x, y = (getattr(r, key).lie for r in (union, a, b))
+        assert got.dim == x.dim + y.dim
+        assert got.derived_series() == summed_series(x.derived_series(), y.derived_series())
+    assert union.oracle_dim == a.oracle_dim + b.oracle_dim == union.hh1.lie.dim
+    assert union.chain_report.m == a.chain_report.m + b.chain_report.m
+    assert a.chain_report.consistency_ok and b.chain_report.consistency_ok
+    assert union.chain_report.consistency_ok
+    if (first.stem, second.stem) == ("kronecker", "radsq_tail_3"):
+        assert (union.hh1.lie.dim, union.chain_report.m, union.oracle_dim) == (6, 2, 6)

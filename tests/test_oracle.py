@@ -141,7 +141,7 @@ def test_too_large_guard():
     old = om.MAX_ORACLE_UNKNOWNS
     om.MAX_ORACLE_UNKNOWNS = 16
     try:
-        with pytest.raises(TooLarge, match="16 unknowns, got 100"):
+        with pytest.raises(TooLarge, match="16 unknowns, got 90"):
             bar_hh1_dim(t)
     finally:
         om.MAX_ORACLE_UNKNOWNS = old
@@ -241,24 +241,31 @@ def test_oracle_matches_the_full_complex_on_monomial_algebras(t):
 
 
 def test_oracle_d1_has_one_column_per_parallel_pair(monkeypatch):
-    """The unknowns are the entries (c, j) with x_c parallel to x_j: the sum
-    over vertex pairs (s, t) of n_st^2, n_st = dim e_s A e_t, not d^2."""
+    """The unknowns are the entries (c, j) with x_c parallel to x_j and x_j
+    no vertex idempotent: the sum over vertex pairs (s, t) of n_st^2, less
+    n_ss for each vertex s, n_st = dim e_s A e_t, not d^2; and no row comes
+    from a pair that holds an idempotent."""
     t = doubled_path(6)
+    nverts = len(t.quiver.vertices)
     seen = []
 
     def spy(field, table, cols, pairs):
+        pairs = list(pairs)
         rows = _cocycle_rows(field, table, cols, pairs)
-        seen.append((cols, rows))
+        seen.append((cols, pairs, rows))
         return rows
 
     monkeypatch.setattr(oracle, "_cocycle_rows", spy)
     assert bar_hh1_dim(t) == 3
-    [(cols, rows)] = seen
+    [(cols, pairs, rows)] = seen
     ends = list(zip(t.basis_source, t.basis_target))
-    ncols = sum(n * n for n in Counter(ends).values())
+    counts = Counter(ends)
+    ncols = sum(n * n for n in counts.values()) - sum(counts[(s, s)] for s in t.quiver.vertices)
     assert ncols < t.dim * t.dim
     assert sorted(col for c in cols for col in c.values()) == list(range(ncols))
     assert all(ends[c] == ends[j] for j, c_map in enumerate(cols) for c in c_map)
+    assert not any(cols[:nverts])
+    assert pairs and all(x >= nverts and y >= nverts for x, y in pairs)
     assert all(0 <= col < ncols for row in rows for col in row)
 
 
