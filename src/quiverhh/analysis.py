@@ -125,54 +125,58 @@ class AnalysisReport:
 
 
 def render_text(d: dict) -> str:
-    """The human-readable form of a ``to_dict`` report."""
+    """The human-readable form of a ``to_dict`` report, or of any of its
+    sections: each section ``d`` holds gives its lines, in report order."""
     lines = []
-    alg = d["algebra"]
-    lines.append(f"field: {alg['field']}")
-    lines.append(f"dim A: {alg['dim']}")
-    lines.append("radical dims: " + " ".join(str(x) for x in alg["rad_dims"]))
-    for key in ("hh1", "hh1_rad"):
-        h = d[key]
-        name = "HH1" if key == "hh1" else "HH1_rad"
-        lines.append(
-            f"{name}: dim {h['dim']} (der {h['der_dim']}, inn {h['inn_dim']}), "
-            + ("solvable" if h["solvable"] else "not solvable")
-            + ", derived series " + " ".join(str(x) for x in h["derived_dims"]))
-    lc = d["loop_criterion"]
-    if lc["orders"]:
-        orders = ", ".join(f"{k}: {v}" for k, v in sorted(lc["orders"].items()))
-        lines.append(f"loop orders: {orders} -> "
-                     + ("criterion holds" if lc["holds"] else "criterion fails"))
-    else:
-        lines.append("loop orders: none")
-    lines.append(f"separated quiver type: {d['septype']['verdict']}")
-    for c in d["septype"]["components"]:
-        name = c["name"] or "unlisted"
-        lines.append(f"  component {{{', '.join(c['vertices'])}}}: "
-                     f"{c['verdict']} ({name})")
-    ch = d["chains"]
-    if "skipped" in ch:
-        lines.append(f"chains: skipped ({ch['skipped']})")
-    else:
-        lines.append(f"m = {d['m']} (solvable remainder dim {ch['r_dim']})")
-        for cl in ch["classes"]:
-            pairs = " ".join("(" + ",".join(p) + ")" for p in cl["pairs"])
-            verdict = "surjective" if cl["surjective"] else "not surjective"
-            std = "standard" if all(cl["standard_relations"][k]
-                                    for k in ("s1", "s2", "s3")) else "non-standard"
-            lines.append(f"  chain {pairs} [{cl['shape']}]: {verdict}, {std}")
-        lines.append("joint kernel dim "
-                     f"{ch['joint_kernel_dim']}, derived series "
-                     + " ".join(str(x) for x in ch["joint_kernel_derived_dims"]))
-        if not ch["consistency_ok"]:
-            lines.append("warning: solvability does not match m = 0, or the joint "
-                         "kernel is not solvable; hypotheses likely violated")
-    flags = d["flags"]
-    lines.append("flags: " + ", ".join(f"{k}={v}" for k, v in flags.items()))
+    if "algebra" in d:
+        alg = d["algebra"]
+        lines += [f"field: {alg['field']}", f"dim A: {alg['dim']}",
+                  "radical dims: " + " ".join(str(x) for x in alg["rad_dims"])]
+    if "hh1" in d:
+        for key, name in (("hh1", "HH1"), ("hh1_rad", "HH1_rad")):
+            h = d[key]
+            lines.append(
+                f"{name}: dim {h['dim']} (der {h['der_dim']}, inn {h['inn_dim']}), "
+                + ("solvable" if h["solvable"] else "not solvable")
+                + ", derived series " + " ".join(str(x) for x in h["derived_dims"]))
+        lc = d["loop_criterion"]
+        if lc["orders"]:
+            orders = ", ".join(f"{k}: {v}" for k, v in sorted(lc["orders"].items()))
+            lines.append(f"loop orders: {orders} -> "
+                         + ("criterion holds" if lc["holds"] else "criterion fails"))
+        else:
+            lines.append("loop orders: none")
+    if "septype" in d:
+        lines.append(f"separated quiver type: {d['septype']['verdict']}")
+        for c in d["septype"]["components"]:
+            name = c["name"] or "unlisted"
+            lines.append(f"  component {{{', '.join(c['vertices'])}}}: "
+                         f"{c['verdict']} ({name})")
+    if "chains" in d:
+        ch = d["chains"]
+        if "skipped" in ch:
+            lines.append(f"chains: skipped ({ch['skipped']})")
+        else:
+            lines.append(f"m = {d['m']} (solvable remainder dim {ch['r_dim']})")
+            for cl in ch["classes"]:
+                pairs = " ".join("(" + ",".join(p) + ")" for p in cl["pairs"])
+                verdict = "surjective" if cl["surjective"] else "not surjective"
+                std = "standard" if all(cl["standard_relations"][k]
+                                        for k in ("s1", "s2", "s3")) else "non-standard"
+                lines.append(f"  chain {pairs} [{cl['shape']}]: {verdict}, {std}")
+            lines.append("joint kernel dim "
+                         f"{ch['joint_kernel_dim']}, derived series "
+                         + " ".join(str(x) for x in ch["joint_kernel_derived_dims"]))
+            if not ch["consistency_ok"]:
+                lines.append("warning: solvability does not match m = 0, or the joint "
+                             "kernel is not solvable; hypotheses likely violated")
+        lines.append("flags: " + ", ".join(f"{k}={v}" for k, v in d["flags"].items()))
     if "oracle" in d:
         o = d["oracle"]
-        lines.append(f"oracle HH1 dim: {o['bar_hh1_dim']} "
-                     + ("(matches)" if o["matches_hh1"] else "(MISMATCH)"))
+        line = f"oracle HH1 dim: {o['bar_hh1_dim']}"
+        if "matches_hh1" in o:
+            line += " (matches)" if o["matches_hh1"] else " (MISMATCH)"
+        lines.append(line)
     return "\n".join(lines) + "\n"
 
 

@@ -1,15 +1,14 @@
 """Command-line front end.
 
-Each subcommand builds one staged analysis and computes only what it
-prints. Exit codes: 0 success, 1 stdout closed by its reader before the
-output was written (no traceback), 2 input errors (unreadable or non-UTF-8
-file, parse, unknown, non-prime or too large --field, a coefficient whose
-denominator vanishes in the field, admissibility, finiteness), 3 every
-other error of the package, a refused or failed operation (unsupported
+Each subcommand computes only what it prints, its block of the ``analyze``
+report. Exit codes: 0 success, 1 stdout closed by its reader before the output
+was written (no traceback), 2 input errors (unreadable or non-UTF-8 file,
+parse, unknown, non-prime or too large --field, a coefficient whose
+denominator vanishes in the field, admissibility, finiteness), 3 every other
+error of the package, a refused or failed operation (unsupported
 characteristic, oversized oracle, undefined Delta map, chains or quotient, a
-cyclic quiver where an acyclic one is needed, a table that is not
-associative or whose idempotents the oracle cannot trust).
-"""
+cyclic quiver where an acyclic one is needed, a table that is not associative
+or whose idempotents the oracle cannot trust) and running out of memory."""
 
 from __future__ import annotations
 
@@ -44,44 +43,17 @@ def _load(args):
                                  max_length_cap=args.max_length)
 
 
-def cmd_analyze(args) -> tuple[dict, str]:
-    options = AnalysisOptions(oracle=args.oracle, decompose=args.decompose,
-                              assert_nonwild=args.assert_nonwild)
-    d = run_analyze(_load(args), options).to_dict()
-    return d, "" if args.json else render_text(d)
-
-
-def cmd_hh1(args) -> tuple[dict, str]:
-    d = AnalysisReport(_load(args)).hh1_sections()
-    text = [f"{name}: dim {d[key]['dim']}, "
-            + ("solvable" if d[key]["solvable"] else "not solvable")
-            for key, name in (("hh1", "HH1"), ("hh1_rad", "HH1_rad"))]
-    return d, "\n".join(text) + "\n"
-
-
-def cmd_chains(args) -> tuple[dict, str]:
-    options = AnalysisOptions(decompose=True, assert_nonwild=args.assert_nonwild)
-    d = AnalysisReport(_load(args), options).chain_sections()
-    text = [f"m = {d['m']}"]
-    for cl in d["chains"]["classes"]:
-        pairs = " ".join("(" + ",".join(pr) + ")" for pr in cl["pairs"])
-        text.append(f"{pairs} [{cl['shape']}] "
-                    + ("surjective" if cl["surjective"] else "not surjective"))
-    return d, "\n".join(text) + "\n"
-
-
-def cmd_septype(args) -> tuple[dict, str]:
-    d = AnalysisReport(_load(args)).septype_section()
-    text = [d["verdict"]]
-    for c in d["components"]:
-        text.append(f"  {{{', '.join(c['vertices'])}}}: {c['verdict']}"
-                    + (f" ({c['name']})" if c["name"] else ""))
-    return d, "\n".join(text) + "\n"
-
-
-def cmd_oracle(args) -> tuple[dict, str]:
-    dim = AnalysisReport(_load(args)).oracle_dim
-    return {"bar_hh1_dim": dim}, f"oracle HH1 dim: {dim}\n"
+# name -> (help, payload as a function of (presentation, options), the
+# report key its text is rendered under, or None for a payload of report keys)
+COMMANDS = {
+    "analyze": ("full report", lambda p, o: run_analyze(p, o).to_dict(), None),
+    "hh1": ("HH1 and its radical part", lambda p, o: AnalysisReport(p, o).hh1_sections(), None),
+    "chains": ("Kronecker chains and m", lambda p, o: AnalysisReport(p, o).chain_sections(), None),
+    "septype": ("separated-quiver classification",
+                lambda p, o: AnalysisReport(p, o).septype_section(), "septype"),
+    "oracle": ("brute-force HH1 dimension",
+               lambda p, o: {"bar_hh1_dim": AnalysisReport(p, o).oracle_dim}, "oracle"),
+}
 
 
 @functools.cache
@@ -92,14 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="First Hochschild cohomology of bound quiver algebras: "
                     "Lie structure, solvability and Kronecker chain analysis.")
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {
-        "analyze": ("full report", cmd_analyze),
-        "hh1": ("HH1 and its radical part", cmd_hh1),
-        "chains": ("Kronecker chains and m", cmd_chains),
-        "septype": ("separated-quiver classification", cmd_septype),
-        "oracle": ("brute-force HH1 dimension", cmd_oracle),
-    }
-    for name, (help_text, func) in commands.items():
+    for name, (help_text, _, _) in COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("input", help="presentation file (DSL or JSON), '-' for stdin")
         sp.add_argument("--json", action="store_true", help="machine-readable output")
@@ -116,26 +81,32 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--assert-nonwild", action="store_true",
                             help="treat the algebra as non-wild even if the "
                                  "separated-quiver screen is inconclusive")
-        sp.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    """Run one subcommand; each returns its JSON payload and its text."""
+    """Run one subcommand: print its payload as JSON, or its text, which is
+    its block of the ``analyze`` text."""
     args = build_parser().parse_args(argv)
+    _, payload_of, key = COMMANDS[args.command]
+    options = AnalysisOptions(**{flag: getattr(args, flag, False)
+                                 for flag in ("oracle", "decompose", "assert_nonwild")})
     try:
-        payload, text = args.func(args)
+        payload = payload_of(_load(args), options)
     except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except QuiverHHError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 3
+    except MemoryError:
+        print("refused: out of memory", file=sys.stderr)
+        return 3
     try:
         if args.json:
             sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         else:
-            sys.stdout.write(text)
+            sys.stdout.write(render_text(payload if key is None else {key: payload}))
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader is gone: send what is still buffered to the null

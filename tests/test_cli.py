@@ -275,6 +275,31 @@ def test_subcommand_prints_its_sections_of_the_frozen_report(path, command, caps
     assert capsys.readouterr().out == json.dumps(section, indent=2, sort_keys=True) + "\n"
 
 
+@pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.stem)
+def test_subcommand_text_is_its_block_of_the_analyze_text(path, capsys):
+    """Without --json, hh1, chains and septype each print a run of whole
+    lines of the analyze text; oracle prints its dimension alone."""
+    assert main(["analyze", str(path)]) == 0
+    report = capsys.readouterr().out.splitlines()
+    for command in ("hh1", "chains", "septype"):
+        assert main([command, str(path)]) == 0
+        block = capsys.readouterr().out.splitlines()
+        assert block and any(report[k:k + len(block)] == block
+                             for k in range(len(report))), command
+    expected = json.loads(path.with_name(path.stem + ".expected.json").read_text())
+    assert main(["oracle", str(path)]) == 0
+    assert capsys.readouterr().out == f"oracle HH1 dim: {expected['oracle']['bar_hh1_dim']}\n"
+
+
+def test_chains_in_characteristic_2_prints_the_skipped_sections(kronecker_file, capsys):
+    assert main(["analyze", kronecker_file, "--field", "fp:2", "--json"]) == 0
+    expected = SECTIONS["chains"](json.loads(capsys.readouterr().out))
+    assert main(["chains", kronecker_file, "--field", "fp:2", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == expected
+    assert expected == {"chains": {"skipped": "characteristic 2"}, "m": None,
+                        "flags": {"char_ne_2": False}}
+
+
 STAGES = ((analysis, "build_algebra"), (cli, "build_algebra"), (derlie, "hh1"),
           (derlie, "radical_part"), (derlie, "derivation_space"),
           (derlie, "loop_criterion"), (kron, "decomposition_report"),
@@ -349,3 +374,11 @@ def test_every_error_class_exits_with_its_documented_code(kronecker_file, monkey
         assert main(["hh1", kronecker_file]) == code, cls.__name__
         prefix = "error" if code == 2 else "refused"
         assert capsys.readouterr().err == f"{prefix}: the message\n"
+
+
+def test_running_out_of_memory_is_one_refusal_line(kronecker_file, monkeypatch, capsys):
+    def exhausted(args):
+        raise MemoryError
+    monkeypatch.setattr(cli, "_load", exhausted)
+    assert main(["analyze", kronecker_file]) == 3
+    assert capsys.readouterr() == ("", "refused: out of memory\n")

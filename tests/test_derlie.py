@@ -1,4 +1,5 @@
 import pathlib
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -634,3 +635,55 @@ def test_quantum_plane_quotients_agree_over_q_and_a_large_prime(n, c):
         assert report.oracle_dim == d["hh1"]["dim"]
     assert sections[0] == sections[1]
     assert {"der_dim", "inn_dim", "dim", "derived_dims"} <= set(sections[0]["hh1"])
+
+
+# -- the torus: weights from homogeneous relations -------------------------
+
+
+def torus_weights(p):
+    """Each arrow's weight under the torus of p: a basis over Q of the
+    arrow weightings that make every relation homogeneous, from one row per
+    relation and extra term, multidegree(first term) - multidegree(term)."""
+    labels = [a.label for a in p.quiver.arrows]
+    rows = []
+    for rel in p.relations:
+        (_, first), *rest = rel.terms
+        for _, path in rest:
+            degree = Counter(map(labels.index, first))
+            degree.subtract(map(labels.index, path))
+            rows.append({k: v for k, v in degree.items() if v})
+    basis = linal.kernel_basis(Q, rows, len(labels))
+    return {label: tuple(w.get(k, 0) for w in basis) for k, label in enumerate(labels)}
+
+
+TORUS_CASES = {
+    **{path.stem: lambda path=path: load_presentation(path.read_text()) for path in CORPUS},
+    "plane7_Q": lambda: quantum_plane(7),
+    "plane9_fp3": lambda: quantum_plane(9, field=Field(3)),
+}
+
+
+@pytest.mark.parametrize("case", list(TORUS_CASES))
+def test_the_bracket_is_additive_in_the_torus_weights(case):
+    """Derivations split into weight spaces, a slot (a, m) weighing
+    wt(m) - wt(a), and [L_u, L_v] lies in L_(u+v): each representative of
+    HH1 has one weight on its support, and every nonzero structure
+    constant c_ij^k has w_i + w_j = w_k."""
+    p = TORUS_CASES[case]()
+    arrow = torus_weights(p)
+    rank = len(next(iter(arrow.values())))
+
+    def add(*weights):
+        return tuple(map(sum, zip((0,) * rank, *weights)))
+
+    lie = hh1(build_algebra(p)).lie
+    paths = lie.layout.table.basis_paths
+    slot = [add(*(arrow[x] for x in paths[m]), tuple(-c for c in arrow[a]))
+            for a, m in lie.layout.slots]
+    weights = []
+    for rep in lie.reps:
+        assert len({slot[s] for s in rep}) == 1
+        weights.append(slot[next(iter(rep))])
+    for i, row in enumerate(lie.structure):
+        for j, entry in enumerate(row):
+            assert all(add(weights[i], weights[j]) == weights[k] for k in entry), (i, j)

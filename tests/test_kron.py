@@ -1,3 +1,4 @@
+import functools
 import gc
 import itertools
 import json
@@ -19,6 +20,7 @@ from quiverhh.kron import (decomposition_report, is_surjective_chain, kronecker_
                            maximal_chains, standard_relations_literal)
 from quiverhh.linal import Field
 from quiverhh.quiver import Quiver, reptype_radsq
+from test_theorem import brauer_graph_algebras
 
 Q = Field(0)
 
@@ -568,18 +570,49 @@ def summed_series(a, b):
     return out
 
 
+@functools.cache
+def two_rotation_brauer(p):
+    """The two Brauer graph algebras of the tier-1 sweep over F_p (Q for
+    p = 0) whose m = 1 comes from a Cyclic chain with two rotations."""
+    found = []
+    for presentation in brauer_graph_algebras(Field(p)):
+        cr = run_analyze(presentation, AnalysisOptions(assert_nonwild=True)).chain_report
+        if cr.m == 1 and any(c.shape == "Cyclic" and c.rotations == 2 for c in cr.classes):
+            found.append(presentation)
+    assert len(found) == 2
+    return found
+
+
+def factor(case):
+    """A factor of PRODUCTS: a corpus file, or (p, i) for the i-th of
+    ``two_rotation_brauer(p)``."""
+    if isinstance(case, pathlib.Path):
+        return load_presentation(case.read_text())
+    return two_rotation_brauer(case[0])[case[1]]
+
+
 PRODUCTS = [(p, CORPUS_Q[(k + 1) % len(CORPUS_Q)]) for k, p in enumerate(CORPUS_Q)]
 PRODUCTS += [(CORPUS[0].parent / "kronecker.dsl", CORPUS[0].parent / f"{name}.dsl")
              for name in ("kronecker", "radsq_tail_3")]
+# m = 2 inside the theorem: a product of tame algebras is tame
+PRODUCTS += [((p, i), (p, j)) for p in (0, 3) for i, j in ((0, 0), (0, 1), (1, 1))]
+
+
+def product_id(first, second):
+    if isinstance(first, pathlib.Path):
+        return f"{first.stem}+{second.stem}"
+    return f"brauer{first[1]}+brauer{second[1]}_" + ("Q" if first[0] == 0 else f"fp{first[0]}")
 
 
 @pytest.mark.parametrize("first, second", PRODUCTS,
-                         ids=[f"{p.stem}+{q.stem}" for p, q in PRODUCTS])
+                         ids=[product_id(p, q) for p, q in PRODUCTS])
 def test_the_invariants_of_a_product_are_the_sums_of_its_factors(first, second):
     """HH1(A x B) = HH1(A) + HH1(B) as Lie algebras, and so for HH1_rad:
-    the dimensions, m, the oracle and the derived series add."""
+    the dimensions, m, the oracle and the derived series add.  The products
+    of two Brauer graph algebras with one Cyclic chain of two rotations each
+    give m = 2 with linked chains, within the theorem's hypotheses."""
     options = AnalysisOptions(oracle=True)
-    a, b = (run_analyze(load_presentation(p.read_text()), options) for p in (first, second))
+    a, b = (run_analyze(factor(case), options) for case in (first, second))
     union = run_analyze(disjoint_union(a.presentation, b.presentation), options)
     for key in ("hh1", "hh1_rad"):
         got, x, y = (getattr(r, key).lie for r in (union, a, b))
@@ -589,5 +622,14 @@ def test_the_invariants_of_a_product_are_the_sums_of_its_factors(first, second):
     assert union.chain_report.m == a.chain_report.m + b.chain_report.m
     assert a.chain_report.consistency_ok and b.chain_report.consistency_ok
     assert union.chain_report.consistency_ok
-    if (first.stem, second.stem) == ("kronecker", "radsq_tail_3"):
+    if product_id(first, second) == "kronecker+radsq_tail_3":
         assert (union.hh1.lie.dim, union.chain_report.m, union.oracle_dim) == (6, 2, 6)
+    if isinstance(first, tuple):
+        cr = union.chain_report
+        assert (union.hh1.lie.dim, union.hh1_rad.lie.dim, cr.m, union.oracle_dim) == (8, 8, 2, 8)
+        assert cr.joint_kernel_derived_dims == [2, 0]
+        assert union.hh1.lie.derived_series() == [8, 6, 6]
+        nonwild = AnalysisOptions(assert_nonwild=True)
+        assert run_analyze(union.presentation, nonwild).chain_report.consistency_ok
+        if first[0] == 0:
+            assert reference.levi_dim(union.hh1_rad.lie) == 6

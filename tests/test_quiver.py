@@ -140,7 +140,8 @@ def test_one_classification_per_analysis(monkeypatch, capsys):
     assert len(calls) == 1
     assert report.septype == report.to_dict()["septype"]["verdict"] == "Tame"
     assert main(["septype", str(path)]) == 0
-    assert len(calls) == 2 and capsys.readouterr().out.startswith("Tame\n")
+    assert len(calls) == 2 and capsys.readouterr().out.startswith(
+        "separated quiver type: Tame\n")
 
 
 def tree_arms(*arms):
