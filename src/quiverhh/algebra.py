@@ -27,13 +27,14 @@ from heapq import heappop, heappush
 from itertools import islice
 
 from . import linal
-from .errors import InvalidArrow, NotAdmissible, NotFiniteDimensional
+from .errors import InvalidArrow, NotAdmissible, NotFiniteDimensional, TooLarge
 from .linal import Field
 from .quiver import Quiver
 from .value import Value
 
 Path = tuple  # tuple of arrow labels; the empty tuple never appears in relations
 Poly = dict   # Path -> scalar
+MAX_STEPS = 250_000  # heap pops of _Rewriter.reduce per rewriter; tier-1 needs under 5,000
 
 
 class Relation(Value, fields=("terms",)):
@@ -78,6 +79,7 @@ class _Rewriter:
         self.order = order  # arrow label -> declaration index
         self.rules: dict[Path, Poly] = {}
         self.lengths: list[int] = []  # lead lengths, ascending; while completing, stale too
+        self.steps = 0  # heap pops of reduce, refused past MAX_STEPS
 
     def reduce(self, poly: Poly) -> Poly:
         """Normal form of poly, terms in decreasing order.  The largest term
@@ -87,8 +89,11 @@ class _Rewriter:
         work, on a heap; an entry whose path has left work is skipped."""
         order, work, out = self.order, dict(poly), {}
         heap = sorted((-len(p), [-order[l] for l in p], p) for p in work)  # sorted, so a heap
+        steps = self.steps
         while heap:
             path = heappop(heap)[2]
+            if (steps := steps + 1) > MAX_STEPS:
+                raise TooLarge(f"rewriting exceeds {MAX_STEPS} reduction steps")
             if (coef := work.pop(path, None)) is None:
                 continue
             hit = self._find_factor(path)
@@ -101,6 +106,7 @@ class _Rewriter:
             for p in terms.keys() - work.keys():
                 heappush(heap, (-len(p), [-order[l] for l in p], p))
             linal.add_multiple(self.field, work, self.field.neg(coef), terms)
+        self.steps = steps
         return out
 
     def _find_factor(self, path: Path):
@@ -211,9 +217,6 @@ class AlgebraTable:
     @property
     def dim(self) -> int:
         return len(self.basis_paths)
-
-    def idempotent_index(self, v: str) -> int:
-        return self.quiver.vertices.index(v)
 
     def arrow_index(self, label: str) -> int:
         return self.path_index[(label,)]

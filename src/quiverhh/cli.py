@@ -6,7 +6,7 @@ was written (no traceback), 2 input errors (unreadable or non-UTF-8 file,
 parse, unknown, non-prime or too large --field, a coefficient whose
 denominator vanishes in the field, admissibility, finiteness), 3 every other
 error of the package, a refused or failed operation (unsupported
-characteristic, oversized oracle, undefined Delta map, chains or quotient, a
+characteristic, a size guard, undefined Delta map, chains or quotient, a
 cyclic quiver where an acyclic one is needed, a table that is not associative
 or whose idempotents the oracle cannot trust) and running out of memory."""
 
@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _str
 
 from . import dsl
 from .algebra import build_algebra  # noqa: F401  bench/spans.py wraps cli.build_algebra
@@ -41,6 +41,20 @@ def _load(args):
     text = _read_input(args.input)
     return dsl.load_presentation(text, field_override=args.field,
                                  max_length_cap=args.max_length)
+
+
+def _dumps(x, indent="\n") -> str:
+    """json.dumps(x, indent=2, sort_keys=True) of a report; other types raise TypeError."""
+    if type(x) in (int, bool) or x is None:
+        return "null" if x is None else str(x).lower()  # True as true
+    inner = indent + "  "
+    if type(x) is dict:
+        items, ends = [_str(k) + ": " + _dumps(x[k], inner) for k in sorted(x)], "{}"
+    elif type(x) is list:
+        items, ends = [_dumps(v, inner) for v in x], "[]"
+    else:
+        return _str(x)  # a TypeError unless x is a str
+    return ends[0] + inner + ("," + inner).join(items) + indent + ends[1] if items else ends
 
 
 # name -> (help, payload as a function of (presentation, options), the
@@ -104,7 +118,7 @@ def main(argv=None) -> int:
         return 3
     try:
         if args.json:
-            sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+            sys.stdout.write(_dumps(payload) + "\n")
         else:
             sys.stdout.write(render_text(payload if key is None else {key: payload}))
         sys.stdout.flush()

@@ -161,7 +161,7 @@ def radical_preserving(layout: DerivationLayout, der_basis: list) -> list:
     """
     t = layout.table
     field = t.field
-    conditions = [layout.position[arrow.label, t.idempotent_index(arrow.source)]
+    conditions = [layout.position[arrow.label, t.quiver.vertices.index(arrow.source)]
                   for arrow in t.quiver.arrows if arrow.source == arrow.target]
     if not conditions or not der_basis:
         return list(der_basis)

@@ -35,7 +35,7 @@ class UnsupportedCharacteristic(QuiverHHError):
 
 
 class TooLarge(QuiverHHError):
-    """Brute-force oracle problem exceeds its size guard."""
+    """The oracle's unknowns or the rewriter's steps exceed their size guard."""
 
 
 class NotAssociative(QuiverHHError):

@@ -165,23 +165,26 @@ def _echelon(field: Field, rows) -> dict[int, dict]:
     """Forward elimination of sparse rows.
 
     Returns pivot column -> row with a unit pivot and no entry left of it.
-    The input rows are not modified.
+    The input rows are not modified: each is copied, an integral Fraction as an int.
     """
     p = field.characteristic
     ech: dict[int, dict] = {}
     for row in rows:
-        row = {c: a for c, a in row.items() if a != 0}
+        row = {c: a.numerator if type(a) is Fraction and a.denominator == 1 else a
+               for c, a in row.items() if a}
         while row:
             lead = min(row)
             piv = ech.get(lead)
             if piv is None:  # divided by its lead, inline
                 a0 = row[lead]
-                if p:
+                if a0 == 1:
+                    ech[lead] = row
+                elif p:
                     inv = pow(a0, p - 2, p)
                     ech[lead] = {c: a * inv % p for c, a in row.items()}
-                else:  # a lead +-1 is its own inverse; Fraction(4, 2) becomes 2
-                    inv = a0 if a0 in (1, -1) else Fraction(1, a0)
-                    ech[lead] = {c: _integral(a * inv) for c, a in row.items()}
+                else:  # a lead -1 negates; Fraction(4, 2) becomes 2
+                    ech[lead] = ({c: -a for c, a in row.items()} if a0 == -1 else
+                                 {c: _integral(Fraction(a, a0)) for c, a in row.items()})
                 break
             add_multiple(field, row, field.neg(row[lead]), piv)
     return ech

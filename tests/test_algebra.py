@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from quiverhh import algebra, linal
 from quiverhh.algebra import Presentation, Relation, build_algebra
 from quiverhh.dsl import load_presentation
-from quiverhh.errors import (InvalidArrow, NotAdmissible, NotFiniteDimensional)
+from quiverhh.errors import InvalidArrow, NotAdmissible, NotFiniteDimensional, TooLarge
 from quiverhh.linal import Field
 from quiverhh.quiver import Quiver
 import reference
@@ -620,3 +620,20 @@ def test_a_cycle_is_refused_before_any_word_is_listed():
     level would stop at the cap instead."""
     with pytest.raises(NotFiniteDimensional, match="repeats a factor of length 5,"):
         build(["1"], [("x", "1", "1"), ("y", "1", "1")], [[(1, ("x",) + ("y",) * 5)]], cap=4)
+
+
+COMMUTATIVE_CUBES = ("field Q\nvertex 1\narrow x 1 1\narrow y 1 1\n"
+                     "relation x*y - y*x\nrelation x*x*x\nrelation y*y*y\n")
+
+
+def test_the_rewriter_refuses_a_build_past_its_step_budget(monkeypatch):
+    """MAX_STEPS bounds the heap pops of reduce over one build, counted in
+    the loop: a build of exactly the budget passes, one step less refuses."""
+    p = load_presentation(COMMUTATIVE_CUBES)
+    steps = build_algebra(p).rewriter.steps
+    assert 0 < steps < algebra.MAX_STEPS
+    monkeypatch.setattr(algebra, "MAX_STEPS", steps)
+    assert build_algebra(p).dim == 9
+    monkeypatch.setattr(algebra, "MAX_STEPS", steps - 1)
+    with pytest.raises(TooLarge, match=f"rewriting exceeds {steps - 1} reduction steps"):
+        build_algebra(p)

@@ -1,10 +1,13 @@
+import gc
 import json
 import pathlib
 from collections import Counter
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from quiverhh import analysis, cli, derlie, dsl, errors, kron, oracle
+from quiverhh import algebra, analysis, cli, derlie, dsl, errors, kron, oracle
 from quiverhh.algebra import build_algebra
 from quiverhh.cli import main
 
@@ -382,3 +385,68 @@ def test_running_out_of_memory_is_one_refusal_line(kronecker_file, monkeypatch, 
     monkeypatch.setattr(cli, "_load", exhausted)
     assert main(["analyze", kronecker_file]) == 3
     assert capsys.readouterr() == ("", "refused: out of memory\n")
+
+
+def as_json(x) -> str:
+    return json.dumps(x, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("path, field", [(p, None) for p in CORPUS]
+                         + [(CORPUS[0].with_name("kronecker.dsl"), "fp:2")],
+                         ids=[p.stem for p in CORPUS] + ["kronecker-fp2"])
+def test_the_report_writer_prints_what_json_dumps_prints(path, field):
+    """Every subcommand's payload, the full report with the oracle among
+    them; over F_2 the chain sections hold "m": null."""
+    p = dsl.load_presentation(path.read_text(), field_override=field)
+    payloads = {command: payload_of(p, analysis.AnalysisOptions(oracle=True))
+                for command, (_, payload_of, _) in cli.COMMANDS.items()}
+    for command, payload in payloads.items():
+        assert cli._dumps(payload) == as_json(payload), command
+    assert field is None or payloads["chains"]["m"] is None
+
+
+REPORT_TEXT = st.text() | st.text('"\\/\x00\x01\x1f\x7f\n\t é€😀 ab')
+REPORT_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | REPORT_TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(REPORT_TEXT, inner, max_size=4),
+    max_leaves=20)
+
+
+@settings(max_examples=200, deadline=None)
+@given(REPORT_VALUES)
+def test_the_report_writer_is_json_dumps_on_any_report_value(value):
+    assert cli._dumps(value) == as_json(value)
+
+
+@pytest.mark.parametrize("value", [1.5, (1, 2), (), {"a": [0.5]}, {"a": (1,)}, {1: 2},
+                                   {"a": {None: 0}}, Fraction(1, 2), {"a"}])
+def test_the_report_writer_refuses_a_type_no_report_holds(value):
+    """No report holds a float, tuple, set, Fraction or non-string key, and
+    the writer prints none of them: json.dumps would print a float, a tuple
+    as a list and an int key as a string."""
+    with pytest.raises(TypeError):
+        cli._dumps(value)
+
+
+@pytest.mark.parametrize("stem", ["kronecker", "radsq_cycle3", "chain3_nonstandard"])
+def test_analyze_json_leaves_no_cyclic_garbage(stem, capsys):
+    """With the collector off, a second run of analyze --json --oracle leaves
+    no object that only the collector could free."""
+    argv = ["analyze", str(CORPUS[0].with_name(f"{stem}.dsl")), "--json", "--oracle"]
+    assert main(argv) == 0  # warm-up: lazy imports and caches
+    gc.disable()
+    try:
+        gc.collect()
+        assert main(argv) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_a_rewriting_past_its_step_budget_is_one_refusal_line(tmp_path, monkeypatch, capsys):
+    f = tmp_path / "cubes.dsl"
+    f.write_text("field Q\nvertex 1\narrow x 1 1\narrow y 1 1\n"
+                 "relation x*y - y*x\nrelation x*x*x\nrelation y*y*y\n")
+    monkeypatch.setattr(algebra, "MAX_STEPS", 20)
+    assert main(["analyze", str(f)]) == 3
+    assert capsys.readouterr() == ("", "refused: rewriting exceeds 20 reduction steps\n")

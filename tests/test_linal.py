@@ -1,3 +1,4 @@
+import copy
 import random
 import time
 from fractions import Fraction
@@ -317,3 +318,20 @@ def test_the_shared_zero_entry_is_read_only():
     with pytest.raises(TypeError):
         linal.add_multiple(Field(0), linal.ZERO, 1, {0: 1})
     assert linal.ZERO == {}
+
+
+@pytest.mark.parametrize("field", [Field(5), Field(0)], ids=["F5", "Q"])
+def test_elimination_leaves_its_input_rows_alone(field):
+    """Pivot rows with lead 1 are kept as they are, and those with lead -1
+    negated: each is the elimination's own copy, never an input dict, so
+    back-substitution cannot write into the caller's rows."""
+    two = Fraction(4, 2) if field.characteristic == 0 else 2  # a Fraction over Q
+    rows = [{0: 1, 4: two}, {1: field.neg(1), 2: 1}, {0: 1, 1: 1, 3: two},
+            {2: field.neg(1), 3: 1}]
+    before = copy.deepcopy(rows)
+    types = lambda vectors: [[type(a) for a in v.values()] for v in vectors]  # noqa: E731
+    for out in (linal.rref(field, rows)[0], linal.span_basis(field, rows),
+                linal.kernel_basis(field, rows, 5)):
+        assert rows == before and types(rows) == types(before)
+        assert not any(v is r for v in out for r in rows)
+        assert no_zeros(out) and all(is_normal(a) for v in out for a in v.values())
