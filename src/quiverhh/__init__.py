@@ -16,7 +16,7 @@ from .errors import (DeltaUndefined, InvalidArrow, NotAcyclic, NotAdmissible,
                      UnsupportedCharacteristic)
 from .linal import Field
 from .quiver import (Arrow, Quiver, classify_components, hereditary_hh1_dim,
-                     path_counts, reptype_radsq, separated_quiver)
+                     reptype_radsq, separated_quiver)
 
 __version__ = "0.1.0"
 
@@ -27,6 +27,6 @@ __all__ = [
     "Quiver", "QuiverHHError", "QuotientUndefined", "Relation", "TooLarge",
     "UnsupportedCharacteristic", "build_algebra", "classify_components",
     "hereditary_hh1_dim", "load_presentation", "parse_presentation",
-    "path_counts", "presentation_from_json", "presentation_to_json",
+    "presentation_from_json", "presentation_to_json",
     "render_presentation", "reptype_radsq", "run_analyze", "separated_quiver",
 ]

@@ -7,8 +7,7 @@ parse, unknown, non-prime or too large --field, a coefficient whose
 denominator vanishes in the field, admissibility, finiteness), 3 every other
 error of the package, a refused or failed operation (unsupported
 characteristic, a size guard, undefined Delta map, chains or quotient, a
-cyclic quiver where an acyclic one is needed, a table that is not associative
-or whose idempotents the oracle cannot trust) and running out of memory."""
+table whose idempotents the oracle cannot trust) and running out of memory."""
 
 from __future__ import annotations
 

@@ -35,13 +35,13 @@ class UnsupportedCharacteristic(QuiverHHError):
 
 
 class TooLarge(QuiverHHError):
-    """The oracle's unknowns or the rewriter's steps exceed their size guard."""
+    """Past a size guard: the oracle's unknowns, rewriting steps or a relation's terms."""
 
 
 class NotAssociative(QuiverHHError):
-    """Multiplication table fails a structural check: associativity, or the
-    oracle's check that its first basis vectors are orthogonal idempotents
-    summing to the unit and every basis vector is homogeneous for them."""
+    """Multiplication table fails the oracle's check that its first basis
+    vectors are orthogonal idempotents summing to the unit and every basis
+    vector is homogeneous for them."""
 
 
 class ParseError(QuiverHHError):

@@ -143,9 +143,9 @@ def standard_relations_literal(table: AlgebraTable,
     (S1) every product of a chain arrow with a non-chain arrow vanishes;
     (S2) along the chain, a_i a_{i+1} = 0, b_i b_{i+1} = 0 and
     a_i b_{i+1} + b_i a_{i+1} = 0; (S3) the same triple at the wrap-around
-    when the chain closes up.  No base change is attempted.  Every failing
-    product or sum that is tested is a witness; S2 stops at its first
-    failing link, so the links after it are not tested.
+    when the chain closes up.  No base change is attempted.  Every product
+    or sum is tested, every link of S2 included, and each failing one is a
+    witness.
     """
     chain_arrows = [x for p in chain.pairs for x in p.labels]
     others = [x.label for x in table.quiver.arrows if x.label not in chain_arrows]
@@ -167,8 +167,8 @@ def standard_relations_literal(table: AlgebraTable,
         return all([vanishes((p.a, r.a)), vanishes((p.b, r.b)),
                     vanishes((p.a, r.b), (p.b, r.a))])
 
-    s2 = all(triple(chain.pairs[i], chain.pairs[i + 1])
-             for i in range(len(chain.pairs) - 1))
+    s2 = all([triple(chain.pairs[i], chain.pairs[i + 1])
+              for i in range(len(chain.pairs) - 1)])
     s3 = chain.shape == "Linear" or triple(chain.pairs[-1], chain.pairs[0])
     return StandardRelationsReport(s1, s2, s3, witnesses)
 

@@ -166,47 +166,30 @@ def reptype_radsq(q: Quiver) -> str:
     return classify_components(separated_quiver(q)).reptype
 
 
-def _topo_order(q: Quiver) -> list[str]:
-    indeg = {v: 0 for v in q.vertices}
-    for a in q.arrows:
-        indeg[a.target] += 1
-    stack = [v for v in q.vertices if indeg[v] == 0]
-    order = []
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        for a in q.arrows_from(v):
-            indeg[a.target] -= 1
-            if indeg[a.target] == 0:
-                stack.append(a.target)
-    if len(order) != len(q.vertices):
-        raise NotAcyclic("quiver has a directed cycle")
-    return order
-
-
-def path_counts(q: Quiver) -> dict[tuple[str, str], int]:
-    """Number of directed paths (length >= 0) between all vertex pairs; acyclic only."""
-    order = _topo_order(q)
-    counts = {(u, v): 0 for u in q.vertices for v in q.vertices}
-    for v in q.vertices:
-        counts[(v, v)] = 1
-    for u in reversed(order):
-        for a in q.arrows_from(u):
-            for w in q.vertices:
-                counts[(u, w)] += counts[(a.target, w)]
-    return counts
-
-
 def hereditary_hh1_dim(q: Quiver) -> int:
-    """dim HH^1 of the path algebra of an acyclic quiver.
+    """dim HH^1 of the path algebra of an acyclic quiver (Happel).
 
     Per connected component: 1 - #vertices + sum over arrows of the number
     of directed paths from the arrow's source to its target; summed over
-    components.  Zero exactly for unions of trees.
+    components.  Zero exactly for unions of trees.  Raises NotAcyclic when
+    the quiver has a directed cycle.
     """
-    counts = path_counts(q)  # raises NotAcyclic when there is a cycle
-    ncomp = len(_components(q))
-    total = ncomp - len(q.vertices)
+    indeg = {v: 0 for v in q.vertices}
     for a in q.arrows:
-        total += counts[(a.source, a.target)]
-    return total
+        indeg[a.target] += 1
+    order = [v for v in q.vertices if indeg[v] == 0]
+    for v in order:  # Kahn's order: the list grows while it is walked
+        for a in q.arrows_from(v):
+            indeg[a.target] -= 1
+            if indeg[a.target] == 0:
+                order.append(a.target)
+    if len(order) != len(q.vertices):
+        raise NotAcyclic("quiver has a directed cycle")
+    paths: dict = {}  # v -> {w: number of paths from v to w}, each w reached from v
+    for v in reversed(order):
+        paths[v] = {v: 1}
+        for a in q.arrows_from(v):
+            for w, n in paths[a.target].items():
+                paths[v][w] = paths[v].get(w, 0) + n
+    total = len(_components(q)) - len(q.vertices)
+    return total + sum(paths[a.source].get(a.target, 0) for a in q.arrows)

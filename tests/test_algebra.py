@@ -81,6 +81,12 @@ def test_bare_arrow_relation_rejected():
         build(["1", "2"], [("a", "1", "2")], [[(1, ("a",))]])
 
 
+def test_an_empty_library_relation_is_refused():
+    """The front ends never build one; a library caller can."""
+    with pytest.raises(NotAdmissible, match="empty relation"):
+        build(["1"], [("x", "1", "1")], [[]])
+
+
 def test_non_parallel_relation_rejected():
     with pytest.raises(NotAdmissible):
         build(["1", "2", "3"],

@@ -166,8 +166,8 @@ CANCELLING = json.dumps({
     (json_input(["1", "1"], []), [], "duplicate vertex"),
     (json_input(["1"], [("a", "1", "1"), ("a", "1", "1")]), [], "duplicate arrow label"),
     (json_input(["1"], [("a", "1", "2")]), [], "undeclared vertex"),
-    (json_input(["1"], [(5, "1", "1")]), [], "bad name 5"),
-    (json_input(["1", "1'"], [("a", "1", "1'")]), [], "bad name"),
+    (json_input(["1"], [(5, "1", "1")]), [], "bad arrow label 5"),
+    (json_input(["1", "1'"], [("a", "1", "1'")]), [], "bad vertex name \"1'\""),
     (json_input([], []), [], "no vertices declared"),
     (json_input(["1"], [("a", "1", "1")], [[["a"], "a"]]), [], "bad presentation JSON"),
     (json_input(["1"], [("a", "1", "1")], [["a", "b"]]), [], "undeclared arrow"),
@@ -187,8 +187,16 @@ CANCELLING = json.dumps({
     (CANCELLING.replace(b'"-1"', b'0.1'), [], "must be an integer or a string, got 0.1"),
     (CANCELLING.replace(b'"-1"', b'true'), [], "must be an integer or a string, got True"),
     (b"field Q\nvertex 1\narrow 2 1 1\nrelation 2*2\n", [], "bad arrow label '2'"),
-    (json_input(["1"], [("2a", "1", "1")]), [], "bad name '2a'"),
+    (json_input(["1"], [("2a", "1", "1")]), [], "bad arrow label '2a'"),
     (b"field Q\nvertex 1\nfield fp:3\n", ["--field", "fp:5"], "duplicate field"),
+    ((KRONECKER + "relation a a\n").encode(), [], "line 5, col 3: unexpected token 'a'"),
+    ((KRONECKER + "relation *a\n").encode(), [], "line 5, col 1: unexpected token '*'"),
+    (b"field Q\nvertex 1'\n", [], "line 2: bad vertex name \"1'\""),
+    (b"field Q\nvertex 1\narrow a 1 2\n", [], "line 3: arrow 'a' uses an undeclared vertex"),
+    ((LOOP + "# nothing to relate").encode(), [], "line 4: empty relation"),
+    (b"field Q\nvertex\n", [], "no vertices declared"),
+    (b"field Q\nvertex 1 2\narrow a 1 2\narrow b 2 1\nrelation a*b - b*a\n", [],
+     "relation terms are not parallel"),
 ], ids=["non_utf8", "directory", "fp4", "bogus_field", "denominator_mod_p",
         "fp_too_large", "json_duplicate_vertex", "json_duplicate_arrow",
         "json_undeclared_vertex", "json_non_string_label", "json_primed_vertex",
@@ -198,7 +206,9 @@ CANCELLING = json.dumps({
         "dsl_deep_parentheses", "dsl_deep_minus", "json_deep_arrays",
         "json_cancelling_relation", "dsl_zero_denominator", "json_zero_denominator",
         "json_float_coefficient", "json_bool_coefficient", "dsl_digit_label",
-        "json_digit_label", "dsl_second_field"])
+        "json_digit_label", "dsl_second_field", "dsl_juxtaposed_arrows",
+        "dsl_leading_product", "dsl_primed_vertex", "dsl_undeclared_vertex",
+        "dsl_comment_only_relation", "dsl_bare_vertex_line", "dsl_non_parallel"])
 def test_bad_input_is_one_error_line(tmp_path, capsys, content, extra, fragment):
     path = tmp_path / "input.dsl"
     if content is None:

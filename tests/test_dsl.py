@@ -1,15 +1,18 @@
 import json
+import re
 import string
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quiverhh import dsl
 from quiverhh.algebra import Presentation, Relation
 from quiverhh.dsl import (load_presentation, parse_presentation,
                           presentation_from_json, presentation_to_json,
                           render_presentation)
-from quiverhh.errors import ParseError
+from quiverhh.errors import ParseError, TooLarge
 from quiverhh.linal import Field
 from quiverhh.quiver import Quiver
 
@@ -147,6 +150,91 @@ def test_json_relations_follow_the_dsl_rules():
     assert presentation_from_json(json.dumps(data)) == p
     assert render_presentation(p).splitlines()[-2:] == [
         "relation 3/2 * (x*y)", "relation 2 * (y*x)"]
+
+
+def both_formats(field, vertices, arrows, relations):
+    """The same items as DSL text and as JSON text; a relation is a list of
+    (coefficient string, labels) terms."""
+    lines = [f"field {field}", "vertex " + " ".join(vertices)]
+    lines += [f"arrow {label} {src} {dst}" for label, src, dst in arrows]
+    lines += ["relation " + " + ".join(f"{c}*({'*'.join(path)})" for c, path in rel)
+              for rel in relations]
+    data = {"field": field, "vertices": vertices,
+            "arrows": [{"label": label, "src": src, "dst": dst} for label, src, dst in arrows],
+            "relations": [[{"coef": c, "path": list(path)} for c, path in rel]
+                          for rel in relations]}
+    return "\n".join(lines) + "\n", json.dumps(data)
+
+
+LOOP_X = (["1"], [("x", "1", "1")])
+
+
+@pytest.mark.parametrize("field, vertices, arrows, relations, message", [
+    ("R", *LOOP_X, [], "unknown field descriptor 'R' (expected 'Q' or 'fp:p')"),
+    ("fp:4", *LOOP_X, [], "characteristic must be 0 or prime, got 4"),
+    ("Q", ["1", "1'"], [], [], "bad vertex name \"1'\""),
+    ("Q", ["1", "2", "1"], [], [], "duplicate vertex '1'"),
+    ("Q", [], [], [], "no vertices declared"),
+    ("Q", ["1"], [("2a", "1", "1")], [], "bad arrow label '2a'"),
+    ("Q", ["1"], [("x", "1", "1"), ("x", "1", "1")], [], "duplicate arrow label 'x'"),
+    ("Q", ["1"], [("x", "1", "2")], [], "arrow 'x' uses an undeclared vertex"),
+    ("Q", *LOOP_X, [[("1", "xy")]], "relation uses undeclared arrow 'y'"),
+    ("Q", *LOOP_X, [[("1", "xx"), ("-1", "xx")]], "relation cancels to zero"),
+    ("fp:3", *LOOP_X, [[("1/3", "xx")]], "denominator of 1/3 vanishes mod 3"),
+], ids=["field", "characteristic", "vertex_name", "duplicate_vertex", "no_vertices",
+        "label", "duplicate_label", "endpoint", "undeclared_arrow", "cancelling",
+        "denominator"])
+def test_both_formats_refuse_alike(field, vertices, arrows, relations, message):
+    """One set of rules: the same refusal from either format, the DSL's
+    with its line number in front."""
+    dsl_text, json_text = both_formats(field, vertices, arrows, relations)
+    errors = []
+    for text in (dsl_text, json_text):
+        with pytest.raises(ParseError) as err:
+            load_presentation(text)
+        errors.append(str(err.value))
+    assert errors[1] == message
+    assert re.sub(r"\Aline \d+: ", "", errors[0]) == message
+
+
+@pytest.mark.parametrize("coef", ["0.1", "1e3", "+1", " 1", "1/0", "1/-2", "x"])
+def test_a_json_coefficient_string_follows_the_dsl_number_syntax(coef):
+    """An optionally signed n or n/m, as a relation in the DSL writes it."""
+    _, text = both_formats("Q", *LOOP_X, [[(coef, "xx")]])
+    with pytest.raises(ParseError, match="bad presentation JSON"):
+        presentation_from_json(text)
+    _, text = both_formats("Q", *LOOP_X, [[("-3/6", "xx")]])
+    assert presentation_from_json(text).relations[0].terms == ((Fraction(-1, 2), ("x", "x")),)
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="no limit on the digits of an int")
+def test_an_integer_past_the_digit_limit_is_a_parse_error():
+    """Reading its digits raises ValueError, in the DSL's number and in JSON alike."""
+    digits = "1" * (sys.get_int_max_str_digits() + 1)
+    with pytest.raises(ParseError, match=r"\Aline 4, col 1: Exceeds the limit"):
+        load_presentation(f"field Q\nvertex 1\narrow x 1 1\nrelation {digits}*(x*x)\n")
+    _, text = both_formats("Q", *LOOP_X, [[("1", "xx")]])
+    with pytest.raises(ParseError, match=r"\Abad JSON: Exceeds the limit"):
+        load_presentation(text.replace('"1", "path"', digits + ', "path"'))
+
+
+def test_a_name_may_be_declared_after_its_use():
+    p = parse_presentation("relation a*b\narrow b 2 1\nfield Q\narrow a 1 2\nvertex 1 2\n")
+    assert p == parse_presentation("field Q\nvertex 1 2\narrow b 2 1\narrow a 1 2\n"
+                                   "relation a*b\n")
+
+
+def test_a_relation_is_refused_once_its_expansion_passes_the_step_budget(monkeypatch):
+    """Past MAX_STEPS terms a relation could never finish its first reduction;
+    an expansion that combining keeps small is not refused."""
+    monkeypatch.setattr(dsl, "MAX_STEPS", 100)
+    text = "field Q\nvertex 1\narrow x 1 1\narrow y 1 1\nrelation "
+    assert len(parse_presentation(text + "*".join(["(x+y)"] * 6)).relations[0].terms) == 64
+    with pytest.raises(TooLarge, match="relation expands past 100 terms"):
+        parse_presentation(text + "*".join(["(x+y)"] * 7))
+    relation = parse_presentation(text + "*".join(["(x+x*x)"] * 18)).relations[0]
+    assert len(relation.terms) == 19
 
 
 def test_a_second_field_line_is_refused():

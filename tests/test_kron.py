@@ -137,6 +137,16 @@ def test_standard_relations_literal():
     assert any("a*d" in w and "b*c" in w for w in rep2.witnesses)
 
 
+def test_every_s2_link_is_tested():
+    """Both links of the non-standard chain of three fail their skew sum, and
+    the second is a witness too, though the first has already failed S2."""
+    path = pathlib.Path(__file__).resolve().parent.parent / "corpus" / "chain3_nonstandard.dsl"
+    t = build_algebra(load_presentation(path.read_text()))
+    rep = standard_relations_literal(t, maximal_chains(t)[0])
+    assert rep.s1 and not rep.s2 and rep.s3
+    assert rep.witnesses == ["a*d + b*c", "c*f + d*e"]
+
+
 def test_witnesses_follow_the_chain_order():
     # two S1 witnesses; iterating a set of labels made their order vary
     # with the string hash seed from one run to the next

@@ -12,7 +12,7 @@ from quiverhh.cli import main
 from quiverhh.dsl import load_presentation
 from quiverhh.errors import NotAcyclic
 from quiverhh.quiver import (Quiver, classify_components, hereditary_hh1_dim,
-                             path_counts, reptype_radsq, separated_quiver)
+                             reptype_radsq, separated_quiver)
 import reference
 
 
@@ -93,14 +93,18 @@ def test_reptype_screen():
 
 
 def test_path_counts_and_acyclicity():
+    """Happel's formula counts every path from an arrow's source to its
+    target: 1 - 3 + 1 + 1 + 2 with c parallel to a*b, and 1 - 3 + 2 + 2 + 2
+    + 2 + 5 with two arrows 1 -> 2, two arrows 2 -> 3 and e: 1 -> 3 beside
+    their four products; a directed cycle or a loop is refused."""
     q = q_make(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3"), ("c", "1", "3")])
-    counts = path_counts(q)
-    assert counts[("1", "3")] == 2
-    assert counts[("1", "1")] == 1
-    assert counts[("3", "1")] == 0
-    cyc = q_make(["1", "2"], [("a", "1", "2"), ("b", "2", "1")])
-    with pytest.raises(NotAcyclic):
-        path_counts(cyc)
+    assert hereditary_hh1_dim(q) == 2
+    doubled = q_make(["1", "2", "3"], [("a", "1", "2"), ("b", "1", "2"), ("c", "2", "3"),
+                                       ("d", "2", "3"), ("e", "1", "3")])
+    assert hereditary_hh1_dim(doubled) == 11
+    for arrows in ([("a", "1", "2"), ("b", "2", "1")], [("x", "2", "2")]):
+        with pytest.raises(NotAcyclic):
+            hereditary_hh1_dim(q_make(["0", "1", "2"], [("t", "0", "1")] + arrows))
 
 
 def test_hereditary_dim_examples():
