@@ -10,10 +10,11 @@ nonzero coefficient), the form ``linal`` eliminates on.
 A derivation extends from the arrows to paths by the product rule
 d(p a) = d(p) a + p d(a) (``_extend``), p a proper prefix of a normal
 monomial or of a rule word, so a basis monomial: one ``linal.combine`` of
-the column of a and the row of p per step.  The extension is linear in
-the values on arrows, so it is walked once per slot, for the slot's unit
-derivation (``DerivationLayout.unit_images``), and the constraint rows
-and the bracket of HH1 both read those images.
+the column of a and the row of p per step, listed once per arrow
+(``_steps``).  The extension is linear in the values on arrows, so each
+slot walks its arrow's steps once, for its unit derivation, and keeps the
+nonzero images (``DerivationLayout.unit_images``) the constraint rows and
+the bracket of HH1 read.
 """
 
 from __future__ import annotations
@@ -47,46 +48,45 @@ class DerivationLayout:
         words = [table.basis_paths[i] for i in sorted({bi for _, bi in self.slots})]
         words += [w for g in table.groebner for w in g]
         self.words = {label: [w for w in words if label in w] for label in self.blocks}
-        self._images: dict = {}  # slot -> unit_images(slot)
+        self._images, self._steps = {}, {}  # slot -> unit_images; label -> _steps
 
     @property
     def size(self) -> int:
         return len(self.slots)
 
     def unit_images(self, s: int) -> dict:
-        """d_s(w) for the unit derivation d_s of slot s = (a, m), sending a to
-        x_m and every other arrow to 0, for each prefix w of the words of a
-        with d_s(w) != 0 (one ``_extend`` walk, on the first call)."""
+        """d_s(w) != 0 for the unit derivation d_s of slot s = (a, m), sending
+        a to x_m and every other arrow to 0, and each prefix w of the words of
+        a: one ``_extend`` walk of the ``_steps`` of a, on the first call."""
         images = self._images.get(s)
         if images is None:
             label, m = self.slots[s]
-            walked = _extend(self.table, {label: {m: self.table.field.one}}, self.words[label])
-            images = self._images[s] = {w: img for w, img in walked.items() if img}
+            if label not in self._steps:
+                self._steps[label] = _steps(self.words[label])
+            values = {label: {m: self.table.field.one}}
+            images = self._images[s] = _extend(self.table, values, self._steps[label])
         return images
 
 
-def _extend(t: AlgebraTable, values: dict, words) -> dict:
-    """d(p) for every nonempty prefix p of the words (basis monomials or
-    rule words), each by the product rule from the image of its own prefix,
-    where d(a) = values.get(a, 0): prefix -> sparse vector.  Each word is
-    walked on from its longest prefix already imaged; a step with d(p) = 0
-    and d(a) = 0 gives 0 with no table read."""
+def _steps(words) -> list:
+    """(p, q, a) with p = q + (a,) for each nonempty prefix p of the words,
+    each prefix once and after q."""
+    prefixes = dict.fromkeys(w[:k] for w in words for k in range(1, len(w) + 1))
+    return [(p, p[:-1], p[-1]) for p in prefixes]
+
+
+def _extend(t: AlgebraTable, values: dict, steps) -> dict:
+    """The nonzero d(p) = d(q) a + q d(a) for the steps (p, q, a) of a
+    ``_steps`` list, where d(a) = values.get(a, 0): prefix -> sparse vector.
+    A step with d(q) = 0 and d(a) = 0 gives 0 with no table read."""
     field, columns, products, index = t.field, t.columns, t.products, t.path_index
     images: dict = {}
-    for w in words:
-        n = len(w) if images else 0
-        while n and w[:n] not in images:
-            n -= 1
-        head = w[:n]
-        for a in w[n:]:
-            da = values.get(a, {})
-            if head and (da or images[head]):
-                img = linal.combine(field, (images[head], columns[index[(a,)]]),
-                                    (da, products[index[head]]))
-            else:
-                img = dict(da)
-            head += (a,)
-            images[head] = img
+    for p, q, a in steps:
+        da, dq = values.get(a, {}), images.get(q, {})
+        if q and (da or dq):
+            da = linal.combine(field, (dq, columns[index[(a,)]]), (da, products[index[q]]))
+        if da:
+            images[p] = da
     return images
 
 
@@ -341,7 +341,7 @@ def hh1(table: AlgebraTable) -> HH1Result:
         ech = inn + reps
         reps += linal.span_basis(field, [linal.reduce_against(field, v, ech) for v in der])
     lie = lie_from_quotient(layout, reps, inn)
-    layout._images.clear()  # the bracket is the last reader of the per-slot images
+    layout._images, layout._steps = {}, {}  # the bracket is their last reader
     return HH1Result(lie, der, inn, cut)
 
 

@@ -196,8 +196,7 @@ def parse_presentation(text: str, field_override: str | None = None,
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        head, _, rest = line.partition(" ")
-        rest = rest.strip()
+        head, rest = (line.split(None, 1) + [""])[:2]
         if head == "field":
             if field is not None:
                 raise ParseError("duplicate field declaration", line_no)

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from quiverhh import linal
 from quiverhh.algebra import AlgebraTable, _Rewriter
-from quiverhh.derlie import _extend
+from quiverhh.derlie import _extend, _steps
 from quiverhh.errors import (NotAdmissible, NotAssociative, NotFiniteDimensional,
                              QuotientUndefined, TooLarge)
 from quiverhh.kron import (KroneckerChain, _chain_shape, _cross_product_survives,
@@ -59,13 +59,13 @@ def sparse_value(layout, vec: dict, label: str) -> dict:
 def action_columns(layout, vec: dict, indices) -> dict:
     """Images of the basis monomials in indices under the derivation with
     slot vector vec, extended to all of A by the product rule
-    d(p a) = d(p) a + p d(a) (``derlie._extend``): index -> sparse vector.
-    Idempotents map to zero."""
+    d(p a) = d(p) a + p d(a) (``derlie._extend`` over ``derlie._steps``):
+    index -> sparse vector.  Idempotents map to zero."""
     t = layout.table
     values = {label: sparse_value(layout, vec, label) for label in layout.blocks}
     paths = [t.basis_paths[j] for j in indices]
-    images = _extend(t, values, paths)
-    return {j: images[p] if p else {} for j, p in zip(indices, paths)}
+    images = _extend(t, values, _steps(paths))
+    return {j: images.get(p, {}) for j, p in zip(indices, paths)}
 
 
 def bracket_structure(layout, reps: list, inn: list) -> list:

@@ -476,6 +476,36 @@ def test_unit_images_are_the_product_rule(path):
             assert images.get(p, {}) == expected, (layout.slots[s], p)
 
 
+@pytest.mark.parametrize("path", PRODUCT_RULE_CASES, ids=lambda p: getattr(p, "stem", p))
+def test_steps_list_each_prefix_once_after_its_own_prefix(path):
+    """The step list of an arrow holds each nonempty prefix of its words
+    once, as (q + (a,), q, a), and the step of q comes first."""
+    layout = DerivationLayout(product_rule_table(path))
+    for label, words in layout.words.items():
+        steps = derlie._steps(words)
+        assert {p for p, _, _ in steps} == {w[:n] for w in words for n in range(1, len(w) + 1)}
+        assert len(steps) == len({p for p, _, _ in steps})
+        at = {p: k for k, (p, _, _) in enumerate(steps)}
+        for k, (p, q, a) in enumerate(steps):
+            assert p == q + (a,) and at.get(q, -1) < k
+
+
+@pytest.mark.parametrize("n,field", [(32, Q), (48, Q), (15, Field(5)), (48, Field(3))],
+                         ids=["x32_Q", "x48_Q", "x15_fp5", "x48_fp3"])
+def test_unit_images_of_a_truncated_loop_have_the_closed_form(n, field):
+    """On k[x]/(x^n) the slot (x, x^m) sends x^k to k x^(k-1+m): the images
+    hold exactly the prefixes x^k with k - 1 + m < n and k nonzero in k,
+    the rule word x^n included, and no other key."""
+    t = truncated_loop(n, field)
+    layout = DerivationLayout(t)
+    p = field.characteristic
+    for s, (label, m) in enumerate(layout.slots):
+        assert label == "x" and t.basis_paths[m] == ("x",) * m
+        expected = {("x",) * k: {k - 1 + m: field.of(k)} for k in range(1, n + 1)
+                    if k - 1 + m < n and not (p and k % p == 0)}
+        assert layout.unit_images(s) == expected, (n, p, m)
+
+
 @pytest.mark.parametrize("n,field", [(15, Field(5)), (32, Q)], ids=["x15_fp5", "x32_Q"])
 def test_action_columns_take_one_product_rule_step_per_monomial(monkeypatch, n, field):
     """Each image is d(p a) = d(p) a + p d(a) from the image of its prefix:
@@ -582,32 +612,38 @@ def test_bracket_from_unit_images_matches_the_action_columns(case):
 @pytest.mark.parametrize("case", ["x15_fp5", "linked_cycle16"])
 def test_hh1_walks_the_product_rule_at_most_once_per_slot(monkeypatch, case):
     """The constraint rows and the bracket share one ``_extend`` walk per
-    slot of the layout."""
+    slot of the layout, over one ``_steps`` list per arrow."""
     t = BRACKET_CASES[case]()
-    extend = derlie._extend
-    calls = []
+    calls = {"_extend": [], "_steps": []}
 
-    def counted(*args):
-        calls.append(args)
-        return extend(*args)
+    def counted(name):
+        original = getattr(derlie, name)
 
-    monkeypatch.setattr(derlie, "_extend", counted)
+        def call(*args):
+            calls[name].append(args)
+            return original(*args)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(derlie, name, counted(name))
     full = hh1(t)
-    assert 0 < len(calls) <= full.layout.size
+    assert 0 < len(calls["_extend"]) <= full.layout.size
+    assert 0 < len(calls["_steps"]) <= len(t.quiver.arrows)
 
 
 @pytest.mark.parametrize("case,m", [("x15_fp5", 0), ("linked_cycle16", 1)])
 def test_hh1_drops_the_per_slot_images_after_the_bracket(case, m):
-    """The bracket is the last reader of the per-slot images, so the layout
-    that hh1 returns holds none; HH1_rad and the chain report, which read
-    only the slot positions, still run on it and walk nothing again."""
+    """The bracket is the last reader of the per-slot images and of the
+    step lists, so the layout that hh1 returns holds neither; HH1_rad and
+    the chain report, which read only the slot positions, still run on it
+    and walk nothing again."""
     t = BRACKET_CASES[case]()
     full = hh1(t)
-    assert full.layout._images == {}
+    assert full.layout._images == {} and full.layout._steps == {}
     rad = radical_part(full)
     rep = decomposition_report(rad, reptype_radsq(t.quiver), chains=maximal_chains(t))
     assert rep.m == m
-    assert rad.layout is full.layout and full.layout._images == {}
+    assert rad.layout is full.layout and full.layout._images == full.layout._steps == {}
 
 
 @pytest.mark.parametrize("n,p", [(3, 0), (4, 0), (5, 0), (6, 0), (3, 3), (5, 5), (6, 3)])

@@ -114,6 +114,15 @@ def test_an_unexpected_character_is_placed_in_the_relation_text():
         assert str(err.value) == f"line 4, col {column}: unexpected character '$'"
 
 
+def test_a_directive_may_be_followed_by_any_whitespace():
+    """A tab or a run of spaces after the directive reads as one space."""
+    single = parse_presentation(SAMPLE)
+    for sep in ("\t", "   ", " \t "):
+        text = "\n".join(sep.join(line.split(" ", 1)) if line[:1].isalpha() else line
+                         for line in SAMPLE.splitlines())
+        assert parse_presentation(text) == single, repr(sep)
+
+
 def test_missing_field_rejected():
     with pytest.raises(ParseError):
         parse_presentation("vertex 1\n")
