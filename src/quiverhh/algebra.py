@@ -35,11 +35,12 @@ from .value import Value
 Path = tuple  # tuple of arrow labels; the empty tuple never appears in relations
 Poly = dict   # Path -> scalar
 MAX_STEPS = 250_000  # heap pops of _Rewriter.reduce per rewriter; tier-1 needs under 5,000
+MAX_LENGTH = 64  # default cap on the length of a normal word; the front ends refuse one below 1
 
 
 class Relation(Value, fields=("terms",)):
-    """k-linear combination of parallel paths of length >= 2: terms is a tuple
-    of (coefficient, Path), the coefficient an int or Fraction before coercion."""
+    """k-linear combination of paths by the rules of relation_poly: terms is a
+    tuple of (coefficient, Path), the coefficient an int or Fraction."""
 
     def __init__(self, terms: tuple):
         self.terms = terms
@@ -47,28 +48,30 @@ class Relation(Value, fields=("terms",)):
 
 class Presentation(Value, fields=("quiver", "relations", "field", "max_length_cap")):
     def __init__(self, quiver: Quiver, relations: tuple, field: Field,
-                 max_length_cap: int = 64):
+                 max_length_cap: int = MAX_LENGTH):
         self.quiver, self.relations = quiver, relations
         self.field, self.max_length_cap = field, max_length_cap
 
 
-def _validate_relation(q: Quiver, rel: Relation) -> None:
-    if not rel.terms:
-        raise NotAdmissible("empty relation")
-    endpoints = None
+def relation_poly(q: Quiver, field: Field, rel: Relation) -> Poly:
+    """rel as a polynomial over field, else NotAdmissible, InvalidArrow or
+    ZeroDivisionError: it has terms, each a composable path of length >= 2 on
+    declared arrows, all parallel, coefficients defined in field, sum nonzero."""
+    arrow, poly, ends = q.by_label, {}, None
     for coef, path in rel.terms:
+        for before, label in zip((None, *path), path):
+            if label not in arrow:
+                raise InvalidArrow(f"relation uses undeclared arrow {label!r}")
+            if before is not None and arrow[before].target != arrow[label].source:
+                raise NotAdmissible(f"path {'*'.join(path)} is not composable")
         if len(path) < 2:
             raise NotAdmissible(f"relation monomial {'*'.join(path) or '(trivial)'} has length < 2")
-        for label in path:
-            q.arrow(label)  # InvalidArrow for an undeclared label
-        for x, y in zip(path, path[1:]):
-            if q.arrow(x).target != q.arrow(y).source:
-                raise NotAdmissible(f"path {'*'.join(path)} is not composable")
-        ep = (q.arrow(path[0]).source, q.arrow(path[-1]).target)
-        if endpoints is None:
-            endpoints = ep
-        elif ep != endpoints:
+        if (ep := (arrow[path[0]].source, arrow[path[-1]].target)) != (ends := ends or ep):
             raise NotAdmissible("relation terms are not parallel")
+        linal.add_multiple(field, poly, field.of(coef), {tuple(path): field.one})
+    if not poly:
+        raise NotAdmissible("relation cancels to zero" if rel.terms else "empty relation")
+    return poly
 
 
 class _Rewriter:
@@ -262,14 +265,7 @@ def build_algebra(p: Presentation) -> AlgebraTable:
     q = p.quiver
     field = p.field
     order = {a.label: i for i, a in enumerate(q.arrows)}
-    gens: list[Poly] = []
-    for rel in p.relations:
-        _validate_relation(q, rel)
-        poly: Poly = {}
-        for coef, path in rel.terms:
-            linal.add_multiple(field, poly, field.of(coef), {tuple(path): field.one})
-        if poly:
-            gens.append(poly)
+    gens = [relation_poly(q, field, rel) for rel in p.relations]
     rw = _complete(field, order, gens, p.max_length_cap)
 
     basis_paths = _normal_monomials(q, rw, p.max_length_cap)

@@ -18,7 +18,7 @@ import sys
 from json.encoder import encode_basestring_ascii as _str
 
 from . import dsl
-from .algebra import build_algebra  # noqa: F401  bench/spans.py wraps cli.build_algebra
+from .algebra import MAX_LENGTH, build_algebra  # noqa: F401  bench/spans.py wraps cli.build_algebra
 from .analysis import AnalysisOptions, AnalysisReport, render_text, run_analyze
 from .errors import (InvalidArrow, NotAdmissible, NotFiniteDimensional,
                      ParseError, QuiverHHError)
@@ -83,8 +83,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--json", action="store_true", help="machine-readable output")
         sp.add_argument("--field", default=None,
                         help="override the field (Q or fp:P)")
-        sp.add_argument("--max-length", type=int, default=64,
-                        help="cap on rewriting lengths before giving up")
+        sp.add_argument("--max-length", type=int, default=MAX_LENGTH,
+                        help="cap on rewriting lengths before giving up, at least 1")
         if name == "analyze":
             sp.add_argument("--oracle", action="store_true",
                             help="cross-check HH1 with the brute-force path")

@@ -14,7 +14,8 @@ passes MAX_STEPS terms.  Names are letters, digits and '_'; an arrow label
 must not start with a digit.  A name may be declared anywhere in the file.
 
 Each front end only reads its format into the same items; _presentation
-applies every rule of a presentation to them, so both refuse alike.
+applies every rule of a presentation to them, those of a relation by
+algebra.relation_poly at the relation's line, so both refuse alike.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ import json
 import re
 from fractions import Fraction
 
-from .algebra import MAX_STEPS, Presentation, Relation
-from .errors import ParseError, TooLarge
+from .algebra import MAX_LENGTH, MAX_STEPS, Presentation, Relation, relation_poly
+from .errors import InvalidArrow, NotAdmissible, ParseError, TooLarge
 from .linal import Field, _integral
 from .quiver import Quiver
 
@@ -147,6 +148,8 @@ def _presentation(field, vertices, arrows, relations, field_override: str | None
     are (name, line), arrows (label, source, target, line) and relations
     (terms, line), each term (coefficient, path of labels); a JSON line is None.
     """
+    if max_length_cap < 1:
+        raise ParseError("length cap must be at least 1")
     if field is None:
         raise ParseError("missing field declaration")
     field = _parse_field(*field)  # declared and valid under an override too
@@ -170,26 +173,22 @@ def _presentation(field, vertices, arrows, relations, field_override: str | None
         if src not in names or dst not in names:
             raise ParseError(f"arrow {label!r} uses an undeclared vertex", line_no)
         labels[label] = (label, src, dst)
+    quiver = Quiver.make(names, labels.values())
     out = []
     for terms, line_no in relations:
-        for _, path in terms:
-            for label in path:
-                if label not in labels:
-                    raise ParseError(f"relation uses undeclared arrow {label!r}", line_no)
         terms = _combine(terms)
         if not terms:
             raise ParseError("relation cancels to zero", line_no)
-        for coef, _ in terms:
-            try:
-                field.of(coef)
-            except ZeroDivisionError as exc:
-                raise ParseError(str(exc), line_no) from None
+        try:
+            relation_poly(quiver, field, Relation(tuple(terms)))
+        except (NotAdmissible, InvalidArrow, ZeroDivisionError) as exc:
+            raise ParseError(str(exc), line_no) from None
         out.append(Relation(tuple(sorted(terms, key=lambda t: t[1]))))
-    return Presentation(Quiver.make(names, labels.values()), tuple(out), field, max_length_cap)
+    return Presentation(quiver, tuple(out), field, max_length_cap)
 
 
 def parse_presentation(text: str, field_override: str | None = None,
-                       max_length_cap: int = 64) -> Presentation:
+                       max_length_cap: int = MAX_LENGTH) -> Presentation:
     field = None
     vertices, arrows, relations = [], [], []
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -256,7 +255,7 @@ def presentation_to_json(p: Presentation) -> dict:
 
 
 def presentation_from_json(data, field_override: str | None = None,
-                           max_length_cap: int = 64) -> Presentation:
+                           max_length_cap: int = MAX_LENGTH) -> Presentation:
     if isinstance(data, str):
         try:
             data = json.loads(data)
@@ -295,7 +294,7 @@ def _array(value, key: str) -> list:
 
 
 def load_presentation(text: str, field_override: str | None = None,
-                      max_length_cap: int = 64) -> Presentation:
+                      max_length_cap: int = MAX_LENGTH) -> Presentation:
     """Accept either the DSL or the JSON schema, sniffing the format."""
     parse = presentation_from_json if text.lstrip().startswith("{") else parse_presentation
     try:

@@ -31,7 +31,7 @@ class Quiver(Value, fields=("vertices", "arrows")):
             by_label[a.label] = a
             if a.source not in vset or a.target not in vset:
                 raise ValueError(f"arrow {a.label!r} references undeclared vertex")
-        self.vertices, self.arrows, self._by_label = vertices, arrows, by_label
+        self.vertices, self.arrows, self.by_label = vertices, arrows, by_label  # label -> Arrow
 
     @staticmethod
     def make(vertices, arrows) -> "Quiver":
@@ -40,7 +40,7 @@ class Quiver(Value, fields=("vertices", "arrows")):
 
     def arrow(self, label: str) -> Arrow:
         try:
-            return self._by_label[label]
+            return self.by_label[label]
         except KeyError:
             raise InvalidArrow(f"unknown arrow {label!r}") from None
 

@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from quiverhh import algebra, linal
 from quiverhh.algebra import Presentation, Relation, build_algebra
-from quiverhh.dsl import load_presentation
-from quiverhh.errors import InvalidArrow, NotAdmissible, NotFiniteDimensional, TooLarge
+from quiverhh.dsl import load_presentation, render_presentation
+from quiverhh.errors import (InvalidArrow, NotAdmissible, NotFiniteDimensional, ParseError,
+                             TooLarge)
 from quiverhh.linal import Field
 from quiverhh.quiver import Quiver
 import reference
@@ -85,6 +86,36 @@ def test_an_empty_library_relation_is_refused():
     """The front ends never build one; a library caller can."""
     with pytest.raises(NotAdmissible, match="empty relation"):
         build(["1"], [("x", "1", "1")], [[]])
+
+
+A_TO_B = (["1", "2"], [("a", "1", "2"), ("b", "2", "1")])
+
+
+@pytest.mark.parametrize("vertices, arrows, relation, field, error, message", [
+    (["1"], [("x", "1", "1")], [(1, ("x", "y"))], Q, InvalidArrow,
+     "relation uses undeclared arrow 'y'"),
+    (["1"], [("x", "1", "1")], [(1, ("x",))], Q, NotAdmissible,
+     "relation monomial x has length < 2"),
+    (*A_TO_B, [(1, ("a", "a"))], Q, NotAdmissible, "path a*a is not composable"),
+    (*A_TO_B, [(1, ("a", "b")), (-1, ("b", "a"))], Q, NotAdmissible,
+     "relation terms are not parallel"),
+    (["1"], [("x", "1", "1")], [(1, ("x", "x")), (-1, ("x", "x"))], Q, NotAdmissible,
+     "relation cancels to zero"),
+    (["1"], [("x", "1", "1")], [(3, ("x", "x"))], Field(3), NotAdmissible,
+     "relation cancels to zero"),
+], ids=["undeclared_arrow", "short", "not_composable", "not_parallel", "cancelling",
+        "zero_in_the_field"])
+def test_a_library_relation_is_refused_as_the_front_ends_refuse_it(
+        vertices, arrows, relation, field, error, message):
+    """build_algebra applies the rules of the front ends to a hand-built
+    Presentation: the same text, without the line the DSL puts in front."""
+    p = presentation(vertices, arrows, [relation], field)
+    with pytest.raises(error) as err:
+        build_algebra(p)
+    assert str(err.value) == message
+    with pytest.raises(ParseError) as err:
+        load_presentation(render_presentation(p))
+    assert str(err.value) == f"line {3 + len(arrows)}: {message}"
 
 
 def test_non_parallel_relation_rejected():

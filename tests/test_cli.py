@@ -196,7 +196,15 @@ CANCELLING = json.dumps({
     ((LOOP + "# nothing to relate").encode(), [], "line 4: empty relation"),
     (b"field Q\nvertex\n", [], "no vertices declared"),
     (b"field Q\nvertex 1 2\narrow a 1 2\narrow b 2 1\nrelation a*b - b*a\n", [],
-     "relation terms are not parallel"),
+     "line 5: relation terms are not parallel"),
+    (b"field Q\nvertex 1 2\narrow a 1 2\nrelation a*a\n", [],
+     "line 4: path a*a is not composable"),
+    ((LOOP + "x*x\nrelation x").encode(), [], "line 5: relation monomial x has length < 2"),
+    (b"field fp:3\nvertex 1\narrow x 1 1\nrelation 3*x*x\n", [],
+     "line 4: relation cancels to zero"),
+    ((LOOP + "3*x*x").encode(), ["--field", "fp:3"], "line 4: relation cancels to zero"),
+    (KRONECKER.encode(), ["--max-length", "0"], "length cap must be at least 1"),
+    (KRONECKER.encode(), ["--max-length", "-1"], "length cap must be at least 1"),
 ], ids=["non_utf8", "directory", "fp4", "bogus_field", "denominator_mod_p",
         "fp_too_large", "json_duplicate_vertex", "json_duplicate_arrow",
         "json_undeclared_vertex", "json_non_string_label", "json_primed_vertex",
@@ -208,7 +216,9 @@ CANCELLING = json.dumps({
         "json_float_coefficient", "json_bool_coefficient", "dsl_digit_label",
         "json_digit_label", "dsl_second_field", "dsl_juxtaposed_arrows",
         "dsl_leading_product", "dsl_primed_vertex", "dsl_undeclared_vertex",
-        "dsl_comment_only_relation", "dsl_bare_vertex_line", "dsl_non_parallel"])
+        "dsl_comment_only_relation", "dsl_bare_vertex_line", "dsl_non_parallel",
+        "dsl_not_composable", "dsl_short_term", "dsl_zero_in_the_field",
+        "dsl_zero_in_the_overriding_field", "cap_0", "cap_negative"])
 def test_bad_input_is_one_error_line(tmp_path, capsys, content, extra, fragment):
     path = tmp_path / "input.dsl"
     if content is None:

@@ -84,10 +84,11 @@ field Q
 vertex 1 2
 arrow a 1 2
 arrow b 1 2
-relation (a + b) * 2 - a * 2
+arrow c 2 2
+relation (a + b) * c * 2 - a * c * 2
 """
     p = parse_presentation(text)
-    assert p.relations[0].terms == ((Fraction(2), ("b",)),)
+    assert p.relations[0].terms == ((Fraction(2), ("b", "c")),)
 
 
 def test_parse_errors_carry_line_numbers():
@@ -176,6 +177,7 @@ def both_formats(field, vertices, arrows, relations):
 
 
 LOOP_X = (["1"], [("x", "1", "1")])
+A_TO_B = (["1", "2"], [("a", "1", "2"), ("b", "2", "1")])
 
 
 @pytest.mark.parametrize("field, vertices, arrows, relations, message", [
@@ -190,12 +192,16 @@ LOOP_X = (["1"], [("x", "1", "1")])
     ("Q", *LOOP_X, [[("1", "xy")]], "relation uses undeclared arrow 'y'"),
     ("Q", *LOOP_X, [[("1", "xx"), ("-1", "xx")]], "relation cancels to zero"),
     ("fp:3", *LOOP_X, [[("1/3", "xx")]], "denominator of 1/3 vanishes mod 3"),
+    ("Q", *LOOP_X, [[("1", "x")]], "relation monomial x has length < 2"),
+    ("Q", *A_TO_B, [[("1", "aa")]], "path a*a is not composable"),
+    ("Q", *A_TO_B, [[("1", "ab"), ("-1", "ba")]], "relation terms are not parallel"),
+    ("fp:3", *LOOP_X, [[("3", "xx")]], "relation cancels to zero"),
 ], ids=["field", "characteristic", "vertex_name", "duplicate_vertex", "no_vertices",
         "label", "duplicate_label", "endpoint", "undeclared_arrow", "cancelling",
-        "denominator"])
+        "denominator", "short", "not_composable", "not_parallel", "zero_in_the_field"])
 def test_both_formats_refuse_alike(field, vertices, arrows, relations, message):
     """One set of rules: the same refusal from either format, the DSL's
-    with its line number in front."""
+    with its relation's line number in front."""
     dsl_text, json_text = both_formats(field, vertices, arrows, relations)
     errors = []
     for text in (dsl_text, json_text):
@@ -204,6 +210,25 @@ def test_both_formats_refuse_alike(field, vertices, arrows, relations, message):
         errors.append(str(err.value))
     assert errors[1] == message
     assert re.sub(r"\Aline \d+: ", "", errors[0]) == message
+    if relations:  # the first relation's line, after the field, vertex and arrow lines
+        assert errors[0].startswith(f"line {3 + len(arrows)}: ")
+
+
+def test_a_relation_zero_in_the_overriding_field_is_refused_at_its_line():
+    """3*x*x is nonzero over Q but zero over F_3, under --field as under its own field."""
+    dsl_text, json_text = both_formats("Q", *LOOP_X, [[("3", "xx")]])
+    assert load_presentation(dsl_text).relations[0].terms == ((3, ("x", "x")),)
+    with pytest.raises(ParseError, match=r"\Aline 4: relation cancels to zero\Z"):
+        load_presentation(dsl_text, field_override="fp:3")
+    with pytest.raises(ParseError, match=r"\Arelation cancels to zero\Z"):
+        load_presentation(json_text, field_override="fp:3")
+
+
+@pytest.mark.parametrize("cap", [0, -1])
+def test_a_length_cap_below_one_is_refused(cap):
+    for text in both_formats("Q", *LOOP_X, [[("1", "xx")]]):
+        with pytest.raises(ParseError, match=r"\Alength cap must be at least 1\Z"):
+            load_presentation(text, max_length_cap=cap)
 
 
 @pytest.mark.parametrize("coef", ["0.1", "1e3", "+1", " 1", "1/0", "1/-2", "x"])
@@ -317,12 +342,20 @@ def presentations(draw):
 @given(presentations())
 def test_each_front_end_round_trips_or_refuses(p):
     """Both front ends refuse exactly the presentations with an arrow label
-    starting with a digit or a coefficient whose denominator vanishes in
-    the field, and read every other one back as written."""
+    starting with a digit, a coefficient whose denominator vanishes in the
+    field, a relation term shorter than two arrows, a relation whose terms
+    are not parallel or one whose every coefficient is zero in the field,
+    and read every other one back as written."""
     char = p.field.characteristic
+    arrow = {a.label: a for a in p.quiver.arrows}
     refusable = (any(a.label[0].isdigit() for a in p.quiver.arrows)
                  or any(char and c.denominator % char == 0
-                        for rel in p.relations for c, _ in rel.terms))
+                        for rel in p.relations for c, _ in rel.terms)
+                 or any(len(w) < 2 for rel in p.relations for _, w in rel.terms)
+                 or any(len({(arrow[w[0]].source, arrow[w[-1]].target)
+                             for _, w in rel.terms}) > 1 for rel in p.relations)
+                 or any(char and all(c.numerator % char == 0 for c, _ in rel.terms)
+                        for rel in p.relations))
     for write, read in ((render_presentation, parse_presentation),
                         (lambda q: json.dumps(presentation_to_json(q)), presentation_from_json)):
         try:
