@@ -1,23 +1,23 @@
 """Finite-dimensional bound quiver algebras as explicit multiplication tables.
 
-A presentation (quiver, relations, field) is completed into a rewriting
-system under the length-then-lex order on paths (arrows ordered by
-declaration, longer paths larger).  A rule is a monic polynomial, a sparse
-row keyed by path, and ``linal.add_multiple`` does all the rewriting
-arithmetic; a lead factor of a path is looked up in the rule dict, one slice
-per lead length.  Completion installs each polynomial of a worklist, sends
-back the rules whose lead the new one makes reducible, and resolves the
-overlaps of leads from one heap, lowest degree first, skipping those of two
-monomial rules (a zero S-polynomial) unless a lead passes the length cap;
-one reduction of each tail gives the reduced system.  Its normal monomials,
-the basis of the quotient, are the walks in a graph on the proper prefixes
-of the leads, finite exactly when it has no cycle.  A product of basis
-monomials whose word is normal is that basis vector; any other product with
-an arrow is its word fully reduced, and every longer product follows from
-these by arrow prefix, as b * (w * a) = (b * w) * a.  The radical filtration
-is built once per algebra from path length and the few products that reduce
-to shorter monomials (relations need not be homogeneous in path length), and
-its bases are kept on the table.
+A presentation (quiver, relations, field) is completed into a rewriting system
+under the length-then-lex order on paths (arrows ordered by declaration,
+longer paths larger).  A rule is a monic polynomial, a sparse row keyed by
+path, and ``linal.add_multiple`` does all the rewriting arithmetic; a lead
+factor is read from each position of a path while the word is a proper prefix
+of a lead.  Completion installs each polynomial of a worklist, sends back the
+rules whose lead the new one makes reducible, and resolves the overlaps of
+leads from one heap, lowest degree first; one past degree 2 * cap with a lead
+longer than cap + 1 is refused, and those of two monomial rules (a zero
+S-polynomial) are queued only to be so refused.  One reduction of each tail
+gives the reduced system.  Its normal monomials, the basis of the quotient,
+are the walks in a graph on the lead prefixes, finite exactly when it has no
+cycle.  A product of basis monomials whose word is normal is that basis
+vector; any other product with an arrow is its word fully reduced, and every
+longer product follows from these by arrow prefix, as b * (w * a) =
+(b * w) * a.  The radical filtration is built once per algebra from path
+length and the few products that reduce to shorter monomials (relations need
+not be homogeneous in path length), and its bases are kept on the table.
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ class _Rewriter:
         self.field = field
         self.order = order  # arrow label -> declaration index
         self.rules: dict[Path, Poly] = {}
-        self.lengths: list[int] = []  # lead lengths, ascending; while completing, stale too
+        self.prefixes: set[Path] = set()  # proper prefixes of leads; while completing, stale too
         self.steps = 0  # heap pops of reduce, refused past MAX_STEPS
 
     def reduce(self, poly: Poly) -> Poly:
@@ -113,11 +113,13 @@ class _Rewriter:
         return out
 
     def _find_factor(self, path: Path):
-        """The leftmost lead factor of path, shortest first, by hash lookup."""
+        """The leftmost lead factor of path, shortest first, read while a lead prefix."""
         for pos in range(len(path)):
-            for ll in self.lengths:
-                if (lead := path[pos:pos + ll]) in self.rules:
-                    return pos, lead
+            for end in range(pos + 1, len(path) + 1):
+                if (word := path[pos:end]) in self.rules:
+                    return pos, word
+                if word not in self.prefixes:
+                    break
         return None
 
     def add(self, poly: Poly) -> Path | None:
@@ -129,7 +131,7 @@ class _Rewriter:
         rule: Poly = {}
         linal.add_multiple(self.field, rule, self.field.inv(red[lead]), red)
         self.rules[lead] = rule
-        self.lengths = sorted({*self.lengths, len(lead)})
+        self.prefixes.update(lead[:i] for i in range(1, len(lead)))
         return lead
 
 
@@ -143,7 +145,7 @@ def _complete(field: Field, order: dict, gens: list[Poly], cap: int) -> _Rewrite
             degree, u, v, t = heappop(pairs)
             if u not in rules or v not in rules:
                 continue
-            if degree > 2 * cap:
+            if degree > 2 * cap and max(len(u), len(v)) > cap + 1:
                 raise NotFiniteDimensional("overlap degree exceeds the length cap")
             # ambiguity word w = u * v[t:] = u[:-t] * v; the S-polynomial
             # rule_u * v[t:] - u[:-t] * rule_v, in which w cancels
@@ -161,10 +163,10 @@ def _complete(field: Field, order: dict, gens: list[Poly], cap: int) -> _Rewrite
             work.append(rules.pop(old))
         # the proper overlaps (u, v, t): the suffix of length t of u is a prefix
         # of v; two monomial rules have a zero S-polynomial, so their overlaps
-        # are queued only when a lead is longer than the cap, to be refused
-        short = len(rules[lead]) == 1 and n <= cap
+        # are queued only when a lead is longer than cap + 1, to be refused
+        short = len(rules[lead]) == 1 and n <= cap + 1
         for other in rules:
-            if short and len(rules[other]) == 1 and len(other) <= cap:
+            if short and len(rules[other]) == 1 and len(other) <= cap + 1:
                 continue
             for u, v in {(lead, other), (other, lead)}:
                 for t in range(1, min(len(u), len(v))):
@@ -172,7 +174,7 @@ def _complete(field: Field, order: dict, gens: list[Poly], cap: int) -> _Rewrite
                         heappush(pairs, (len(u) + len(v) - t, u, v, t))
     for lead, rule in rules.items():
         rules[lead] = {lead: rule[lead], **rw.reduce(dict(islice(rule.items(), 1, None)))}
-    rw.lengths = sorted({len(lead) for lead in rules})
+    rw.prefixes = {lead[:i] for lead in rules for i in range(1, len(lead))}
     return rw
 
 
@@ -314,7 +316,7 @@ def build_algebra(p: Presentation) -> AlgebraTable:
 def _normal_monomials(q: Quiver, rw: _Rewriter, cap: int) -> list[Path]:
     arrows_from = {v: [a.label for a in q.arrows_from(v)] for v in q.vertices}
     target = {a.label: a.target for a in q.arrows}
-    prefixes = {lead[:i] for lead in rw.rules for i in range(1, len(lead))}
+    lengths = {len(lead) for lead in rw.rules}
     # the state of a normal word w is its longest suffix that is a proper
     # prefix of a lead, else its last arrow.  A lead ending w + (l,) is, less
     # l, such a suffix of w, so no longer than the state: whether w + (l,) is
@@ -329,8 +331,8 @@ def _normal_monomials(q: Quiver, rw: _Rewriter, cap: int) -> list[Path]:
         links[state] = []
         for label in arrows_from[target[state[-1]]]:
             cand = state + (label,)
-            if not any(cand[-ll:] in rw.rules for ll in rw.lengths):
-                nxt = next((cand[i:] for i in range(len(cand) - 1) if cand[i:] in prefixes),
+            if not any(cand[-ll:] in rw.rules for ll in lengths):
+                nxt = next((cand[i:] for i in range(len(cand) - 1) if cand[i:] in rw.prefixes),
                            (label,))
                 links[state].append(nxt)  # ends with label
                 states.append(nxt)
@@ -343,7 +345,7 @@ def _normal_monomials(q: Quiver, rw: _Rewriter, cap: int) -> list[Path]:
             if not entering[nxt]:
                 peeled.append(nxt)
     if len(peeled) < len(links):
-        span = max(rw.lengths, default=2) - 1
+        span = max(lengths, default=2) - 1
         raise NotFiniteDimensional(f"a normal monomial repeats a factor of length "
                                    f"{span}, so dim A is infinite")
     out: list[Path] = [() for _ in q.vertices]

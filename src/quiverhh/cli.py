@@ -84,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--field", default=None,
                         help="override the field (Q or fp:P)")
         sp.add_argument("--max-length", type=int, default=MAX_LENGTH,
-                        help="cap on rewriting lengths before giving up, at least 1")
+                        help="cap on the length of a normal word, at least 1")
         if name == "analyze":
             sp.add_argument("--oracle", action="store_true",
                             help="cross-check HH1 with the brute-force path")

@@ -94,21 +94,18 @@ def _constraint_rows(layout: DerivationLayout) -> list:
     """Sparse linear conditions on the slot vector forcing delta(g) = 0 for
     all reduced rewriting generators g: one row per generator and nonzero
     coordinate of A.  The entry in column s is that coordinate of d_s(g),
-    for the unit derivation d_s of slot s; only the slots of arrows
-    occurring in g can give one."""
+    for the unit derivation d_s of slot s, walked only for the arrows of g;
+    a word of g without the arrow of s has no stored image."""
     t = layout.table
     field = t.field
     rows = []
     for g in t.groebner:
         by_coord: dict = {}  # coordinate of delta(g) -> its row
-        for label, block in layout.blocks.items():
-            terms = {w: c for w, c in g.items() if label in w}
-            if not terms:
-                continue
-            for s in block:
+        for label in dict.fromkeys(l for w in g for l in w):
+            for s in layout.blocks[label]:
                 images = layout.unit_images(s)
                 delta: dict = {}  # d_s(g), from the nonzero images of its words
-                for w, c in terms.items():
+                for w, c in g.items():
                     if img := images.get(w):
                         linal.add_multiple(field, delta, c, img)
                 for coord, a in delta.items():

@@ -3,7 +3,8 @@ Hochschild complex of a bare table, with all d^2 unknowns, the
 associativity check it relies on, the quotient section of one span
 modulo another, a derivation extended from its slot vector to every basis
 monomial, the bracket of derivations from the action columns of each
-representative, the completion that interreduces every rule after
+representative, the derivation constraint rows filtered per arrow,
+the completion that interreduces every rule after
 each new one, the normal words listed up to the longest lead with a cycle
 test on the graph of those words, the radical filtration by row
 reduction of every power, the Tits-form classification by elimination
@@ -109,6 +110,30 @@ def bracket_structure(layout, reps: list, inn: list) -> list:
     return structure
 
 
+def constraint_rows(layout) -> list:
+    """The rows of ``derlie._constraint_rows`` as the package once built
+    them: for each generator g and each arrow, the terms of g whose word
+    holds the arrow, read against each slot of that arrow."""
+    t = layout.table
+    rows = []
+    for g in t.groebner:
+        by_coord: dict = {}
+        for label, block in layout.blocks.items():
+            terms = {w: c for w, c in g.items() if label in w}
+            if not terms:
+                continue
+            for s in block:
+                images = layout.unit_images(s)
+                delta: dict = {}
+                for w, c in terms.items():
+                    if img := images.get(w):
+                        linal.add_multiple(t.field, delta, c, img)
+                for coord, a in delta.items():
+                    by_coord.setdefault(coord, {})[s] = a
+        rows.extend(by_coord[coord] for coord in sorted(by_coord))
+    return rows
+
+
 def levi_dim(lie) -> int:
     """dim L - dim Rad(L) for a Lie algebra over Q, where Rad(L) is
     {x : kappa(x, [L, L]) = 0} (Cartan's criterion, characteristic 0) and
@@ -183,7 +208,8 @@ def complete(field: Field, order, gens: list, cap: int) -> _Rewriter:
     interreduced and every overlap of two leads is listed again, and every
     resolved overlap is forgotten when a rule changed; the next overlap is
     the least pending one by degree.  NotFiniteDimensional, with the
-    package's message, past overlap degree 2 * cap."""
+    package's message, past overlap degree 2 * cap for a lead longer than
+    cap + 1."""
     rw = _Rewriter(field, order)
     for g in gens:
         rw.add(g)
@@ -193,7 +219,7 @@ def complete(field: Field, order, gens: list, cap: int) -> _Rewriter:
 
     def enqueue_all():
         leads = list(rw.rules)
-        short = {u for u in leads if len(rw.rules[u]) == 1 and len(u) <= cap}
+        short = {u for u in leads if len(rw.rules[u]) == 1 and len(u) <= cap + 1}
         for u in leads:
             for v in leads:
                 if u in short and v in short:
@@ -210,7 +236,7 @@ def complete(field: Field, order, gens: list, cap: int) -> _Rewriter:
         u, v, t = trip
         if u not in rw.rules or v not in rw.rules:
             continue
-        if len(u) + len(v) - t > 2 * cap:
+        if len(u) + len(v) - t > 2 * cap and max(len(u), len(v)) > cap + 1:
             raise NotFiniteDimensional("overlap degree exceeds the length cap")
         spoly = {p + v[t:]: c for p, c in rw.rules[u].items()}
         linal.add_multiple(field, spoly, field.neg(field.one),
@@ -233,7 +259,8 @@ def normal_monomials(q: Quiver, rw: _Rewriter, cap: int) -> list:
     level = [(a.label,) for a in q.arrows]
     arrows_from = {v: [a.label for a in q.arrows_from(v)] for v in q.vertices}
     target = {a.label: a.target for a in q.arrows}
-    span = max(rw.lengths, default=2) - 1
+    lengths = {len(lead) for lead in rw.rules}
+    span = max(lengths, default=2) - 1
     length = 1
     while level:
         out.extend(level)
@@ -241,7 +268,7 @@ def normal_monomials(q: Quiver, rw: _Rewriter, cap: int) -> list:
         for path in level:
             for label in arrows_from[target[path[-1]]]:
                 cand = path + (label,)
-                if not any(cand[-ll:] in rw.rules for ll in rw.lengths):
+                if not any(cand[-ll:] in rw.rules for ll in lengths):
                     nxt.append(cand)
         if nxt and length >= cap:
             raise NotFiniteDimensional(

@@ -3,7 +3,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from quiverhh import algebra, linal
 from quiverhh.algebra import Presentation, Relation, build_algebra
@@ -521,13 +521,13 @@ def test_sparse_products_are_the_dense_table_on_binomial_presentations(p):
 @given(binomial_presentations(), st.data())
 def test_rewriting_is_a_reduced_complete_system(p, data):
     """The completed rules of a binomial presentation are reduced (normal
-    tails, no lead a factor of another), monic and confluent, lengths
-    holds exactly the lead lengths, and reduction is linear onto normal
-    monomials."""
+    tails, no lead a factor of another), monic and confluent, prefixes
+    holds exactly the proper prefixes of the leads, and reduction is linear
+    onto normal monomials."""
     t = build_algebra(p)
     field, rw = t.field, t.rewriter
     key = lambda path: (len(path), [rw.order[l] for l in path])  # length-then-lex
-    assert rw.lengths == sorted({len(lead) for lead in rw.rules})
+    assert rw.prefixes == {lead[:i] for lead in rw.rules for i in range(1, len(lead))}
     for lead, rule in rw.rules.items():
         tail = dict(list(rule.items())[1:])
         assert rw.reduce(tail) == tail
@@ -554,6 +554,30 @@ def test_rewriting_is_a_reduced_complete_system(p, data):
             assert not any(path[i:i + len(lead)] == lead
                            for lead in rw.rules for i in range(len(path))), path
     assert is_associative(field, t.products)
+
+
+XYZ_WORDS = st.lists(st.sampled_from("xyz"), min_size=1, max_size=7).map(tuple)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(XYZ_WORDS.map(lambda w: w[:4]), min_size=1, max_size=10),
+       st.lists(st.booleans(), max_size=10), st.lists(XYZ_WORDS, max_size=10))
+def test_the_lead_factor_is_the_leftmost_then_shortest(leads, dropped, paths):
+    """_find_factor returns the lead factor a scan of every (position,
+    length) finds first, leftmost then shortest: on leads installed by add,
+    some holding a later lead as a factor, and after some are dropped, as
+    completion drops them, while prefixes still holds their prefixes."""
+    rw = algebra._Rewriter(Q, {"x": 0, "y": 1, "z": 2})
+    for lead in leads:
+        rw.add({lead: 1})
+    for lead, drop in zip(list(rw.rules), dropped):
+        if drop:
+            rw.rules.pop(lead)
+    assert rw.prefixes >= {lead[:i] for lead in rw.rules for i in range(1, len(lead))}
+    for path in paths + leads:
+        hits = [(pos, path[pos:end]) for pos in range(len(path))
+                for end in range(pos + 1, len(path) + 1) if path[pos:end] in rw.rules]
+        assert rw._find_factor(path) == (hits[0] if hits else None)
 
 
 def completions(presentation):
@@ -588,10 +612,15 @@ def completions(presentation):
 @given(st.one_of(binomial_presentations(),
                  FIELDS.flatmap(random_binomials),
                  FIELDS.flatmap(lambda f: random_binomials(f, truncated=False))))
+@example(presentation(["1"], [("a0", "1", "1"), ("a1", "1", "1"), ("a2", "1", "1")],
+                      [[(1, ("a0", "a0"))], [(1, ("a0", "a0")), (1, ("a1", "a1", "a0", "a1"))]],
+                      cap=3))
 def test_completion_matches_the_interreducing_reference(presentation):
     """A reduced rewriting system is unique for the order: the completion
     from one heap of critical pairs gives the reference's rules, each with
-    its lead first, and refuses the same presentations."""
+    its lead first, and refuses the same presentations.  In the example the
+    binomial rule is installed first and a0^2 then kills its tail, leaving a
+    lead of length cap + 1 whose overlap with itself passes 2 * cap."""
     got, expected = completions(presentation)
     assert got == expected
     if isinstance(got, dict):
@@ -630,7 +659,7 @@ def test_normal_words_match_the_graph_of_words_reference(presentation):
     real = algebra._normal_monomials
 
     def both(q, rw, cap):
-        span = max(rw.lengths, default=2) - 1
+        span = max((len(lead) for lead in rw.rules), default=2) - 1
         seen.append((outcome(real, q, rw, cap),
                      outcome(reference.normal_monomials, q, rw, cap), cap > span))
         return real(q, rw, cap)

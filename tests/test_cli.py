@@ -96,18 +96,39 @@ def test_long_monomial_overlaps_are_refused_at_the_cap(tmp_path, capsys):
 
 
 A3 = "field Q\nvertex 1 2 3\narrow a 1 2\narrow b 2 3\n"
+RADSQ_CYCLE3 = (pathlib.Path(__file__).resolve().parent.parent / "corpus"
+                / "radsq_cycle3.dsl").read_text()
 
 
-@pytest.mark.parametrize("text, cap, code", [(KRONECKER, "1", 0), (A3, "2", 0), (A3, "1", 2)],
-                         ids=["kronecker_at_1", "A3_at_2", "A3_at_1"])
-def test_the_length_cap_refuses_only_a_longer_normal_word(tmp_path, capsys, text, cap, code):
+def truncated_loop(n):
+    return f"field Q\nvertex 1\narrow x 1 1\nrelation {'*'.join('x' * n)}\n"
+
+
+# x^3 + y^2 is installed first, as a binomial rule; y^2, installed after,
+# makes it x^3 alone, whose overlap with itself (degree 5) passes 2 * cap
+TAIL_KILLED = ("field Q\nvertex 1\narrow x 1 1\narrow y 1 1\nrelation y*y\nrelation x*y\n"
+               "relation y*x\nrelation x*x*x + y*y\n")
+
+
+@pytest.mark.parametrize("text, cap, dim", [
+    (KRONECKER, "1", 4), (A3, "2", 6), (A3, "1", None), (truncated_loop(2), "1", 2),
+    (truncated_loop(3), "2", 3), (truncated_loop(11), "10", 11), (RADSQ_CYCLE3, "1", 9),
+    (TAIL_KILLED, "2", 4)],
+    ids=["kronecker_at_1", "A3_at_2", "A3_at_1", "x2_at_1", "x3_at_2", "x11_at_10",
+         "radsq_cycle3_at_1", "x3_plus_y2_at_2"])
+def test_the_length_cap_refuses_only_a_longer_normal_word(tmp_path, capsys, text, cap, dim):
     """The cap N allows normal words of length N: the Kronecker quiver's
-    longest is 1 and A_3's is 2 (a*b), so only A_3 at cap 1 is refused."""
+    longest is 1 and A_3's is 2 (a*b), so only A_3 at cap 1 is refused; a
+    lead of length N + 1, as in k[x]/(x^(N+1)) or a radical square zero
+    algebra at cap 1, is allowed, though its overlaps pass 2N."""
     f = tmp_path / "p.dsl"
     f.write_text(text)
-    assert main(["analyze", str(f), "--max-length", cap]) == code
-    err = capsys.readouterr().err
-    assert err == ("" if code == 0 else "error: normal monomials persist past the length cap 1\n")
+    assert main(["analyze", str(f), "--max-length", cap]) == (2 if dim is None else 0)
+    out, err = capsys.readouterr()
+    if dim is None:
+        assert err == "error: normal monomials persist past the length cap 1\n"
+    else:
+        assert err == "" and f"dim A: {dim}\n" in out
 
 
 @pytest.mark.parametrize("extra, renders", [([], 1), (["--json"], 0)], ids=["text", "json"])
